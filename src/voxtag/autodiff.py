@@ -1,6 +1,7 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays,
 with a gradient reversal layer and its lambda schedule."""
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -137,6 +138,32 @@ def softmax(x, axis=-1):
         return (y * (g - dot),)
 
     return Tensor(y, _parents=(x,), _backward=backward)
+
+
+def cross_entropy(logits, q):
+    """-sum(q * log_softmax(logits, axis=-1)) for constant soft targets q of
+    the logits' shape. Weights, masks and normalisers are folded into q."""
+    logits = _as_tensor(logits)
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != logits.shape:
+        raise ShapeMismatch(f"cross_entropy targets {q.shape} vs logits {logits.shape}")
+    shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def backward(g):
+        return (g * (np.exp(log_p) * q.sum(axis=-1, keepdims=True) - q),)
+
+    return Tensor(-(q * log_p).sum(), _parents=(logits,), _backward=backward)
+
+
+def transpose(x):
+    """Transpose of a 2-D tensor; the gradient transposes back."""
+    x = _as_tensor(x)
+
+    def backward(g):
+        return (g.T,)
+
+    return Tensor(x.values.T, _parents=(x,), _backward=backward)
 
 
 def mean(x, axis=None):
@@ -281,22 +308,32 @@ def save_checkpoint(params: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """Inverse of save_checkpoint. A file cut short anywhere or followed by
+    trailing bytes raises MalformedHeader."""
     with open(path, "rb") as f:
-        head = f.read(8)
-        if len(head) < 8 or head[:4] != CHECKPOINT_MAGIC:
-            raise MalformedHeader(f"{path}: bad checkpoint magic")
-        (count,) = struct.unpack("<I", head[4:])
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
-            n = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8")
-            if data.size != n:
-                raise MalformedHeader(f"{path}: truncated parameter {name}")
-            params[name] = data.reshape(dims).astype(np.float64)
+        blob = f.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise MalformedHeader(f"{path}: bad checkpoint magic")
+    pos = 4
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise MalformedHeader(f"{path}: truncated {what}")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u32s(k, what):
+        return struct.unpack(f"<{k}I", take(4 * k, what))
+
+    params = {}
+    for _ in range(u32s(1, "parameter count")[0]):
+        name = take(u32s(1, "name length")[0], "parameter name").decode("utf-8")
+        dims = u32s(u32s(1, f"rank of {name}")[0], f"shape of {name}")
+        data = np.frombuffer(take(8 * math.prod(dims), f"parameter {name}"), dtype="<f8")
+        params[name] = data.reshape(dims).astype(np.float64)
+    if pos != len(blob):
+        raise MalformedHeader(f"{path}: {len(blob) - pos} trailing bytes")
     return params
 
 

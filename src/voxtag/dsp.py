@@ -206,33 +206,6 @@ def load_features(path) -> FeatureMatrix:
     return FeatureMatrix(data.reshape(t, d).astype(np.float64), normalized=False)
 
 
-def spectral_envelope(w: Waveform, n_fft=2048, lifter_cut=None):
-    """Cepstrally smoothed long-term spectral envelope.
-
-    Returns (freqs_hz, envelope). Used as the analysis oracle for formant
-    positions of harmonic signals.
-    """
-    x = w.samples
-    if len(x) < n_fft:
-        x = np.pad(x, (0, n_fft - len(x)))
-    hop = n_fft // 4
-    n_frames = max(1, (len(x) - n_fft) // hop + 1)
-    window = np.hanning(n_fft)
-    acc = np.zeros(n_fft // 2 + 1)
-    for fi in range(n_frames):
-        frame = x[fi * hop:fi * hop + n_fft] * window
-        acc += np.abs(np.fft.rfft(frame)) ** 2
-    logmag = 0.5 * np.log(np.maximum(acc / n_frames, 1e-20))
-    if lifter_cut is None:
-        # keep quefrencies below the shortest expected pitch period
-        lifter_cut = max(8, int(1.5 * w.sample_rate / F0_MAX))
-    ceps = np.fft.irfft(logmag)
-    ceps[lifter_cut:len(ceps) - lifter_cut] = 0.0
-    env = np.exp(np.fft.rfft(ceps).real)
-    freqs = np.fft.rfftfreq(n_fft, 1.0 / w.sample_rate)
-    return freqs, env
-
-
 def envelope_peak_hz(w: Waveform, lo_hz=200.0, hi_hz=4000.0, f0=None):
     """Frequency of the spectral-envelope maximum within [lo_hz, hi_hz].
 

@@ -5,8 +5,7 @@ frames; the decoder is a single-head attention layer conditioned on the first
 prefix token (bos or a gender tag) at every position.
 """
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,6 +14,7 @@ from .errors import (
     DegenerateFrequency,
     EmptyPrefix,
     InvalidDistribution,
+    MalformedHeader,
     MissingBos,
     NonFinite,
     ShapeMismatch,
@@ -71,7 +71,6 @@ class ModelConfig:
     disc_hidden: int = 64
     label_smoothing: float = 0.1
     disc_loss_weight: float = 0.5
-    dropout: float = 0.0
     mode: str = "multi_gender"
 
     def __post_init__(self):
@@ -212,7 +211,7 @@ class TranslationModel:
         d_in = ad.add(ad.add(emb, tag),
                       ad.Tensor(sinusoidal_positions(len(ids), self.cfg.hidden_dim)))
         scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
-        scores = ad.mul(ad.matmul(d_in, transpose(enc_out)), scale)
+        scores = ad.mul(ad.matmul(d_in, ad.transpose(enc_out)), scale)
         ctx = ad.matmul(ad.softmax(scores, axis=-1), enc_out)
         hid = ad.relu(ad.add(ad.matmul(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"]),
                              p["dec.l0.b1"]))
@@ -246,13 +245,6 @@ class TranslationModel:
         return ad.mean(logits, axis=0)
 
 
-def transpose(t):
-    """Transpose a 2-D tensor (gradient transposes back)."""
-    def backward(g):
-        return (g.T,)
-    return ad.Tensor(t.values.T, _parents=(t,), _backward=backward)
-
-
 def label_smoothed_ce(probs, target: int, smoothing: float):
     """Cross entropy against a smoothed one-hot; pad targets contribute zero."""
     values = probs.values if isinstance(probs, ad.Tensor) else np.asarray(probs)
@@ -263,8 +255,7 @@ def label_smoothed_ce(probs, target: int, smoothing: float):
     n = values.shape[-1]
     q = np.full(n, smoothing / (n - 1))
     q[target] = 1.0 - smoothing
-    probs = probs if isinstance(probs, ad.Tensor) else ad.Tensor(probs)
-    return ad.mul(ad.sum_(ad.mul(q, ad.log(probs))), -1.0)
+    return ad.cross_entropy(ad.log(probs), q)
 
 
 def sequence_loss(logits, targets, smoothing: float):
@@ -276,20 +267,17 @@ def sequence_loss(logits, targets, smoothing: float):
     q = np.full((len(targets), n), smoothing / (n - 1))
     q[np.arange(len(targets)), targets] = 1.0 - smoothing
     mask = (targets != PAD_ID).astype(np.float64)
-    q *= mask[:, None]
-    count = max(mask.sum(), 1.0)
-    logp = ad.log(ad.add(ad.softmax(logits, axis=-1), 1e-300))
-    return ad.mul(ad.sum_(ad.mul(q, logp)), -1.0 / count)
+    q *= mask[:, None] / max(mask.sum(), 1.0)
+    return ad.cross_entropy(logits, q)
 
 
 def weighted_disc_loss(logits, label: SpeakerGender, weights: ClassWeights):
     """Class-weighted cross entropy of the 2-way gender logits."""
     idx = 0 if label is SpeakerGender.F else 1
     w = weights.w_f if label is SpeakerGender.F else weights.w_m
-    one_hot = np.zeros(2)
-    one_hot[idx] = 1.0
-    logp = ad.log(ad.add(ad.softmax(logits, axis=-1), 1e-300))
-    return ad.mul(ad.sum_(ad.mul(one_hot, logp)), -w)
+    q = np.zeros(2)
+    q[idx] = w
+    return ad.cross_entropy(logits, q)
 
 
 def combined_loss(translation_loss, disc_loss, cfg: ModelConfig):
@@ -306,39 +294,33 @@ def combined_loss(translation_loss, disc_loss, cfg: ModelConfig):
 def save_model(model: TranslationModel, path) -> None:
     """Checkpoint plus a sidecar text header with config and vocabulary."""
     ad.save_checkpoint(model.state_dict(), path)
-    cfg = model.cfg
-    lines = [f"{k}={getattr(cfg, k)}" for k in (
-        "feature_dim", "hidden_dim", "encoder_layers", "decoder_layers",
-        "disc_hidden", "label_smoothing", "disc_loss_weight", "dropout", "mode")]
+    lines = [f"{f.name}={getattr(model.cfg, f.name)}" for f in fields(ModelConfig)]
     lines.append("vocab=" + " ".join(model.vocab.tokens[len(RESERVED_TOKENS):]))
     with open(str(path) + ".meta", "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> TranslationModel:
+    """Inverse of save_model. Keys that are not ModelConfig fields (such as a
+    legacy dropout line) are ignored; a missing or unparsable one raises
+    MalformedHeader."""
+    meta_path = str(path) + ".meta"
     meta = {}
-    with open(str(path) + ".meta", encoding="utf-8") as f:
+    with open(meta_path, encoding="utf-8") as f:
         for line in f:
             key, _, value = line.rstrip("\n").partition("=")
             meta[key] = value
-    cfg = ModelConfig(
-        feature_dim=int(meta["feature_dim"]),
-        hidden_dim=int(meta["hidden_dim"]),
-        encoder_layers=int(meta["encoder_layers"]),
-        decoder_layers=int(meta["decoder_layers"]),
-        disc_hidden=int(meta["disc_hidden"]),
-        label_smoothing=float(meta["label_smoothing"]),
-        disc_loss_weight=float(meta["disc_loss_weight"]),
-        dropout=float(meta["dropout"]),
-        mode=meta["mode"])
-    vocab = Vocabulary(meta["vocab"].split() if meta["vocab"] else [])
+
+    def header(key, parse=str):
+        if key not in meta:
+            raise MalformedHeader(f"{meta_path}: missing key {key!r}")
+        try:
+            return parse(meta[key])
+        except ValueError:
+            raise MalformedHeader(f"{meta_path}: cannot parse {key}={meta[key]!r}") from None
+
+    cfg = ModelConfig(**{f.name: header(f.name, f.type) for f in fields(ModelConfig)})
+    vocab = Vocabulary(header("vocab").split())
     model = TranslationModel(vocab, cfg)
     model.load_state_dict(ad.load_checkpoint(path))
     return model
-
-
-def with_mode(model: TranslationModel, mode: str) -> TranslationModel:
-    """Same parameters under a different conditioning mode."""
-    out = TranslationModel(model.vocab, replace(model.cfg, mode=mode))
-    out.load_state_dict(model.state_dict())
-    return out

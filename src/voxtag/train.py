@@ -251,17 +251,15 @@ def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
         "w2": ad.Tensor(rng.normal(scale=1 / np.sqrt(dh), size=(dh, 2)), requires_grad=True),
         "b2": ad.Tensor(np.zeros(2), requires_grad=True),
     }
-    onehot = np.zeros((len(y_tr), 2))
-    onehot[np.arange(len(y_tr)), y_tr] = 1.0
+    q = np.zeros((len(y_tr), 2))
+    q[np.arange(len(y_tr)), y_tr] = 1.0 / len(y_tr)
     opt = Adam(params)
     for _ in range(steps):
         for t in params.values():
             t.zero_grad()
         hid = ad.relu(ad.add(ad.matmul(ad.Tensor(X_tr), params["w1"]), params["b1"]))
         logits = ad.matmul(ad.Tensor(P_tr), ad.add(ad.matmul(hid, params["w2"]), params["b2"]))
-        logp = ad.log(ad.softmax(logits, axis=-1))
-        loss = ad.mul(ad.sum_(ad.mul(onehot, logp)), -1.0 / len(y_tr))
-        ad.backward(loss)
+        ad.backward(ad.cross_entropy(logits, q))
         opt.step(lr)
     hid = np.maximum(X_te @ params["w1"].values + params["b1"].values, 0.0)
     logits = P_te @ (hid @ params["w2"].values + params["b2"].values)

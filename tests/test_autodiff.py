@@ -39,6 +39,9 @@ def check_grad(build, x0):
     lambda x: ad.mean(ad.mul(x, ad.Tensor(np.arange(12.0).reshape(3, 4)))),
     lambda x: ad.sum_(ad.softmax(x, axis=-1) * ad.Tensor(np.arange(12.0).reshape(3, 4))),
     lambda x: ad.sum_(ad.log(ad.softmax(x, axis=-1) + 1e-9)),
+    # soft targets with an all-zero row and a row summing to 0.3
+    lambda x: ad.cross_entropy(x, np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0],
+                                            [0.0, 0.3, 0.0, 0.0]])),
 ])
 def test_elementwise_gradients_match_finite_differences(builder):
     rng = np.random.default_rng(0)
@@ -153,6 +156,19 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"JUNKJUNK")
+    with pytest.raises(MalformedHeader):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
+    path = tmp_path / "two.ckpt"
+    ad.save_checkpoint({"w": np.ones((2, 3)), "b": np.arange(3.0)}, path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(MalformedHeader):
+            ad.load_checkpoint(path)
+    path.write_bytes(blob + b"\0")
     with pytest.raises(MalformedHeader):
         ad.load_checkpoint(path)
 

@@ -144,6 +144,34 @@ def test_average_ckpt(workspace, capsys):
                                    np.mean([s[name] for s in states], axis=0))
 
 
+def test_evaluate_model_header_keys(workspace, capsys):
+    from voxtag import model as M
+    path = workspace / "hdr.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 path)
+    meta = (workspace / "hdr.vxck.meta").read_text()
+    argv = ["evaluate", "--model", str(path),
+            "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+            "--eval-tsv", str(workspace / "corpus" / "eval.tsv"),
+            "--out", str(workspace / "hdr.json")]
+    (workspace / "hdr.vxck.meta").write_text(meta.replace("hidden_dim=8\n", ""))
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "hidden_dim" in err and "hdr.vxck.meta" in err
+    (workspace / "hdr.vxck.meta").write_text("dropout=0.0\n" + meta)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
+def test_average_ckpt_rejects_truncated_input(workspace, capsys):
+    import numpy as np
+    from voxtag import autodiff as ad
+    path = workspace / "cut.vxck"
+    ad.save_checkpoint({"w": np.ones((4, 4))}, path)
+    path.write_bytes(path.read_bytes()[:30])
+    code, _, err = run(capsys, "average-ckpt", str(path), "--out", str(workspace / "o.vxck"))
+    assert code == 1 and "truncated" in err
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "features", "--manifest", "/no/such.tsv",
                        "--out", "/tmp/x")

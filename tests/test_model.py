@@ -149,6 +149,14 @@ def test_weighted_disc_loss_examples():
     assert loss.values < 1e-9
 
 
+def test_weighted_disc_loss_saturated_logits():
+    logits = ad.Tensor(np.array([0.0, 800.0]), requires_grad=True)
+    loss = M.weighted_disc_loss(logits, SpeakerGender.F, M.ClassWeights(1.0, 1.0))
+    ad.backward(loss)
+    assert loss.values == 800.0
+    assert np.array_equal(logits.grad, [-1.0, 1.0])
+
+
 def test_combined_loss():
     cfg = M.ModelConfig()
     out = M.combined_loss(ad.Tensor(2.0), ad.Tensor(1.0), cfg)

@@ -50,6 +50,9 @@ def read_wav(path) -> Waveform:
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
+        if chunk_size > len(data) - pos - 8:
+            raise MalformedHeader(f"{path}: {chunk_id!r} chunk declares {chunk_size} bytes, "
+                                  f"{len(data) - pos - 8} present")
         body = data[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:

@@ -195,14 +195,18 @@ def save_features(fm: FeatureMatrix, path) -> None:
 
 
 def load_features(path) -> FeatureMatrix:
+    """Inverse of save_features. A file cut short or followed by trailing
+    bytes raises MalformedHeader."""
     with open(path, "rb") as f:
-        head = f.read(12)
-        if len(head) < 12 or head[:4] != FEATURE_MAGIC:
-            raise MalformedHeader(f"{path}: bad feature file magic")
-        t, d = struct.unpack("<II", head[4:])
-        data = np.frombuffer(f.read(4 * t * d), dtype="<f4")
-    if data.size != t * d:
+        blob = f.read()
+    if len(blob) < 12 or blob[:4] != FEATURE_MAGIC:
+        raise MalformedHeader(f"{path}: bad feature file magic")
+    t, d = struct.unpack("<II", blob[4:12])
+    if len(blob) < 12 + 4 * t * d:
         raise MalformedHeader(f"{path}: truncated feature payload")
+    if len(blob) > 12 + 4 * t * d:
+        raise MalformedHeader(f"{path}: {len(blob) - 12 - 4 * t * d} trailing bytes")
+    data = np.frombuffer(blob[12:], dtype="<f4")
     return FeatureMatrix(data.reshape(t, d).astype(np.float64), normalized=False)
 
 

@@ -5,6 +5,7 @@ frames; the decoder is a single-head attention layer conditioned on the first
 prefix token (bos or a gender tag) at every position.
 """
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -106,22 +107,53 @@ def apply_target_forcing(prefix, gender: SpeakerGender):
     return [tag] + list(prefix[1:])
 
 
+@functools.lru_cache(maxsize=64)
 def sinusoidal_positions(length, dim):
+    """(length, dim) sinusoidal position table. Every decoder step asks for
+    one, so tables are cached; a cached table is shared, so it is read-only."""
     pos = np.arange(length)[:, None]
     inv = np.exp(-np.log(10000.0) * (2 * (np.arange(dim) // 2)) / dim)
     angles = pos * inv[None, :]
     enc = np.where(np.arange(dim) % 2 == 0, np.sin(angles), np.cos(angles))
+    enc.setflags(write=False)
     return enc
 
 
 def pool4(features):
     """Mean-pool frames in groups of 4; the tail group may be shorter."""
-    T = features.shape[0]
-    t_out = -(-T // 4)
-    pooled = np.zeros((t_out, features.shape[1]))
-    for i in range(t_out):
-        pooled[i] = features[4 * i:4 * i + 4].mean(axis=0)
+    full = features.shape[0] // 4 * 4
+    pooled = features[:full].reshape(-1, 4, features.shape[1]).mean(axis=1)
+    if full < features.shape[0]:
+        pooled = np.concatenate([pooled, features[full:].mean(axis=0, keepdims=True)])
     return pooled
+
+
+def pooled_frames(features):
+    """Encoder rows of each utterance in a list of (T, feature_dim) arrays."""
+    return [-(-len(f) // 4) for f in features]
+
+
+def pooling_matrix(frames):
+    """(B, sum(frames)) matrix whose row u averages utterance u's rows."""
+    P = np.zeros((len(frames), sum(frames)))
+    start = 0
+    for u, n in enumerate(frames):
+        P[u, start:start + n] = 1.0 / n
+        start += n
+    return P
+
+
+def _block_mask(rows, cols):
+    """Additive attention mask for a batch: 0 where utterance u's rows meet its
+    own columns, -1e30 elsewhere (finite, because Tensor rejects -inf)."""
+    r = np.repeat(np.arange(len(rows)), rows)
+    c = np.repeat(np.arange(len(cols)), cols)
+    return np.where(r[:, None] == c[None, :], 0.0, -1e30)
+
+
+def _is_batch(ids):
+    """True for a list of id sequences, False for one id sequence."""
+    return len(ids) > 0 and isinstance(ids[0], (list, tuple, np.ndarray))
 
 
 class TranslationModel:
@@ -180,11 +212,18 @@ class TranslationModel:
             t.zero_grad()
 
     def encode(self, features):
-        """features: (T, feature_dim) array -> (ceil(T/4), hidden_dim) Tensor."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.cfg.feature_dim:
-            raise ShapeMismatch(f"expected (T, {self.cfg.feature_dim}) features")
-        x = ad.Tensor(pool4(features))
+        """features: (T, feature_dim) array -> (ceil(T/4), hidden_dim) Tensor.
+
+        A list of such arrays is a batch: the encoder is position-wise, so the
+        utterances' pooled frames are stacked in order into one
+        (sum of ceil(T/4), hidden_dim) Tensor."""
+        pooled = []
+        for f in features if isinstance(features, (list, tuple)) else [features]:
+            f = np.asarray(f, dtype=np.float64)
+            if f.ndim != 2 or f.shape[1] != self.cfg.feature_dim:
+                raise ShapeMismatch(f"expected (T, {self.cfg.feature_dim}) features")
+            pooled.append(pool4(f))
+        x = ad.Tensor(np.concatenate(pooled))
         p = self.params
         h = ad.add(ad.matmul(x, p["enc.in_w"]), p["enc.in_b"])
         for i in range(self.cfg.encoder_layers):
@@ -201,17 +240,29 @@ class TranslationModel:
         if prefix[0] not in (BOS_ID, TAG_F_ID, TAG_M_ID):
             raise UnknownToken("prefix must start with bos or a gender tag")
 
-    def decode_all(self, enc_out, prefix):
-        """Teacher-forced next-token logits for every prefix position: (L, V)."""
-        self._check_prefix(prefix)
+    def decode_all(self, enc_out, prefix, frames=None):
+        """Teacher-forced next-token logits for every prefix position: (L, V).
+
+        A list of prefixes is a batch whose utterance u owns frames[u] rows of
+        the stacked encoder output; each prefix attends only to its own rows,
+        and the logits of all prefixes are stacked in order: (sum of L, V)."""
+        prefixes = prefix if _is_batch(prefix) else [prefix]
+        frames = [enc_out.shape[0]] if frames is None else frames
+        if len(frames) != len(prefixes) or sum(frames) != enc_out.shape[0]:
+            raise ShapeMismatch("frames must count each prefix's rows of the encoder output")
+        for pre in prefixes:
+            self._check_prefix(pre)
         p = self.params
-        ids = np.asarray(prefix, dtype=np.int64)
+        lengths = [len(pre) for pre in prefixes]
+        ids = np.concatenate([np.asarray(pre, dtype=np.int64) for pre in prefixes])
         emb = ad.embedding(p["dec.emb"], ids)
-        tag = ad.embedding(p["dec.emb"], ids[:1])
-        d_in = ad.add(ad.add(emb, tag),
-                      ad.Tensor(sinusoidal_positions(len(ids), self.cfg.hidden_dim)))
+        tag = ad.embedding(p["dec.emb"], np.repeat([pre[0] for pre in prefixes], lengths))
+        table = sinusoidal_positions(max(lengths), self.cfg.hidden_dim)
+        d_in = ad.add(ad.add(emb, tag), ad.Tensor(np.concatenate([table[:n] for n in lengths])))
         scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
         scores = ad.mul(ad.matmul(d_in, ad.transpose(enc_out)), scale)
+        if len(prefixes) > 1:
+            scores = ad.add(scores, ad.Tensor(_block_mask(lengths, frames)))
         ctx = ad.matmul(ad.softmax(scores, axis=-1), enc_out)
         hid = ad.relu(ad.add(ad.matmul(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"]),
                              p["dec.l0.b1"]))
@@ -236,13 +287,17 @@ class TranslationModel:
             prefix.append(nxt)
         return prefix[1:]
 
-    def discriminate(self, enc_out, lam):
-        """Gender logits (size 2) through the gradient reversal layer."""
+    def discriminate(self, enc_out, lam, frames=None):
+        """Gender logits (size 2) through the gradient reversal layer, averaged
+        over the utterance's rows. For a batch whose utterance u owns frames[u]
+        rows of the stacked encoder output: (B, 2), one row per utterance."""
         p = self.params
         x = ad.grl_apply(enc_out, lam)
         hid = ad.relu(ad.add(ad.matmul(x, p["disc.w1"]), p["disc.b1"]))
         logits = ad.add(ad.matmul(hid, p["disc.w2"]), p["disc.b2"])
-        return ad.mean(logits, axis=0)
+        if frames is None:
+            return ad.mean(logits, axis=0)
+        return ad.matmul(ad.Tensor(pooling_matrix(frames)), logits)
 
 
 def label_smoothed_ce(probs, target: int, smoothing: float):
@@ -259,25 +314,34 @@ def label_smoothed_ce(probs, target: int, smoothing: float):
 
 
 def sequence_loss(logits, targets, smoothing: float):
-    """Mean label-smoothed cross entropy over non-pad positions of (L, V) logits."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.values.shape[0] != len(targets):
+    """Mean label-smoothed cross entropy over non-pad positions of (L, V) logits.
+
+    For a batch, targets is a list of id lists whose logits are stacked in
+    order, and the loss is the mean over utterances of each one's loss."""
+    rows = targets if _is_batch(targets) else [targets]
+    ids = np.concatenate([np.asarray(t, dtype=np.int64) for t in rows])
+    if logits.values.shape[0] != len(ids):
         raise ShapeMismatch("logits and targets disagree on length")
     n = logits.values.shape[1]
-    q = np.full((len(targets), n), smoothing / (n - 1))
-    q[np.arange(len(targets)), targets] = 1.0 - smoothing
-    mask = (targets != PAD_ID).astype(np.float64)
-    q *= mask[:, None] / max(mask.sum(), 1.0)
+    q = np.full((len(ids), n), smoothing / (n - 1))
+    q[np.arange(len(ids)), ids] = 1.0 - smoothing
+    mask = (ids != PAD_ID).astype(np.float64)
+    utt = np.repeat(np.arange(len(rows)), [len(t) for t in rows])
+    count = np.maximum(np.bincount(utt, weights=mask, minlength=len(rows)), 1.0)
+    q *= (mask / (count[utt] * len(rows)))[:, None]
     return ad.cross_entropy(logits, q)
 
 
-def weighted_disc_loss(logits, label: SpeakerGender, weights: ClassWeights):
-    """Class-weighted cross entropy of the 2-way gender logits."""
-    idx = 0 if label is SpeakerGender.F else 1
-    w = weights.w_f if label is SpeakerGender.F else weights.w_m
-    q = np.zeros(2)
-    q[idx] = w
-    return ad.cross_entropy(logits, q)
+def weighted_disc_loss(logits, label, weights: ClassWeights):
+    """Class-weighted cross entropy of the 2-way gender logits: size 2 with one
+    SpeakerGender label, or (B, 2) with B labels, averaged over the batch."""
+    single = isinstance(label, SpeakerGender)
+    labels = [label] if single else list(label)
+    q = np.zeros((len(labels), 2))
+    for u, g in enumerate(labels):
+        female = g is SpeakerGender.F
+        q[u, 0 if female else 1] = (weights.w_f if female else weights.w_m) / len(labels)
+    return ad.cross_entropy(logits, q[0] if single else q)
 
 
 def combined_loss(translation_loss, disc_loss, cfg: ModelConfig):

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import model as mdl
 from .autodiff import LambdaSchedule, average_checkpoints, lambda_at
 from .dsp import logmel_features
-from .errors import ConfigInvalid, DivergedLoss, SingleClassData
+from .errors import AllUnvoiced, ConfigInvalid, DivergedLoss, SingleClassData
 from .perturb import PerturbConfig, SpeakerGender, apply_opposite
 
 __all__ = ["TrainConfig", "TrainResult", "noam_lr", "Adam", "train_loop",
@@ -107,15 +107,40 @@ def _utterance_features(utt):
     return utt.features
 
 
-def _val_loss(model, utterances, vocab):
+def _translation_loss(model, batch, feats, vocab):
+    """One graph over a batch of utterances with their feature matrices: the
+    stacked encoder output, its rows per utterance, and the mean translation
+    loss over the batch."""
+    enc = model.encode(feats)
+    frames = mdl.pooled_frames(feats)
+    targets = [vocab.encode(utt.target_tokens) + [mdl.EOS_ID] for utt in batch]
+    prefixes = [[_start_token(model.cfg.mode, utt.gender)] + t[:-1]
+                for utt, t in zip(batch, targets)]
+    loss = mdl.sequence_loss(model.decode_all(enc, prefixes, frames), targets,
+                             model.cfg.label_smoothing)
+    return enc, frames, loss
+
+
+def _backward_batch(model, batch, feats, vocab, lam, weights):
+    """Backpropagate one graph over a training batch into the parameters'
+    gradients; with lam the discriminator loss joins through the gradient
+    reversal layer. Returns the translation and discriminator loss values;
+    the graph is freed on return."""
+    enc, frames, t_loss = _translation_loss(model, batch, feats, vocab)
+    d_loss = None if lam is None else mdl.weighted_disc_loss(
+        model.discriminate(enc, lam, frames), [utt.gender for utt in batch], weights)
+    ad.backward(mdl.combined_loss(t_loss, d_loss, model.cfg))
+    return t_loss.values.item(), None if d_loss is None else d_loss.values.item()
+
+
+def _val_loss(model, utterances, vocab, batch_size):
+    """Mean per-utterance translation loss, one graph per chunk of batch_size."""
     total = 0.0
-    for utt in utterances:
-        enc = model.encode(_utterance_features(utt))
-        targets = vocab.encode(utt.target_tokens) + [mdl.EOS_ID]
-        prefix = [_start_token(model.cfg.mode, utt.gender)] + targets[:-1]
-        loss = mdl.sequence_loss(model.decode_all(enc, prefix), targets,
-                                 model.cfg.label_smoothing)
-        total += loss.values.item()
+    for lo in range(0, len(utterances), batch_size):
+        chunk = utterances[lo:lo + batch_size]
+        feats = [_utterance_features(utt) for utt in chunk]
+        # keep only the value, so each chunk's graph is freed before the next
+        total += _translation_loss(model, chunk, feats, vocab)[2].values.item() * len(chunk)
     return total / max(len(utterances), 1)
 
 
@@ -150,14 +175,14 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     lr_scale = {"disc": train_cfg.disc_lr_multiplier} if train_cfg.use_grl else None
     opt = Adam(model.params, lr_scale=lr_scale)
     rng = np.random.default_rng(train_cfg.seed)
-    initial_val = _val_loss(model, val_set, vocab)
+    initial_val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
     val_losses = [(0, initial_val)]
     checkpoints = []
     metrics = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
 
     step = 0
     epoch = 0
-    epoch_feats = None
+    epoch_feats = {}
     try:
         while step < train_cfg.total_updates:
             order = rng.permutation(len(train_set))
@@ -165,8 +190,13 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                 epoch_feats = {}
                 for i, utt in enumerate(train_set):
                     sub = np.random.default_rng([train_cfg.seed, 7919, epoch, i])
-                    w, manipulated = apply_opposite(utt.waveform, utt.gender,
-                                                    train_cfg.perturb, sub)
+                    try:
+                        w, manipulated = apply_opposite(utt.waveform, utt.gender,
+                                                        train_cfg.perturb, sub)
+                    except AllUnvoiced:
+                        # no f0 to shift: the utterance trains on its clean
+                        # features this epoch
+                        continue
                     if manipulated:
                         epoch_feats[utt.id] = logmel_features(w).frames
             epoch += 1
@@ -176,37 +206,19 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                 batch = [train_set[i] for i in order[lo:lo + train_cfg.batch_size]]
                 step += 1
                 lam = lambda_at(schedule, min(step, schedule.total_updates)) \
-                    if train_cfg.use_grl else 0.0
+                    if train_cfg.use_grl else None
                 model.zero_grad()
-                t_total, d_total = ad.Tensor(0.0), ad.Tensor(0.0)
-                for utt in batch:
-                    feats = _utterance_features(utt)
-                    if epoch_feats is not None and utt.id in epoch_feats:
-                        feats = epoch_feats[utt.id]
-                    enc = model.encode(feats)
-                    targets = vocab.encode(utt.target_tokens) + [mdl.EOS_ID]
-                    prefix = [_start_token(model_cfg.mode, utt.gender)] + targets[:-1]
-                    t_total = ad.add(t_total, mdl.sequence_loss(
-                        model.decode_all(enc, prefix), targets, model_cfg.label_smoothing))
-                    if train_cfg.use_grl:
-                        d_total = ad.add(d_total, mdl.weighted_disc_loss(
-                            model.discriminate(enc, lam), utt.gender, weights))
-                scale = 1.0 / len(batch)
-                t_loss = ad.mul(t_total, scale)
-                d_loss = ad.mul(d_total, scale) if train_cfg.use_grl else None
-                loss = mdl.combined_loss(t_loss, d_loss, model_cfg)
-                ad.backward(loss)
+                feats = [epoch_feats.get(utt.id, _utterance_features(utt)) for utt in batch]
+                t_loss, d_loss = _backward_batch(model, batch, feats, vocab, lam, weights)
                 lr = noam_lr(step, train_cfg.warmup_updates, train_cfg.lr_peak)
                 opt.step(lr)
                 if metrics:
                     metrics.write(json.dumps({
-                        "step": step, "lr": lr,
-                        "translation_loss": t_loss.values.item(),
-                        "disc_loss": d_loss.values.item() if d_loss is not None else None,
-                        "lambda": lam if train_cfg.use_grl else None}) + "\n")
+                        "step": step, "lr": lr, "translation_loss": t_loss,
+                        "disc_loss": d_loss, "lambda": lam}) + "\n")
                 if step % train_cfg.interval == 0:
                     checkpoints.append(model.state_dict())
-                    val = _val_loss(model, val_set, vocab)
+                    val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
                     val_losses.append((step, val))
                     if not np.isfinite(val) or val > 10.0 * initial_val:
                         raise DivergedLoss(f"validation loss {val} at step {step}")
@@ -226,19 +238,10 @@ def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        frames, pool_rows, labels = [], [], []
-        offset = 0
-        for j, utt in enumerate(split):
-            enc = model.encode(_utterance_features(utt)).values
-            frames.append(enc)
-            pool_rows.append((j, offset, enc.shape[0]))
-            offset += enc.shape[0]
-            labels.append(0 if utt.gender is SpeakerGender.F else 1)
-        X = np.concatenate(frames, axis=0)
-        P = np.zeros((len(split), offset))
-        for j, start, n in pool_rows:
-            P[j, start:start + n] = 1.0 / n
-        return X, P, np.array(labels)
+        encs = [model.encode(_utterance_features(utt)).values for utt in split]
+        labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
+        P = mdl.pooling_matrix([len(enc) for enc in encs])
+        return np.concatenate(encs, axis=0), P, np.array(labels)
 
     X_tr, P_tr, y_tr = encoded(train_set)
     X_te, P_te, y_te = encoded(test_set)

@@ -99,3 +99,19 @@ def test_synth_periodicity():
 def test_waveform_clips_on_construction():
     w = Waveform(np.array([2.0, -3.0, 0.5]), 8000)
     assert np.max(np.abs(w.samples)) <= 1.0
+
+
+def test_rejects_chunk_running_past_end_of_file(tmp_path):
+    w = Waveform(np.linspace(-0.5, 0.5, 20), 16000)
+    path = tmp_path / "w.wav"
+    write_wav(w, path)
+    blob = path.read_bytes()
+    assert len(read_wav(path)) == 20
+    cut_path = tmp_path / "cut.wav"
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(MalformedHeader):
+            read_wav(cut_path)
+    cut_path.write_bytes(blob[:-6])
+    with pytest.raises(MalformedHeader, match="data"):
+        read_wav(cut_path)

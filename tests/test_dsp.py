@@ -12,7 +12,7 @@ from voxtag.dsp import (
     save_features,
     voiced_median,
 )
-from voxtag.errors import AllUnvoiced, TooShort
+from voxtag.errors import AllUnvoiced, MalformedHeader, TooShort
 
 
 def test_pure_sine_tracked():
@@ -105,3 +105,19 @@ def test_feature_serialization_roundtrip(tmp_path):
     back = load_features(path)
     assert back.frames.shape == fm.frames.shape
     assert np.max(np.abs(back.frames - fm.frames)) < 1e-5  # float32 storage
+
+
+def test_feature_file_rejects_truncation_and_trailing_bytes(tmp_path):
+    frames = np.random.default_rng(0).normal(size=(3, 80))
+    path = tmp_path / "f.vxft"
+    save_features(FeatureMatrix(frames), path)
+    blob = path.read_bytes()
+    assert np.array_equal(load_features(path).frames, frames.astype("<f4"))
+    bad = tmp_path / "bad.vxft"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(MalformedHeader):
+            load_features(bad)
+    bad.write_bytes(blob + b"\x00")
+    with pytest.raises(MalformedHeader, match="trailing"):
+        load_features(bad)

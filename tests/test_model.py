@@ -229,3 +229,58 @@ def test_model_save_load_roundtrip(tmp_path, small_model):
     a = small_model.decode_step(small_model.encode(feats), [M.TAG_M_ID, 5])
     b = loaded.decode_step(loaded.encode(feats), [M.TAG_M_ID, 5])
     assert np.array_equal(a.values, b.values)
+
+
+def _pool4_loop(features):
+    t_out = -(-features.shape[0] // 4)
+    pooled = np.zeros((t_out, features.shape[1]))
+    for i in range(t_out):
+        pooled[i] = features[4 * i:4 * i + 4].mean(axis=0)
+    return pooled
+
+
+def test_pool4_matches_loop_bitwise():
+    rng = np.random.default_rng(10)
+    for T in range(1, 41):
+        feats = rng.normal(size=(T, 80))
+        assert np.array_equal(M.pool4(feats), _pool4_loop(feats))
+
+
+@pytest.mark.parametrize("use_grl", [True, False])
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_batched_graph_equals_mean_of_utterance_graphs(small_model, B, use_grl):
+    """One graph over a batch gives the loss and every parameter gradient of
+    (1/B) x the sum of one-utterance graphs: ragged frames and prefixes, PAD
+    targets, mixed genders."""
+    rng = np.random.default_rng(11)
+    lam, weights = 0.5, M.compute_class_weights(0.3, 0.7)
+    frames = [5, 13, 22, 9, 31, 4, 17, 26][:B]
+    lengths = [3, 7, 1, 5, 9, 2, 6, 4][:B]
+    feats = [rng.normal(size=(T, 80)) for T in frames]
+    genders = [SpeakerGender.F if u % 3 != 1 else SpeakerGender.M for u in range(B)]
+    targets = []
+    for u, n in enumerate(lengths):
+        t = list(rng.integers(5, len(small_model.vocab), size=n)) + [M.EOS_ID]
+        targets.append(t + [M.PAD_ID] * (u % 2))
+    prefixes = [[M.TAG_F_ID if g is SpeakerGender.F else M.TAG_M_ID] + t[:-1]
+                for g, t in zip(genders, targets)]
+
+    def update(feats, prefix, target, gender, rows=None):
+        small_model.zero_grad()
+        enc = small_model.encode(feats)
+        tl = M.sequence_loss(small_model.decode_all(enc, prefix, rows), target, 0.1)
+        dl = M.weighted_disc_loss(small_model.discriminate(enc, lam, rows), gender,
+                                  weights) if use_grl else None
+        loss = M.combined_loss(tl, dl, small_model.cfg)
+        ad.backward(loss)
+        grads = {k: t.grad.copy() for k, t in small_model.params.items() if t.grad is not None}
+        return loss.values.item(), grads
+
+    batched = update(feats, prefixes, targets, genders, M.pooled_frames(feats))
+    singles = [update(*args) for args in zip(feats, prefixes, targets, genders)]
+    small_model.zero_grad()
+    assert batched[0] == pytest.approx(sum(s[0] for s in singles) / B, rel=1e-9, abs=0)
+    assert set(batched[1]) == set().union(*(s[1] for s in singles))
+    for name, g in batched[1].items():
+        expected = sum(s[1].get(name, 0.0) for s in singles) / B
+        np.testing.assert_allclose(g, expected, rtol=1e-9, atol=0, err_msg=name)

@@ -149,3 +149,35 @@ def test_adam_moves_toward_minimum():
         ad.backward(ad.mean(loss))
         opt.step(0.05)
     assert abs(float(x.values[0])) < 1e-2
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_chunked_val_loss_is_mean_of_utterance_losses(tiny_corpus, batch_size):
+    from voxtag import model as mdl
+    from voxtag import train as train_mod
+    vocab = build_vocabulary()
+    model = TranslationModel(vocab, ModelConfig(mode="multi_gender"), seed=4)
+    per_utt = []
+    for utt in tiny_corpus:
+        targets = vocab.encode(utt.target_tokens) + [mdl.EOS_ID]
+        tag = mdl.TAG_F_ID if utt.gender is SpeakerGender.F else mdl.TAG_M_ID
+        enc = model.encode(train_mod._utterance_features(utt))
+        loss = mdl.sequence_loss(model.decode_all(enc, [tag] + targets[:-1]), targets,
+                                 model.cfg.label_smoothing)
+        per_utt.append(loss.values.item())
+    chunked = train_mod._val_loss(model, tiny_corpus, vocab, batch_size)
+    assert chunked == pytest.approx(np.mean(per_utt), rel=1e-10, abs=0)
+
+
+def test_perturbed_training_survives_unvoiced_utterance():
+    """An utterance with no voiced frame cannot be pitch-shifted; it trains on
+    its clean features instead of aborting the run."""
+    from voxtag.audio import Waveform
+    corpus, _ = generate_corpus(SynthSpec(n_utterances=24, seed=5))
+    silent = corpus[10]
+    silent.waveform = Waveform(np.zeros(len(silent.waveform)), silent.waveform.sample_rate)
+    cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2,
+                   perturb=PerturbConfig(p=1.0))
+    res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
+    assert len(res.checkpoints) == 12 // cfg.interval
+    assert all(np.isfinite(v) for _, v in res.val_losses)

@@ -1,5 +1,6 @@
 """Pitch tracking, voiced statistics and log-mel feature extraction."""
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -14,6 +15,10 @@ VOICING_THRESHOLD = 0.3
 RMS_GATE = 1e-4
 N_MELS = 80
 LOG_FLOOR = 1e-10
+# frames per batched pass in the f0 tracker and the formant warp: large enough
+# to amortise per-call overhead, small enough that the per-block spectra stay
+# a few hundred kB
+FRAME_BLOCK = 16
 
 FEATURE_MAGIC = b"VXFT"
 
@@ -39,17 +44,55 @@ class FeatureMatrix:
     normalized: bool = False
 
 
+def frame_matrix(x, frame_len, hop):
+    """Read-only (n_frames, frame_len) view of x whose row i starts at i * hop."""
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+
+
 def _parabolic_peak(values, i):
-    """Refine a discrete argmax by fitting a parabola through its neighbours."""
-    if i <= 0 or i >= len(values) - 1:
-        return float(i), values[i]
-    a, b, c = values[i - 1], values[i], values[i + 1]
+    """Refine each row's discrete maximum values[row, i[row]] by fitting a
+    parabola through its neighbours; returns the fractional positions."""
+    n = values.shape[1]
+    rows = np.arange(len(values))
+    a = values[rows, np.maximum(i - 1, 0)]
+    b = values[rows, i]
+    c = values[rows, np.minimum(i + 1, n - 1)]
     denom = a - 2 * b + c
-    if abs(denom) < 1e-12:
-        return float(i), b
-    shift = 0.5 * (a - c) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    return i + shift, b - 0.25 * (a - c) * shift
+    fit = (i > 0) & (i < n - 1) & (np.abs(denom) >= 1e-12)
+    shift = np.zeros(len(values))
+    shift[fit] = np.clip(0.5 * (a - c)[fit] / denom[fit], -0.5, 0.5)
+    return i + shift
+
+
+def _whiten(frames, keep, cut):
+    """Divide each frame's spectrum by its cepstrally-smoothed envelope (the
+    first `keep` quefrencies) and zero it from bin `cut` up.
+
+    Whitening keeps a dominant formant from turning the frame into a
+    near-pure tone; the lowpass (1.2 kHz in the tracker) keeps fractional
+    periods from decorrelating the high band.
+    """
+    fspec = np.fft.rfft(frames, axis=1)
+    ceps = np.fft.irfft(np.log(np.maximum(np.abs(fspec), 1e-12)), axis=1)
+    ceps[:, keep:ceps.shape[1] - keep] = 0.0
+    env = np.exp(np.fft.rfft(ceps, axis=1).real)
+    white = fspec / np.maximum(env, 1e-3 * env.max(axis=1, keepdims=True))
+    white[:, cut:] = 0.0
+    return np.fft.irfft(white, frames.shape[1], axis=1)
+
+
+def _normalized_autocorrelation(frames, n_fft, lags):
+    """r(tau) of each frame at the given lags, via FFT, normalized by the
+    energies of the overlapping parts frame[:-tau] and frame[tau:]."""
+    spec = np.fft.rfft(frames, n_fft, axis=1)
+    spec *= np.conj(spec)  # in place: the block's largest array
+    raw = np.fft.irfft(spec, axis=1)[:, lags]
+    sq = np.cumsum(frames ** 2, axis=1)
+    sq = np.concatenate((np.zeros((len(sq), 1)), sq), axis=1)
+    head = sq[:, frames.shape[1] - lags]   # energy of frame[:-lag]
+    tail = sq[:, -1:] - sq[:, lags]        # energy of frame[lag:]
+    denom = np.sqrt(head * tail)
+    return np.where(denom > 0, raw / np.maximum(denom, 1e-20), 0.0)
 
 
 def estimate_f0_contour(w: Waveform, frame_len=None, hop=None,
@@ -58,7 +101,8 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None,
     """Normalized-autocorrelation pitch tracker over [F0_MIN, F0_MAX].
 
     Frames with peak correlation below the voicing threshold or RMS below
-    the gate are marked unvoiced (0.0).
+    the gate are marked unvoiced (0.0). Frames are processed FRAME_BLOCK at a
+    time, each step one 2-D array operation over the block.
     """
     sr = w.sample_rate
     if frame_len is None:
@@ -75,51 +119,30 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None,
 
     lag_min = max(2, int(np.floor(sr / F0_MAX)))
     lag_max = int(np.ceil(sr / F0_MIN))
-    n_frames = (len(x) - frame_len) // hop + 1
-    out = np.zeros(n_frames)
+    frames = frame_matrix(x, frame_len, hop)
+    out = np.zeros(len(frames))
 
     n_fft = 1 << int(np.ceil(np.log2(2 * frame_len)))
     lags = np.arange(lag_min, lag_max + 1)
-    for fi in range(n_frames):
-        frame = x[fi * hop:fi * hop + frame_len]
-        frame = frame - np.mean(frame)
-        if np.sqrt(np.mean(frame ** 2)) < rms_gate:
+    keep = max(4, lag_min // 2)
+    cut = int(1200.0 * frame_len / sr)
+    for b0 in range(0, len(frames), FRAME_BLOCK):
+        block = frames[b0:b0 + FRAME_BLOCK]
+        block = block - block.mean(axis=1, keepdims=True)
+        loud = np.sqrt(np.mean(block ** 2, axis=1)) >= rms_gate
+        if not loud.any():
             continue
-        # whiten: divide out the cepstrally-smoothed envelope so a dominant
-        # formant cannot turn the frame into a near-pure tone, then lowpass at
-        # 1.2 kHz so fractional periods do not decorrelate the high band
-        fspec = np.fft.rfft(frame)
-        logmag = np.log(np.maximum(np.abs(fspec), 1e-12))
-        ceps = np.fft.irfft(logmag)
-        keep = max(4, lag_min // 2)
-        ceps[keep:len(ceps) - keep] = 0.0
-        env = np.exp(np.fft.rfft(ceps).real)
-        white = fspec / np.maximum(env, 1e-3 * env.max())
-        cut = int(1200.0 * frame_len / sr)
-        white[cut:] = 0.0
-        frame = np.fft.irfft(white, frame_len)
-        # normalized autocorrelation r(tau) over the search range, via FFT
-        spec = np.fft.rfft(frame, n_fft)
-        raw = np.fft.irfft(spec * np.conj(spec))[:lag_max + 1]
-        sq = np.concatenate(([0.0], np.cumsum(frame ** 2)))
-        total = sq[-1]
-        head = sq[frame_len - lags]          # energy of frame[:-lag]
-        tail = total - sq[lags]              # energy of frame[lag:]
-        denom = np.sqrt(head * tail)
-        r = np.where(denom > 0, raw[lags] / np.maximum(denom, 1e-20), 0.0)
-        rmax = float(np.max(r))
-        if rmax < voicing_threshold:
-            continue
+        r = _normalized_autocorrelation(_whiten(block[loud], keep, cut), n_fft, lags)
+        rmax = r.max(axis=1)
         # a periodic signal correlates at every multiple of its period, and an
         # integer multiple can beat a fractional true period; take the shortest
         # local maximum that is nearly as strong as the global one
-        interior = np.arange(1, len(r) - 1)
-        is_peak = (r[interior] >= r[interior - 1]) & (r[interior] >= r[interior + 1])
-        strong = interior[is_peak & (r[interior] >= 0.9 * rmax)]
-        best = int(strong[0]) if len(strong) else int(np.argmax(r))
-        lag_refined, _ = _parabolic_peak(r, best)
-        f0 = sr / (lag_min + lag_refined)
-        out[fi] = float(np.clip(f0, F0_MIN, F0_MAX))
+        mid = r[:, 1:-1]
+        strong = (mid >= r[:, :-2]) & (mid >= r[:, 2:]) & (mid >= 0.9 * rmax[:, None])
+        best = np.where(strong.any(axis=1), strong.argmax(axis=1) + 1, r.argmax(axis=1))
+        f0 = np.clip(sr / (lag_min + _parabolic_peak(r, best)), F0_MIN, F0_MAX)
+        voiced = rmax >= voicing_threshold
+        out[b0 + np.flatnonzero(loud)[voiced]] = f0[voiced]
 
     return F0Contour(out, hop=hop, frame_len=frame_len)
 
@@ -140,8 +163,11 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(sample_rate, n_fft, n_mels=N_MELS, f_lo=20.0):
-    """Triangular mel filters spanning [f_lo, Nyquist], shape (n_mels, n_fft//2+1)."""
+    """Triangular mel filters spanning [f_lo, Nyquist], shape (n_mels, n_fft//2+1).
+    Every log-mel extraction asks for one, so filterbanks are cached; a cached
+    filterbank is shared, so it is read-only."""
     f_hi = sample_rate / 2.0
     mel_pts = np.linspace(hz_to_mel(f_lo), hz_to_mel(f_hi), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
@@ -153,6 +179,7 @@ def mel_filterbank(sample_rate, n_fft, n_mels=N_MELS, f_lo=20.0):
         up = (k - lo) / max(mid - lo, 1e-9)
         down = (hi - k) / max(hi - mid, 1e-9)
         fb[m] = np.maximum(0.0, np.minimum(up, down))
+    fb.setflags(write=False)
     return fb
 
 
@@ -173,10 +200,7 @@ def logmel_features(w: Waveform, apply_cmvn=True) -> FeatureMatrix:
     if len(x) < frame_len:
         raise TooShort(f"waveform of {len(x)} samples shorter than one 25 ms frame")
 
-    n_frames = (len(x) - frame_len) // hop + 1
-    window = np.hanning(frame_len)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * window
+    frames = frame_matrix(x, frame_len, hop) * np.hanning(frame_len)
     spec = np.abs(np.fft.rfft(frames, n=frame_len, axis=1)) ** 2
     fb = mel_filterbank(sr, frame_len)
     mel = spec @ fb.T
@@ -242,6 +266,6 @@ def envelope_peak_hz(w: Waveform, lo_hz=200.0, hi_hz=4000.0, f0=None):
     amps = np.log(np.array(amps))
     i = int(np.argmax(amps))
     if 0 < i < len(amps) - 1:
-        shift, _ = _parabolic_peak(amps, i)
-        return float(np.interp(shift, np.arange(len(hzs)), hzs))
+        pos = _parabolic_peak(amps[None], np.array([i]))[0]
+        return float(np.interp(pos, np.arange(len(hzs)), hzs))
     return float(hzs[i])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Waveform
-from .dsp import RMS_GATE, estimate_f0_contour, voiced_median
+from .dsp import FRAME_BLOCK, RMS_GATE, estimate_f0_contour, frame_matrix, voiced_median
 from .errors import AllUnvoiced, OutOfRangeFactor, ZeroSourceMedian
 
 
@@ -101,6 +101,7 @@ def _psola(x, sr, contour, alpha):
 
     out = np.zeros(n)
     norm = np.zeros(n)
+    hann = {}  # grain windows by half-length p
     pos = float(marks1[0]) * gamma
     while pos < n:
         s = int(round(pos))
@@ -111,7 +112,9 @@ def _psola(x, sr, contour, alpha):
         lo_off = min(p, m, s)
         hi_off = min(p, n1 - m, n - s)
         if hi_off + lo_off > 2:
-            win = np.hanning(2 * p + 1)[p - lo_off:p + hi_off]
+            if p not in hann:
+                hann[p] = np.hanning(2 * p + 1)
+            win = hann[p][p - lo_off:p + hi_off]
             out[s - lo_off:s + hi_off] += win * y1[m - lo_off:m + hi_off]
             norm[s - lo_off:s + hi_off] += win
         pos += period[src_idx] / alpha
@@ -124,27 +127,41 @@ def _psola(x, sr, contour, alpha):
     return out
 
 
-def _harmonic_envelope(mag, bin_hz, f0):
-    """Log-linear envelope through the harmonic peak amplitudes of a frame."""
-    n_bins = len(mag)
+def _harmonic_windows(n_bins, bin_hz, f0):
+    """Peak-search windows around the harmonics k*f0 below the top bin: an
+    index matrix (one row per harmonic) and a mask of the positions inside
+    [max(1, c - half), min(n_bins, c + half + 1)) for centre bin c."""
     half = max(2, int(0.4 * f0 / bin_hz))
-    hz_pts, amp_pts = [], []
-    k = 1
-    while True:
-        center = int(round(k * f0 / bin_hz))
-        if center >= n_bins - 1:
-            break
-        lo = max(1, center - half)
-        hi = min(n_bins, center + half + 1)
-        j = lo + int(np.argmax(mag[lo:hi]))
-        hz_pts.append(j * bin_hz)
-        amp_pts.append(max(mag[j], 1e-12))
-        k += 1
-    if len(hz_pts) < 2:
-        return np.full(n_bins, max(np.max(mag), 1e-12))
+    centers = []
+    while (c := int(round((len(centers) + 1) * f0 / bin_hz))) < n_bins - 1:
+        centers.append(c)
+    idx = np.array(centers, dtype=int)[:, None] + np.arange(-half, half + 1)
+    return np.clip(idx, 0, n_bins - 1), (idx >= 1) & (idx < n_bins)
+
+
+def _harmonic_envelope(mag, bin_hz, windows):
+    """Log-linear envelope through the harmonic peak amplitudes of each frame
+    (row) of mag, searching the harmonic windows of _harmonic_windows."""
+    n_bins = mag.shape[1]
+    idx, inside = windows
+    if len(idx) < 2:
+        return np.repeat(np.maximum(mag.max(axis=1, keepdims=True), 1e-12), n_bins, axis=1)
+    # positions outside a window read -inf, so argmax returns the first
+    # maximum inside it
+    cand = np.where(inside, mag[:, idx], -np.inf)
+    hz_pts = idx[np.arange(len(idx)), cand.argmax(axis=2)] * bin_hz
+    log_amp = np.log(np.maximum(cand.max(axis=2), 1e-12))
     freqs = np.arange(n_bins) * bin_hz
-    log_env = np.interp(freqs, hz_pts, np.log(amp_pts))
-    return np.exp(log_env)
+    return np.exp([np.interp(freqs, hz, amp) for hz, amp in zip(hz_pts, log_amp)])
+
+
+def _warp_gain(mag, scale, bin_hz, windows):
+    """Per-bin gain that moves each frame's harmonic envelope from f to
+    f*scale, clipped to [1e-3, 1e3]."""
+    bins = np.arange(mag.shape[1])
+    env = _harmonic_envelope(mag, bin_hz, windows)
+    warped = np.array([np.interp(bins / scale, bins, e) for e in env])
+    return np.clip(warped / np.maximum(env, 1e-12), 1e-3, 1e3)
 
 
 def _formant_warp(x, scale, sr, f0, n_fft=1024):
@@ -157,34 +174,39 @@ def _formant_warp(x, scale, sr, f0, n_fft=1024):
     xp = np.pad(x, (pad, pad))
     out = np.zeros(len(xp))
     norm = np.zeros(len(xp))
-    bins = np.arange(n_fft // 2 + 1)
     bin_hz = sr / n_fft
+    windows = _harmonic_windows(n_fft // 2 + 1, bin_hz, f0)
+    frames = frame_matrix(xp, n_fft, hop)
 
-    for start in range(0, len(xp) - n_fft + 1, hop):
-        frame = xp[start:start + n_fft] * window
-        spec = np.fft.rfft(frame)
-        if np.sqrt(np.mean(frame ** 2)) < RMS_GATE:
-            frame_out = np.fft.irfft(spec, n_fft) * window
-        else:
-            env = _harmonic_envelope(np.abs(spec), bin_hz, f0)
-            warped = np.interp(bins / scale, bins, env)
-            ratio = np.clip(warped / np.maximum(env, 1e-12), 1e-3, 1e3)
-            frame_out = np.fft.irfft(spec * ratio, n_fft) * window
-        out[start:start + n_fft] += frame_out
-        norm[start:start + n_fft] += window ** 2
+    for b0 in range(0, len(frames), FRAME_BLOCK):
+        block = frames[b0:b0 + FRAME_BLOCK] * window
+        spec = np.fft.rfft(block, axis=1)
+        # frames below the gate pass through unchanged
+        loud = np.sqrt(np.mean(block ** 2, axis=1)) >= RMS_GATE
+        if loud.any():
+            spec[loud] *= _warp_gain(np.abs(spec[loud]), scale, bin_hz, windows)
+        block = np.fft.irfft(spec, n_fft, axis=1)
+        block *= window
+        for i, frame_out in enumerate(block):
+            start = (b0 + i) * hop
+            out[start:start + n_fft] += frame_out
+            norm[start:start + n_fft] += window ** 2
     out /= np.maximum(norm, 1e-8)
     return out[pad:pad + len(x)]
 
 
-def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float) -> Waveform:
+def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float,
+                        contour=None) -> Waveform:
     """Scale the f0 contour by alpha (TD-PSOLA) and the spectral envelope by
-    formant_scale. Duration is preserved."""
+    formant_scale. Duration is preserved. contour is w's f0 track
+    (estimate_f0_contour(w)); it is computed when not given."""
     if not 0.25 <= alpha <= 4.0:
         raise OutOfRangeFactor(f"alpha {alpha} outside [0.25, 4]")
     if not 0.5 <= formant_scale <= 2.0:
         raise OutOfRangeFactor(f"formant_scale {formant_scale} outside [0.5, 2]")
 
-    contour = estimate_f0_contour(w)
+    if contour is None:
+        contour = estimate_f0_contour(w)
     if not (contour.frame_hz > 0).any():
         raise AllUnvoiced("cannot pitch-shift an unvoiced signal")
     y = _psola(w.samples, w.sample_rate, contour, alpha)
@@ -210,8 +232,9 @@ def apply_opposite(w: Waveform, speaker_gender: SpeakerGender, cfg: PerturbConfi
     if rng.random() >= cfg.p:
         return w, False
     target = speaker_gender.opposite
-    source_median = voiced_median(estimate_f0_contour(w))
+    contour = estimate_f0_contour(w)
+    source_median = voiced_median(contour)
     target_median = sample_target_median(target, cfg, rng)
     alpha = float(np.clip(compute_alpha(source_median, target_median), 0.25, 4.0))
     scale = cfg.formant_up if target is SpeakerGender.F else cfg.formant_down
-    return pitch_formant_shift(w, alpha, scale), True
+    return pitch_formant_shift(w, alpha, scale, contour), True

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import model as mdl
 from .autodiff import LambdaSchedule, average_checkpoints, lambda_at
 from .dsp import logmel_features
-from .errors import AllUnvoiced, ConfigInvalid, DivergedLoss, SingleClassData
+from .errors import AllUnvoiced, ConfigInvalid, DivergedLoss, SingleClassData, TooShort
 from .perturb import PerturbConfig, SpeakerGender, apply_opposite
 
 __all__ = ["TrainConfig", "TrainResult", "noam_lr", "Adam", "train_loop",
@@ -193,8 +193,9 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                     try:
                         w, manipulated = apply_opposite(utt.waveform, utt.gender,
                                                         train_cfg.perturb, sub)
-                    except AllUnvoiced:
-                        # no f0 to shift: the utterance trains on its clean
+                    except (AllUnvoiced, TooShort):
+                        # no f0 to shift (unvoiced, or shorter than one
+                        # tracker frame): the utterance trains on its clean
                         # features this epoch
                         continue
                     if manipulated:

@@ -3,12 +3,18 @@ import pytest
 
 from voxtag.audio import Waveform, synth_harmonic
 from voxtag.dsp import (
+    F0_MAX,
+    F0_MIN,
+    RMS_GATE,
+    VOICING_THRESHOLD,
     F0Contour,
     FeatureMatrix,
+    _parabolic_peak,
     apply_cmvn_,
     estimate_f0_contour,
     load_features,
     logmel_features,
+    mel_filterbank,
     save_features,
     voiced_median,
 )
@@ -121,3 +127,121 @@ def test_feature_file_rejects_truncation_and_trailing_bytes(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(MalformedHeader, match="trailing"):
         load_features(bad)
+
+
+def _loop_parabolic_peak(values, i):
+    if i <= 0 or i >= len(values) - 1:
+        return float(i)
+    a, b, c = values[i - 1], values[i], values[i + 1]
+    denom = a - 2 * b + c
+    if abs(denom) < 1e-12:
+        return float(i)
+    return i + float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
+
+
+def _loop_f0_contour(w, frame_len=None, hop=None):
+    """The per-frame tracker that the frame-batched one replaced, kept as the
+    reference (thresholds at their defaults)."""
+    sr = w.sample_rate
+    frame_len = frame_len or int(round(2 * sr / F0_MIN))
+    hop = hop or max(1, sr // 100)
+    x = w.samples
+    lag_min = max(2, int(np.floor(sr / F0_MAX)))
+    lag_max = int(np.ceil(sr / F0_MIN))
+    n_frames = (len(x) - frame_len) // hop + 1
+    out = np.zeros(n_frames)
+    n_fft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    lags = np.arange(lag_min, lag_max + 1)
+    for fi in range(n_frames):
+        frame = x[fi * hop:fi * hop + frame_len]
+        frame = frame - np.mean(frame)
+        if np.sqrt(np.mean(frame ** 2)) < RMS_GATE:
+            continue
+        fspec = np.fft.rfft(frame)
+        logmag = np.log(np.maximum(np.abs(fspec), 1e-12))
+        ceps = np.fft.irfft(logmag)
+        keep = max(4, lag_min // 2)
+        ceps[keep:len(ceps) - keep] = 0.0
+        env = np.exp(np.fft.rfft(ceps).real)
+        white = fspec / np.maximum(env, 1e-3 * env.max())
+        white[int(1200.0 * frame_len / sr):] = 0.0
+        frame = np.fft.irfft(white, frame_len)
+        spec = np.fft.rfft(frame, n_fft)
+        raw = np.fft.irfft(spec * np.conj(spec))[:lag_max + 1]
+        sq = np.concatenate(([0.0], np.cumsum(frame ** 2)))
+        denom = np.sqrt(sq[frame_len - lags] * (sq[-1] - sq[lags]))
+        r = np.where(denom > 0, raw[lags] / np.maximum(denom, 1e-20), 0.0)
+        rmax = float(np.max(r))
+        if rmax < VOICING_THRESHOLD:
+            continue
+        interior = np.arange(1, len(r) - 1)
+        is_peak = (r[interior] >= r[interior - 1]) & (r[interior] >= r[interior + 1])
+        strong = interior[is_peak & (r[interior] >= 0.9 * rmax)]
+        best = int(strong[0]) if len(strong) else int(np.argmax(r))
+        f0 = sr / (lag_min + _loop_parabolic_peak(r, best))
+        out[fi] = float(np.clip(f0, F0_MIN, F0_MAX))
+    return out
+
+
+def _f0_reference_cases():
+    sr = 16000
+    rng = np.random.default_rng(17)
+    voice = synth_harmonic(150.0, [(650.0, 8.0), (950.0, 5.0)], 0.5).samples
+    half = voice.copy()
+    half[len(half) // 2:] = 0.0
+    t = np.arange(8000) / sr
+    cases = [
+        ("silence", np.zeros(8000), None, None),
+        ("below the RMS gate", 1e-5 * voice, None, None),
+        ("half silence", half, None, None),
+        ("white noise", rng.uniform(-0.5, 0.5, 8000), None, None),
+        ("pure sine", 0.5 * np.sin(2 * np.pi * 200.0 * t), None, None),
+        # a period past the longest lag: the maximum sits on the last lag and
+        # f0 clips to F0_MIN
+        ("sine below F0_MIN", 0.5 * np.sin(2 * np.pi * 47.0 * t), None, None),
+        ("odd frame_len, custom hop", voice, 641, 97),
+        ("long frame, short hop", voice, 900, 33),
+    ]
+    for f0 in (90.0, 120.0, 150.0, 200.0, 250.0, 300.0):
+        peaks = [(650.0, 8.0), (950.0, 5.0)] if f0 < 180 else [(800.0, 8.0), (1150.0, 5.0)]
+        cases.append((f"voice {f0:.0f} Hz", synth_harmonic(f0, peaks, 0.4).samples, None, None))
+    for n_frames in (1, 16, 17, 33):  # block edges
+        cases.append((f"{n_frames} frames", voice[:640 + (n_frames - 1) * 160], None, None))
+    return [(name, Waveform(x, sr), fl, hop) for name, x, fl, hop in cases]
+
+
+def test_parabolic_peak_matches_scalar_rule():
+    rows = np.array([
+        [0.1, 0.9, 0.5, 0.2],      # interior fit
+        [0.9, 0.5, 0.2, 0.1],      # maximum on the left edge
+        [0.1, 0.2, 0.5, 0.9],      # maximum on the right edge
+        [0.0, 1e-13, 3e-13, 0.0],  # |denom| < 1e-12: no refinement
+        [0.0, 1.0, 1.0, 0.0],      # flat top
+        [0.0, 0.0, 0.0, 0.0],
+        [0.3, 1.0, 0.99, 0.1],     # shift close to the 0.5 clip
+    ])
+    best = np.array([1, 0, 3, 2, 1, 2, 1])
+    want = [_loop_parabolic_peak(r, i) for r, i in zip(rows, best)]
+    assert np.array_equal(_parabolic_peak(rows, best), want)
+
+
+@pytest.mark.parametrize("case", _f0_reference_cases(), ids=lambda c: c[0])
+def test_f0_contour_matches_per_frame_loop(case):
+    _, w, frame_len, hop = case
+    got = estimate_f0_contour(w, frame_len=frame_len, hop=hop).frame_hz
+    want = _loop_f0_contour(w, frame_len, hop)
+    assert got.shape == want.shape
+    assert np.array_equal(got > 0, want > 0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_mel_filterbank_cached_read_only():
+    fb = mel_filterbank(16000, 400)
+    assert mel_filterbank(16000, 400) is fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    assert np.array_equal(fb, mel_filterbank.__wrapped__(16000, 400))
+    w = synth_harmonic(170.0, [(700.0, 5.0)], 0.3)
+    warm = logmel_features(w, apply_cmvn=False).frames
+    mel_filterbank.cache_clear()
+    assert np.array_equal(logmel_features(w, apply_cmvn=False).frames, warm)

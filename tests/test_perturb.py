@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from voxtag import perturb
 from voxtag.audio import synth_harmonic
-from voxtag.dsp import envelope_peak_hz, estimate_f0_contour, voiced_median
+from voxtag.dsp import RMS_GATE, envelope_peak_hz, estimate_f0_contour, voiced_median
 from voxtag.errors import OutOfRangeFactor, ZeroSourceMedian
 from voxtag.perturb import (
     PerturbConfig,
     SpeakerGender,
+    _formant_warp,
+    _harmonic_envelope,
+    _harmonic_windows,
     apply_opposite,
     compute_alpha,
     pitch_formant_shift,
@@ -120,3 +124,126 @@ def test_duration_preserved():
     w = synth_harmonic(160.0, M_PEAKS, 0.37)
     y = pitch_formant_shift(w, 1.7, 1.2)
     assert abs(len(y) - len(w)) <= 160
+
+
+def _loop_harmonic_envelope(mag, bin_hz, f0):
+    n_bins = len(mag)
+    half = max(2, int(0.4 * f0 / bin_hz))
+    hz_pts, amp_pts = [], []
+    k = 1
+    while (center := int(round(k * f0 / bin_hz))) < n_bins - 1:
+        lo, hi = max(1, center - half), min(n_bins, center + half + 1)
+        j = lo + int(np.argmax(mag[lo:hi]))
+        hz_pts.append(j * bin_hz)
+        amp_pts.append(max(mag[j], 1e-12))
+        k += 1
+    if len(hz_pts) < 2:
+        return np.full(n_bins, max(np.max(mag), 1e-12))
+    return np.exp(np.interp(np.arange(n_bins) * bin_hz, hz_pts, np.log(amp_pts)))
+
+
+def _loop_formant_warp(x, scale, sr, f0, n_fft=1024):
+    """The per-frame envelope warp that the frame-batched one replaced, kept
+    as the reference."""
+    hop = n_fft // 4
+    window = np.hanning(n_fft)
+    xp = np.pad(x, (n_fft, n_fft))
+    out = np.zeros(len(xp))
+    norm = np.zeros(len(xp))
+    bins = np.arange(n_fft // 2 + 1)
+    for start in range(0, len(xp) - n_fft + 1, hop):
+        frame = xp[start:start + n_fft] * window
+        spec = np.fft.rfft(frame)
+        if np.sqrt(np.mean(frame ** 2)) < RMS_GATE:
+            frame_out = np.fft.irfft(spec, n_fft) * window
+        else:
+            env = _loop_harmonic_envelope(np.abs(spec), sr / n_fft, f0)
+            warped = np.interp(bins / scale, bins, env)
+            ratio = np.clip(warped / np.maximum(env, 1e-12), 1e-3, 1e3)
+            frame_out = np.fft.irfft(spec * ratio, n_fft) * window
+        out[start:start + n_fft] += frame_out
+        norm[start:start + n_fft] += window ** 2
+    out /= np.maximum(norm, 1e-8)
+    return out[n_fft:n_fft + len(x)]
+
+
+def _warp_reference_cases():
+    rng = np.random.default_rng(23)
+    voice = synth_harmonic(150.0, M_PEAKS, 0.5).samples
+    half = voice.copy()
+    half[len(half) // 2:] = 0.0
+    t = np.arange(4000) / 16000
+    cases = [
+        ("silence", np.zeros(4000), 0.8, 150.0),
+        ("below the RMS gate", 1e-5 * voice, 1.2, 150.0),
+        ("half silence", half, 1.25, 150.0),
+        ("white noise", rng.uniform(-0.5, 0.5, 4000), 1.2, 140.0),
+        # the first harmonic's window reaches bin 0, which the search must skip
+        ("DC offset, f0 below three bins", 0.6 + rng.uniform(-0.1, 0.1, 4000), 0.8, 30.0),
+        ("pure sine", 0.5 * np.sin(2 * np.pi * 200.0 * t), 1.2, 200.0),
+        # one strong harmonic among near-empty ones: the gain hits its clip
+        ("sine as 8th harmonic", 0.5 * np.sin(2 * np.pi * 1000.0 * t), 1.25, 125.0),
+        ("fewer than two harmonics", voice, 0.8, 5000.0),
+    ]
+    for f0 in (90.0, 120.0, 150.0, 200.0, 250.0, 300.0):
+        peaks = M_PEAKS if f0 < 180 else F_PEAKS
+        x = synth_harmonic(f0, peaks, 0.3).samples
+        cases.append((f"voice {f0:.0f} Hz", x, 0.8 if f0 < 180 else 1.25, f0))
+    # block edges: (len + 1024) // 256 + 1 frames, the last one overlapping
+    # the signal's final 100 samples
+    for n_frames in (16, 17, 33):
+        cases.append((f"{n_frames} frames", voice[:(n_frames - 1) * 256 - 924], 1.2, 150.0))
+    return cases
+
+
+@pytest.mark.parametrize("f0", [25.0, 30.0, 90.0, 150.0, 300.0, 5000.0])
+def test_harmonic_envelope_matches_per_frame_loop(f0):
+    rng = np.random.default_rng(int(f0))
+    bin_hz = 16000 / 1024
+    # small integer magnitudes tie inside most windows (first maximum wins);
+    # the last row peaks at bin 0, outside every window
+    mag = rng.integers(0, 3, size=(5, 513)).astype(float)
+    mag[-1, 0] = 10.0
+    got = _harmonic_envelope(mag, bin_hz, _harmonic_windows(513, bin_hz, f0))
+    want = [_loop_harmonic_envelope(row, bin_hz, f0) for row in mag]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", _warp_reference_cases(), ids=lambda c: c[0])
+def test_formant_warp_matches_per_frame_loop(case):
+    _, x, scale, f0 = case
+    got = _formant_warp(x, scale, 16000, f0)
+    want = _loop_formant_warp(x, scale, 16000, f0)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_apply_opposite_tracks_source_once(monkeypatch):
+    """A manipulated call tracks the source f0 once and hands that contour to
+    pitch_formant_shift; an untouched call tracks nothing."""
+    calls = []
+
+    def counting(w, *args, **kwargs):
+        calls.append(w)
+        return estimate_f0_contour(w, *args, **kwargs)
+
+    monkeypatch.setattr(perturb, "estimate_f0_contour", counting)
+    w = synth_harmonic(130.0, M_PEAKS, 0.3)
+    cfg = PerturbConfig(p=0.5)
+    seen = set()
+    for seed in range(8):
+        calls.clear()
+        out, manipulated = apply_opposite(w, SpeakerGender.M, cfg, np.random.default_rng(seed))
+        seen.add(manipulated)
+        assert len(calls) == (1 if manipulated else 0)
+        if not manipulated:
+            continue
+        # replay the same rng draws: decision, then the target median
+        replay = np.random.default_rng(seed)
+        replay.random()
+        target = sample_target_median(SpeakerGender.F, cfg, replay)
+        alpha = float(np.clip(compute_alpha(voiced_median(estimate_f0_contour(w)), target),
+                              0.25, 4.0))
+        want = pitch_formant_shift(w, alpha, cfg.formant_up)
+        assert np.array_equal(out.samples, want.samples)
+    assert seen == {True, False}

@@ -181,3 +181,19 @@ def test_perturbed_training_survives_unvoiced_utterance():
     res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
     assert len(res.checkpoints) == 12 // cfg.interval
     assert all(np.isfinite(v) for _, v in res.val_losses)
+
+
+def test_perturbed_training_survives_too_short_utterance():
+    """An utterance long enough for one log-mel frame (400 samples) but not for
+    one f0-tracker frame (640) cannot be pitch-shifted; it trains on its clean
+    features instead of aborting the run."""
+    from voxtag.audio import Waveform
+    corpus, _ = generate_corpus(SynthSpec(n_utterances=24, seed=5))
+    short = corpus[10]
+    sr = short.waveform.sample_rate
+    short.waveform = Waveform(0.5 * np.sin(2 * np.pi * 150.0 * np.arange(500) / sr), sr)
+    cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2,
+                   perturb=PerturbConfig(p=1.0))
+    res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
+    assert len(res.checkpoints) == 12 // cfg.interval
+    assert all(np.isfinite(v) for _, v in res.val_losses)

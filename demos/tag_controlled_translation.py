@@ -3,7 +3,6 @@ the gender tag, not the voice, decides the gendered endings it produces."""
 
 import numpy as np
 
-from voxtag.dsp import logmel_features
 from voxtag.model import TAG_F_ID, TAG_M_ID, ModelConfig
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 from voxtag.train import TrainConfig, average_checkpoints, train_loop
@@ -20,9 +19,8 @@ print(f"validation loss {result.val_losses[0][1]:.2f} -> "
       f"{result.val_losses[-1][1]:.2f}")
 
 for utt in corpus[:4]:
-    feats = logmel_features(utt.waveform).frames
     print(f"\n{utt.id} (speaker {utt.gender.value}): "
           f"reference = {' '.join(utt.target_tokens)}")
     for tag, name in ((TAG_F_ID, "tag F"), (TAG_M_ID, "tag M")):
-        hyp = vocab.decode(model.greedy_decode(feats, tag, max_len=16))
+        hyp = vocab.decode(model.greedy_decode(utt.features, tag, max_len=16))
         print(f"  {name}: {' '.join(hyp)}")

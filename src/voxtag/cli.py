@@ -13,7 +13,7 @@ if _threads:
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -56,12 +56,6 @@ def _section_kwargs(cfg, cls, overrides):
     return kwargs
 
 
-def _read_corpus(manifest, eval_tsv=None):
-    utterances = sd.read_manifest(manifest)
-    entries = ev.read_eval_tsv(eval_tsv) if eval_tsv else None
-    return utterances, entries
-
-
 def cmd_synth_data(args):
     cfg = load_run_config(args.config)
     over = {"n_utterances": args.n_utterances, "gender_split": args.gender_split,
@@ -79,12 +73,12 @@ def cmd_perturb(args):
     cfg = load_run_config(args.config)
     over = {"p": args.p, "seed": args.seed}
     pcfg = PerturbConfig(**_section_kwargs(cfg, PerturbConfig, over))
-    utterances, _ = _read_corpus(args.manifest)
+    utterances = sd.read_manifest(args.manifest)
     n_changed = 0
     for i, utt in enumerate(utterances):
         rng = np.random.default_rng([pcfg.seed, i])
-        utt.waveform, changed = apply_opposite(utt.waveform, utt.gender, pcfg, rng)
-        utt.wav_path = None
+        w, changed = apply_opposite(utt.waveform, utt.gender, pcfg, rng)
+        utterances[i] = replace(utt, waveform=w, wav_path=None)
         n_changed += changed
     os.makedirs(args.out, exist_ok=True)
     manifest = sd.write_manifest(utterances, args.out)
@@ -93,7 +87,7 @@ def cmd_perturb(args):
 
 
 def cmd_features(args):
-    utterances, _ = _read_corpus(args.manifest)
+    utterances = sd.read_manifest(args.manifest)
     feat_dir = os.path.join(args.out, "feat")
     os.makedirs(feat_dir, exist_ok=True)
     for utt in utterances:
@@ -116,7 +110,7 @@ def cmd_train(args):
         train_kwargs["perturb"] = PerturbConfig(
             **_section_kwargs(cfg, PerturbConfig, {"seed": args.seed}))
     train_cfg = tr.TrainConfig(**train_kwargs)
-    utterances, _ = _read_corpus(args.manifest)
+    utterances = sd.read_manifest(args.manifest)
     init = ad.load_checkpoint(args.init) if args.init else None
     os.makedirs(args.out, exist_ok=True)
     result = tr.train_loop(utterances, model_cfg, train_cfg, init=init,
@@ -142,7 +136,8 @@ def cmd_average_ckpt(args):
 
 def cmd_evaluate(args):
     model = mdl.load_model(args.model)
-    utterances, entries = _read_corpus(args.manifest, args.eval_tsv)
+    utterances = sd.read_manifest(args.manifest)
+    entries = ev.read_eval_tsv(args.eval_tsv)
     reports, hypotheses = ev.tag_inversion_eval(model, utterances, entries)
     by_id = {e.id: e for e in entries}
     refs = [list(by_id[u.id].reference) for u in utterances]
@@ -158,7 +153,7 @@ def cmd_evaluate(args):
 
 def cmd_probe(args):
     model = mdl.load_model(args.model)
-    utterances, _ = _read_corpus(args.manifest)
+    utterances = sd.read_manifest(args.manifest)
     accuracy = tr.probe_discriminator(model, utterances, seed=args.seed or 0)
     print(f"probe_accuracy={accuracy:.4f}")
     return 0

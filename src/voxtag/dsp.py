@@ -95,9 +95,7 @@ def _normalized_autocorrelation(frames, n_fft, lags):
     return np.where(denom > 0, raw / np.maximum(denom, 1e-20), 0.0)
 
 
-def estimate_f0_contour(w: Waveform, frame_len=None, hop=None,
-                        voicing_threshold=VOICING_THRESHOLD,
-                        rms_gate=RMS_GATE) -> F0Contour:
+def estimate_f0_contour(w: Waveform, frame_len=None, hop=None) -> F0Contour:
     """Normalized-autocorrelation pitch tracker over [F0_MIN, F0_MAX].
 
     Frames with peak correlation below the voicing threshold or RMS below
@@ -129,7 +127,7 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None,
     for b0 in range(0, len(frames), FRAME_BLOCK):
         block = frames[b0:b0 + FRAME_BLOCK]
         block = block - block.mean(axis=1, keepdims=True)
-        loud = np.sqrt(np.mean(block ** 2, axis=1)) >= rms_gate
+        loud = np.sqrt(np.mean(block ** 2, axis=1)) >= RMS_GATE
         if not loud.any():
             continue
         r = _normalized_autocorrelation(_whiten(block[loud], keep, cut), n_fft, lags)
@@ -141,7 +139,7 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None,
         strong = (mid >= r[:, :-2]) & (mid >= r[:, 2:]) & (mid >= 0.9 * rmax[:, None])
         best = np.where(strong.any(axis=1), strong.argmax(axis=1) + 1, r.argmax(axis=1))
         f0 = np.clip(sr / (lag_min + _parabolic_peak(r, best)), F0_MIN, F0_MAX)
-        voiced = rmax >= voicing_threshold
+        voiced = rmax >= VOICING_THRESHOLD
         out[b0 + np.flatnonzero(loud)[voiced]] = f0[voiced]
 
     return F0Contour(out, hop=hop, frame_len=frame_len)

@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dsp import logmel_features
 from .errors import InvalidSpec, LengthMismatch, MissingHypothesis, WrongMode
 from .model import TAG_F_ID, TAG_M_ID
 from .perturb import SpeakerGender
@@ -95,9 +94,8 @@ def tag_inversion_eval(model, corpus, entries, max_len=20):
     matched_hyps = {}
     for utt in corpus:
         entry = by_id[utt.id]
-        feats = logmel_features(utt.waveform).frames
         for tag, tag_gender in ((TAG_F_ID, SpeakerGender.F), (TAG_M_ID, SpeakerGender.M)):
-            ids = model.greedy_decode(feats, tag, max_len=max_len)
+            ids = model.greedy_decode(utt.features, tag, max_len=max_len)
             tokens = model.vocab.decode(ids)
             matched = tag_gender is utt.gender
             if matched:

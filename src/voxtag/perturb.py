@@ -164,10 +164,11 @@ def _warp_gain(mag, scale, bin_hz, windows):
     return np.clip(warped / np.maximum(env, 1e-12), 1e-3, 1e3)
 
 
-def _formant_warp(x, scale, sr, f0, n_fft=1024):
+def _formant_warp(x, scale, sr, f0):
     """Stretch the spectral envelope by `scale` (a peak at f moves to f*scale),
     leaving the harmonic structure in place. f0 is the signal's (post-shift)
     median fundamental, used to sample the envelope at harmonic peaks."""
+    n_fft = 1024
     hop = n_fft // 4
     window = np.hanning(n_fft)
     pad = n_fft

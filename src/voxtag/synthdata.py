@@ -1,13 +1,15 @@
 """Synthetic audio+text corpus where vocal pitch and formants carry the
 speaker's gender and target sentences contain gender-marked token pairs."""
 
+import functools
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import Waveform, synth_harmonic, read_wav, write_wav
+from .dsp import logmel_features
 from .errors import InvalidSpec
 from .evaluation import GenderEvalEntry
 from .model import Vocabulary
@@ -97,7 +99,8 @@ class SynthSpec:
             raise InvalidSpec("gender_split must be in (0, 1)")
         if self.token_duration <= 0:
             raise InvalidSpec("token_duration must be positive")
-        if not 0 < self.min_len <= self.max_len:
+        # slot index 2 is always gendered, so a sentence needs three tokens
+        if not 3 <= self.min_len <= self.max_len:
             raise InvalidSpec("bad sentence length range")
         if not 1 <= self.max_gendered <= self.min_len - 1:
             raise InvalidSpec("max_gendered must fit in the shortest sentence")
@@ -111,7 +114,13 @@ class Utterance:
     target_tokens: list
     waveform: Waveform = None
     wav_path: str = None
-    features: object = field(default=None, repr=False)
+
+    @functools.cached_property
+    def features(self):
+        """(T, 80) log-mels of the waveform, computed on first read. The
+        audio of an utterance is not changed after that: a new waveform makes
+        a new utterance, `dataclasses.replace(utt, waveform=w)`."""
+        return logmel_features(self.waveform).frames
 
 
 BIGRAM_BRANCHING = 3
@@ -123,11 +132,12 @@ def _successor(state: int, choice: int) -> int:
     return (5 * state + 7 * choice + 3) % len(NEUTRAL_TOKENS)
 
 
-def _sample_sentence(gender: SpeakerGender, rng):
-    """Neutral fillers with 1-3 gendered slots; slot index 2 is always gendered
-    so that decoding reliably passes through a gender-marked position."""
-    length = int(rng.integers(5, 13))
-    n_gendered = int(rng.integers(1, 4))
+def _sample_sentence(gender: SpeakerGender, spec: SynthSpec, rng):
+    """Neutral fillers with 1 to spec.max_gendered gendered slots; slot index 2
+    is always gendered so that decoding reliably passes through a
+    gender-marked position."""
+    length = int(rng.integers(spec.min_len, spec.max_len + 1))
+    n_gendered = int(rng.integers(1, spec.max_gendered + 1))
     positions = {2}
     while len(positions) < n_gendered:
         positions.add(int(rng.integers(0, length)))
@@ -152,9 +162,9 @@ def _sample_sentence(gender: SpeakerGender, rng):
     return source, target, pairs
 
 
-def generate_corpus(spec: SynthSpec, perturb_cfg: PerturbConfig = None):
+def generate_corpus(spec: SynthSpec):
     """Sampled utterances plus the aligned gender-evaluation entries."""
-    f0_cfg = perturb_cfg if perturb_cfg is not None else PerturbConfig()
+    f0_cfg = PerturbConfig()
     utterances, entries = [], []
     for i in range(spec.n_utterances):
         rng = np.random.default_rng([spec.seed, i])
@@ -167,7 +177,7 @@ def generate_corpus(spec: SynthSpec, perturb_cfg: PerturbConfig = None):
         while not lo <= f0 <= hi:
             f0 = sample_target_median(gender, f0_cfg, rng)
         peaks = F_PEAKS if gender is SpeakerGender.F else M_PEAKS
-        source, target, pairs = _sample_sentence(gender, rng)
+        source, target, pairs = _sample_sentence(gender, spec, rng)
         w = synth_utterance(f0, peaks, source, spec.token_duration,
                             spec.sample_rate)
         swap = dict(pairs)
@@ -197,7 +207,7 @@ def write_manifest(utterances, out_dir) -> str:
     return path
 
 
-def read_manifest(path, load_audio=True):
+def read_manifest(path):
     utterances = []
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -208,6 +218,6 @@ def read_manifest(path, load_audio=True):
             utterances.append(Utterance(
                 id=uid, gender=SpeakerGender(gender),
                 source_tokens=source.split(), target_tokens=target.split(),
-                waveform=read_wav(wav_path) if load_audio else None,
+                waveform=read_wav(wav_path),
                 wav_path=wav_path))
     return utterances

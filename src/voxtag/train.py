@@ -2,7 +2,7 @@
 and the post-hoc gender probe on frozen encoders."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -10,7 +10,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .autodiff import LambdaSchedule, average_checkpoints, lambda_at
-from .dsp import logmel_features
 from .errors import AllUnvoiced, ConfigInvalid, DivergedLoss, SingleClassData, TooShort
 from .perturb import PerturbConfig, SpeakerGender, apply_opposite
 
@@ -44,8 +43,7 @@ class TrainConfig:
             raise ConfigInvalid("warmup_updates must not exceed total_updates")
         if min(self.warmup_updates, self.total_updates, self.batch_size) <= 0:
             raise ConfigInvalid("updates and batch size must be positive")
-        interval = self.checkpoint_interval or max(1, self.total_updates // 10)
-        if self.average_last > self.total_updates // interval:
+        if self.average_last > self.total_updates // self.interval:
             raise ConfigInvalid("average_last exceeds the number of saved checkpoints")
 
     @property
@@ -101,16 +99,10 @@ def _start_token(mode, gender):
     return mdl.BOS_ID
 
 
-def _utterance_features(utt):
-    if utt.features is None:
-        utt.features = logmel_features(utt.waveform).frames
-    return utt.features
-
-
-def _translation_loss(model, batch, feats, vocab):
-    """One graph over a batch of utterances with their feature matrices: the
-    stacked encoder output, its rows per utterance, and the mean translation
-    loss over the batch."""
+def _translation_loss(model, batch, vocab):
+    """One graph over a batch of utterances: the stacked encoder output, its
+    rows per utterance, and the mean translation loss over the batch."""
+    feats = [utt.features for utt in batch]
     enc = model.encode(feats)
     frames = mdl.pooled_frames(feats)
     targets = [vocab.encode(utt.target_tokens) + [mdl.EOS_ID] for utt in batch]
@@ -121,12 +113,12 @@ def _translation_loss(model, batch, feats, vocab):
     return enc, frames, loss
 
 
-def _backward_batch(model, batch, feats, vocab, lam, weights):
+def _backward_batch(model, batch, vocab, lam, weights):
     """Backpropagate one graph over a training batch into the parameters'
     gradients; with lam the discriminator loss joins through the gradient
     reversal layer. Returns the translation and discriminator loss values;
     the graph is freed on return."""
-    enc, frames, t_loss = _translation_loss(model, batch, feats, vocab)
+    enc, frames, t_loss = _translation_loss(model, batch, vocab)
     d_loss = None if lam is None else mdl.weighted_disc_loss(
         model.discriminate(enc, lam, frames), [utt.gender for utt in batch], weights)
     ad.backward(mdl.combined_loss(t_loss, d_loss, model.cfg))
@@ -138,9 +130,8 @@ def _val_loss(model, utterances, vocab, batch_size):
     total = 0.0
     for lo in range(0, len(utterances), batch_size):
         chunk = utterances[lo:lo + batch_size]
-        feats = [_utterance_features(utt) for utt in chunk]
         # keep only the value, so each chunk's graph is freed before the next
-        total += _translation_loss(model, chunk, feats, vocab)[2].values.item() * len(chunk)
+        total += _translation_loss(model, chunk, vocab)[2].values.item() * len(chunk)
     return total / max(len(utterances), 1)
 
 
@@ -182,12 +173,11 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
 
     step = 0
     epoch = 0
-    epoch_feats = {}
     try:
         while step < train_cfg.total_updates:
             order = rng.permutation(len(train_set))
+            examples = list(train_set)
             if train_cfg.perturb is not None:
-                epoch_feats = {}
                 for i, utt in enumerate(train_set):
                     sub = np.random.default_rng([train_cfg.seed, 7919, epoch, i])
                     try:
@@ -195,22 +185,20 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                                                         train_cfg.perturb, sub)
                     except (AllUnvoiced, TooShort):
                         # no f0 to shift (unvoiced, or shorter than one
-                        # tracker frame): the utterance trains on its clean
-                        # features this epoch
+                        # tracker frame): the utterance trains clean this epoch
                         continue
                     if manipulated:
-                        epoch_feats[utt.id] = logmel_features(w).frames
+                        examples[i] = replace(utt, waveform=w)
             epoch += 1
             for lo in range(0, len(order), train_cfg.batch_size):
                 if step >= train_cfg.total_updates:
                     break
-                batch = [train_set[i] for i in order[lo:lo + train_cfg.batch_size]]
+                batch = [examples[i] for i in order[lo:lo + train_cfg.batch_size]]
                 step += 1
                 lam = lambda_at(schedule, min(step, schedule.total_updates)) \
                     if train_cfg.use_grl else None
                 model.zero_grad()
-                feats = [epoch_feats.get(utt.id, _utterance_features(utt)) for utt in batch]
-                t_loss, d_loss = _backward_batch(model, batch, feats, vocab, lam, weights)
+                t_loss, d_loss = _backward_batch(model, batch, vocab, lam, weights)
                 lr = noam_lr(step, train_cfg.warmup_updates, train_cfg.lr_peak)
                 opt.step(lr)
                 if metrics:
@@ -239,10 +227,10 @@ def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        encs = [model.encode(_utterance_features(utt)).values for utt in split]
+        feats = [utt.features for utt in split]
         labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
-        P = mdl.pooling_matrix([len(enc) for enc in encs])
-        return np.concatenate(encs, axis=0), P, np.array(labels)
+        P = mdl.pooling_matrix(mdl.pooled_frames(feats))
+        return model.encode(feats).values, P, np.array(labels)
 
     X_tr, P_tr, y_tr = encoded(train_set)
     X_te, P_te, y_te = encoded(test_set)

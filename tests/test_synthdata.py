@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from voxtag.dsp import estimate_f0_contour, voiced_median
+from voxtag.audio import Waveform
+from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
 from voxtag.errors import InvalidSpec
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import (GENDERED_STEMS, NEUTRAL_TOKENS, SynthSpec,
@@ -34,11 +37,16 @@ def test_spec_validation():
         SynthSpec(n_utterances=1, token_duration=0.0)
     with pytest.raises(InvalidSpec):
         SynthSpec(n_utterances=1, min_len=4, max_gendered=4)
+    with pytest.raises(InvalidSpec):
+        SynthSpec(n_utterances=1, min_len=2, max_gendered=1)
 
 
-def test_sentence_shape(corpus):
-    utterances, _ = corpus
-    spec = SynthSpec(n_utterances=60, seed=7)
+@pytest.mark.parametrize("spec", [
+    SynthSpec(n_utterances=60, seed=7),
+    SynthSpec(n_utterances=40, min_len=8, max_len=9, max_gendered=1, seed=3),
+], ids=["default", "narrow"])
+def test_sentence_shape(spec):
+    utterances, _ = generate_corpus(spec)
     for utt in utterances:
         assert spec.min_len <= len(utt.target_tokens) <= spec.max_len
         gendered = [t for t in utt.target_tokens if t not in NEUTRAL_TOKENS]
@@ -118,3 +126,15 @@ def test_manifest_roundtrip(tmp_path, corpus):
         # 16-bit PCM roundtrip
         np.testing.assert_allclose(back.waveform.samples, orig.waveform.samples,
                                    atol=1.0 / 32767)
+
+
+def test_features_are_logmels_of_waveform_computed_once():
+    utt = generate_corpus(SynthSpec(n_utterances=1, seed=4))[0][0]
+    first = utt.features
+    assert utt.features is first
+    np.testing.assert_array_equal(first, logmel_features(utt.waveform).frames)
+    w2 = Waveform(utt.waveform.samples[::-1].copy(), utt.waveform.sample_rate)
+    other = replace(utt, waveform=w2)
+    np.testing.assert_array_equal(other.features, logmel_features(w2).frames)
+    assert not np.array_equal(other.features, first)
+    assert utt.features is first

@@ -131,6 +131,63 @@ def test_perturbation_redrawn_each_epoch(tiny_corpus, monkeypatch):
     assert first != second  # fresh draws, not replayed ones
 
 
+def test_manipulated_utterances_train_on_perturbed_features(monkeypatch):
+    """Every feature matrix the encoder sees is the log-mel of the waveform
+    that utterance trains on: the returned one when apply_opposite
+    manipulated it, the clean one otherwise."""
+    from voxtag import train as train_mod
+    from voxtag.audio import Waveform
+    from voxtag.dsp import logmel_features
+    corpus, _ = generate_corpus(SynthSpec(n_utterances=16, seed=9))
+    n_val = 2  # the held-out head of a 16-utterance corpus, never perturbed
+    manipulate = {id(u.waveform): u.id for u in corpus[n_val::2]}
+    returned = {}
+
+    def fake(w, gender, cfg, rng):
+        if id(w) not in manipulate:
+            return w, False
+        uid = manipulate[id(w)]
+        returned.setdefault(uid, Waveform(w.samples[::-1].copy(), w.sample_rate))
+        return returned[uid], True
+
+    seen = []
+    encode = TranslationModel.encode
+
+    def recording_encode(self, features):
+        seen.extend(features)
+        return encode(self, features)
+
+    monkeypatch.setattr(train_mod, "apply_opposite", fake)
+    monkeypatch.setattr(TranslationModel, "encode", recording_encode)
+    cfg = tiny_cfg(total_updates=12, batch_size=4, perturb=PerturbConfig(p=1.0))
+    train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
+
+    expected = {u.id: logmel_features(u.waveform).frames for u in corpus}
+    expected.update({uid: logmel_features(w).frames for uid, w in returned.items()})
+    assert set(returned) == set(manipulate.values())
+    used = set()
+    for f in seen:
+        match = [uid for uid, e in expected.items() if np.array_equal(f, e)]
+        assert len(match) == 1
+        used.update(match)
+    assert used == set(expected)
+
+
+def test_perturbed_training_leaves_caller_corpus_clean():
+    """Perturbation makes new utterances: the caller's keep their waveform
+    objects and their features stay the clean log-mels."""
+    from voxtag.dsp import logmel_features
+    corpus, _ = generate_corpus(SynthSpec(n_utterances=16, seed=9))
+    waveforms = [u.waveform for u in corpus]
+    samples = [u.waveform.samples.copy() for u in corpus]
+    cfg = tiny_cfg(total_updates=8, batch_size=4, perturb=PerturbConfig(p=1.0))
+    train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
+    for utt, w, x in zip(corpus, waveforms, samples):
+        assert utt.waveform is w
+        np.testing.assert_array_equal(utt.waveform.samples, x)
+        np.testing.assert_array_equal(utt.features, logmel_features(w).frames)
+
+
 def test_probe_requires_both_classes(tiny_corpus):
     vocab = build_vocabulary()
     model = TranslationModel(vocab, ModelConfig(), seed=0)
@@ -161,7 +218,7 @@ def test_chunked_val_loss_is_mean_of_utterance_losses(tiny_corpus, batch_size):
     for utt in tiny_corpus:
         targets = vocab.encode(utt.target_tokens) + [mdl.EOS_ID]
         tag = mdl.TAG_F_ID if utt.gender is SpeakerGender.F else mdl.TAG_M_ID
-        enc = model.encode(train_mod._utterance_features(utt))
+        enc = model.encode(utt.features)
         loss = mdl.sequence_loss(model.decode_all(enc, [tag] + targets[:-1]), targets,
                                  model.cfg.label_smoothing)
         per_utt.append(loss.values.item())

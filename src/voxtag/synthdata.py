@@ -87,9 +87,6 @@ class SynthSpec:
     gender_split: float = 0.3
     token_duration: float = 0.06
     sample_rate: int = 16000
-    min_len: int = 5
-    max_len: int = 12
-    max_gendered: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -99,11 +96,6 @@ class SynthSpec:
             raise InvalidSpec("gender_split must be in (0, 1)")
         if self.token_duration <= 0:
             raise InvalidSpec("token_duration must be positive")
-        # slot index 2 is always gendered, so a sentence needs three tokens
-        if not 3 <= self.min_len <= self.max_len:
-            raise InvalidSpec("bad sentence length range")
-        if not 1 <= self.max_gendered <= self.min_len - 1:
-            raise InvalidSpec("max_gendered must fit in the shortest sentence")
 
 
 @dataclass
@@ -124,6 +116,8 @@ class Utterance:
 
 
 BIGRAM_BRANCHING = 3
+# sentence length range and the most gendered slots in one sentence
+MIN_LEN, MAX_LEN, MAX_GENDERED = 5, 12, 3
 
 
 def _successor(state: int, choice: int) -> int:
@@ -132,12 +126,12 @@ def _successor(state: int, choice: int) -> int:
     return (5 * state + 7 * choice + 3) % len(NEUTRAL_TOKENS)
 
 
-def _sample_sentence(gender: SpeakerGender, spec: SynthSpec, rng):
-    """Neutral fillers with 1 to spec.max_gendered gendered slots; slot index 2
-    is always gendered so that decoding reliably passes through a
-    gender-marked position."""
-    length = int(rng.integers(spec.min_len, spec.max_len + 1))
-    n_gendered = int(rng.integers(1, spec.max_gendered + 1))
+def _sample_sentence(gender: SpeakerGender, rng):
+    """Neutral fillers with 1 to MAX_GENDERED gendered slots; slot index 2 is
+    always gendered so that decoding reliably passes through a gender-marked
+    position."""
+    length = int(rng.integers(MIN_LEN, MAX_LEN + 1))
+    n_gendered = int(rng.integers(1, MAX_GENDERED + 1))
     positions = {2}
     while len(positions) < n_gendered:
         positions.add(int(rng.integers(0, length)))
@@ -177,7 +171,7 @@ def generate_corpus(spec: SynthSpec):
         while not lo <= f0 <= hi:
             f0 = sample_target_median(gender, f0_cfg, rng)
         peaks = F_PEAKS if gender is SpeakerGender.F else M_PEAKS
-        source, target, pairs = _sample_sentence(gender, spec, rng)
+        source, target, pairs = _sample_sentence(gender, rng)
         w = synth_utterance(f0, peaks, source, spec.token_duration,
                             spec.sample_rate)
         swap = dict(pairs)

@@ -227,10 +227,10 @@ def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        feats = [utt.features for utt in split]
+        encs = [model.encode(utt.features).values for utt in split]
         labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
-        P = mdl.pooling_matrix(mdl.pooled_frames(feats))
-        return model.encode(feats).values, P, np.array(labels)
+        P = mdl.pooling_matrix([len(enc) for enc in encs])
+        return np.concatenate(encs, axis=0), P, np.array(labels)
 
     X_tr, P_tr, y_tr = encoded(train_set)
     X_te, P_te, y_te = encoded(test_set)

@@ -7,10 +7,10 @@ from voxtag.audio import Waveform
 from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
 from voxtag.errors import InvalidSpec
 from voxtag.perturb import SpeakerGender
-from voxtag.synthdata import (GENDERED_STEMS, NEUTRAL_TOKENS, SynthSpec,
-                              build_vocabulary, gendered_form, generate_corpus,
-                              grammar_tokens, read_manifest, token_peaks,
-                              write_manifest)
+from voxtag.synthdata import (GENDERED_STEMS, MAX_GENDERED, MAX_LEN, MIN_LEN,
+                              NEUTRAL_TOKENS, SynthSpec, build_vocabulary,
+                              gendered_form, generate_corpus, grammar_tokens,
+                              read_manifest, token_peaks, write_manifest)
 
 
 @pytest.fixture(scope="module")
@@ -35,22 +35,14 @@ def test_spec_validation():
         SynthSpec(n_utterances=1, gender_split=1.0)
     with pytest.raises(InvalidSpec):
         SynthSpec(n_utterances=1, token_duration=0.0)
-    with pytest.raises(InvalidSpec):
-        SynthSpec(n_utterances=1, min_len=4, max_gendered=4)
-    with pytest.raises(InvalidSpec):
-        SynthSpec(n_utterances=1, min_len=2, max_gendered=1)
 
 
-@pytest.mark.parametrize("spec", [
-    SynthSpec(n_utterances=60, seed=7),
-    SynthSpec(n_utterances=40, min_len=8, max_len=9, max_gendered=1, seed=3),
-], ids=["default", "narrow"])
-def test_sentence_shape(spec):
-    utterances, _ = generate_corpus(spec)
+def test_sentence_shape(corpus):
+    utterances, _ = corpus
     for utt in utterances:
-        assert spec.min_len <= len(utt.target_tokens) <= spec.max_len
+        assert MIN_LEN <= len(utt.target_tokens) <= MAX_LEN
         gendered = [t for t in utt.target_tokens if t not in NEUTRAL_TOKENS]
-        assert 1 <= len(gendered) <= spec.max_gendered
+        assert 1 <= len(gendered) <= MAX_GENDERED
         suffix = "a" if utt.gender is SpeakerGender.F else "o"
         assert all(t.endswith(suffix) for t in gendered)
         # the spoken side carries the bare stems, not the gendered endings

@@ -20,8 +20,6 @@ class Tensor:
 
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         self.values = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise NonFinite("tensor holds non-finite values")
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
@@ -69,7 +67,8 @@ def add(a, b):
     out_values = a.values + b.values
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return Tensor(out_values, _parents=(a, b), _backward=backward)
 
@@ -79,7 +78,8 @@ def mul(a, b):
     out_values = a.values * b.values
 
     def backward(g):
-        return _unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape)
+        return (_unbroadcast(g * b.values, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.values, b.shape) if b.requires_grad else None)
 
     return Tensor(out_values, _parents=(a, b), _backward=backward)
 
@@ -91,9 +91,12 @@ def matmul(a, b):
     out_values = a.values @ b.values
 
     def backward(g):
-        ga = g @ b.values.T if b.values.ndim == 2 else np.outer(g, b.values)
-        gb = a.values.T @ g
-        return ga.reshape(a.shape), gb.reshape(b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = (g @ b.values.T if b.values.ndim == 2 else np.outer(g, b.values)).reshape(a.shape)
+        if b.requires_grad:
+            gb = (a.values.T @ g).reshape(b.shape)
+        return ga, gb
 
     return Tensor(out_values, _parents=(a, b), _backward=backward)
 
@@ -232,7 +235,9 @@ def grl_apply(x, lam):
 
 
 def backward(loss):
-    """Reverse-topological gradient propagation from a scalar loss."""
+    """Reverse-topological gradient propagation from a scalar loss. Parents
+    that do not require a gradient get none. Each gradient is checked once,
+    where it reaches a leaf, and a non-finite one raises NonFinite."""
     if loss.values.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}")
 
@@ -258,18 +263,15 @@ def backward(loss):
         if g is None:
             continue
         if node._backward is None or not node._parents:
+            if not np.isfinite(g).all():
+                raise NonFinite("non-finite gradient reached a leaf")
             node.accumulate(g)
             continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        for p, pg in zip(node._parents, node._backward(g)):
             if not p.requires_grad:
                 continue
-            if not np.all(np.isfinite(pg)):
-                raise NonFinite("non-finite gradient encountered")
-            if id(p) in grads:
-                grads[id(p)] += pg
-            else:
-                grads[id(p)] = pg.astype(np.float64, copy=True)
+            # a fresh sum, never +=: pg may be a view of another node's arrays
+            grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
 
 
 @dataclass(frozen=True)
@@ -308,8 +310,8 @@ def save_checkpoint(params: dict, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Inverse of save_checkpoint. A file cut short anywhere or followed by
-    trailing bytes raises MalformedHeader."""
+    """Inverse of save_checkpoint. A file cut short anywhere, followed by
+    trailing bytes, or holding a NaN or infinite value raises MalformedHeader."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -331,6 +333,8 @@ def load_checkpoint(path) -> dict:
         name = take(u32s(1, "name length")[0], "parameter name").decode("utf-8")
         dims = u32s(u32s(1, f"rank of {name}")[0], f"shape of {name}")
         data = np.frombuffer(take(8 * math.prod(dims), f"parameter {name}"), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise MalformedHeader(f"{path}: parameter {name} holds non-finite values")
         params[name] = data.reshape(dims).astype(np.float64)
     if pos != len(blob):
         raise MalformedHeader(f"{path}: {len(blob) - pos} trailing bytes")

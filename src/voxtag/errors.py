@@ -70,10 +70,6 @@ class DegenerateFrequency(VoxtagError):
     pass
 
 
-class InvalidDistribution(VoxtagError):
-    pass
-
-
 # --- train ---
 class DivergedLoss(VoxtagError):
     pass

@@ -14,7 +14,6 @@ from . import autodiff as ad
 from .errors import (
     DegenerateFrequency,
     EmptyPrefix,
-    InvalidDistribution,
     MalformedHeader,
     MissingBos,
     NonFinite,
@@ -145,7 +144,10 @@ def pooling_matrix(frames):
 
 def _block_mask(rows, cols):
     """Additive attention mask for a batch: 0 where utterance u's rows meet its
-    own columns, -1e30 elsewhere (finite, because Tensor rejects -inf)."""
+    own columns, -1e30 elsewhere. After softmax's row-max shift the exp of a
+    masked score underflows to exactly 0.0, as -inf would give; the finite
+    value stays so that softmax outputs, and the checkpoints trained through
+    them, remain bitwise equal."""
     r = np.repeat(np.arange(len(rows)), rows)
     c = np.repeat(np.arange(len(cols)), cols)
     return np.where(r[:, None] == c[None, :], 0.0, -1e30)
@@ -298,19 +300,6 @@ class TranslationModel:
         if frames is None:
             return ad.mean(logits, axis=0)
         return ad.matmul(ad.Tensor(pooling_matrix(frames)), logits)
-
-
-def label_smoothed_ce(probs, target: int, smoothing: float):
-    """Cross entropy against a smoothed one-hot; pad targets contribute zero."""
-    values = probs.values if isinstance(probs, ad.Tensor) else np.asarray(probs)
-    if abs(values.sum() - 1.0) > 1e-6 or values.min() < 0:
-        raise InvalidDistribution("probabilities must be a distribution")
-    if target == PAD_ID:
-        return ad.Tensor(0.0)
-    n = values.shape[-1]
-    q = np.full(n, smoothing / (n - 1))
-    q[target] = 1.0 - smoothing
-    return ad.cross_entropy(ad.log(probs), q)
 
 
 def sequence_loss(logits, targets, smoothing: float):

@@ -80,17 +80,23 @@ class Adam:
         self.t = 0
 
     def step(self, lr):
+        """One update of every parameter that has a gradient. The moments are
+        updated in place; each parameter gets a fresh values array, so arrays
+        handed to load_state_dict are never written."""
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for name, p in self.params.items():
-            if p.grad is None:
-                continue
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g ** 2
-            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
+            if g is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g ** 2
             scale = self.lr_scale.get(name.split(".")[0], 1.0)
-            p.values = p.values - scale * lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values = p.values - scale * lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def _start_token(mode, gender):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from voxtag import autodiff as ad
-from voxtag.errors import EmptyList, MalformedHeader, NonScalarLoss, OutOfRangeStep, ShapeMismatch
+from voxtag.errors import (EmptyList, MalformedHeader, NonFinite, NonScalarLoss, OutOfRangeStep,
+                           ShapeMismatch)
 
 
 def numeric_grad(f, x, eps=1e-4):
@@ -56,6 +57,32 @@ def test_matmul_gradients_match_finite_differences():
     a0 = rng.normal(size=(3, 4))
     check_grad(lambda x: ad.sum_(ad.tanh(ad.matmul(ad.Tensor(a0), x))),
                b0.copy())
+
+
+@pytest.mark.parametrize("op", [ad.matmul, ad.add, ad.mul])
+@pytest.mark.parametrize("const_first", [True, False])
+def test_constant_operand_gets_no_gradient(op, const_first):
+    rng = np.random.default_rng(6)
+    c = ad.Tensor(rng.normal(size=(3, 3)))
+
+    def operands(x):
+        return (c, x) if const_first else (x, c)
+
+    check_grad(lambda x: ad.sum_(ad.tanh(op(*operands(x)))), rng.normal(size=(3, 3)))
+    x = ad.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    out = op(*operands(x))
+    assert out._backward(np.ones((3, 3)))[0 if const_first else 1] is None
+    ad.backward(ad.sum_(ad.tanh(out)))
+    assert c.grad is None and x.grad is not None
+
+
+def test_non_finite_parameter_gradient_raises():
+    x = ad.Tensor(np.array([0.0, 1.0]), requires_grad=True)
+    with np.errstate(divide="ignore"):
+        loss = ad.sum_(ad.log(x))
+        with pytest.raises(NonFinite):
+            ad.backward(loss)
+    assert x.grad is None
 
 
 def test_broadcast_add_gradient():
@@ -170,6 +197,16 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
             ad.load_checkpoint(path)
     path.write_bytes(blob + b"\0")
     with pytest.raises(MalformedHeader):
+        ad.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "bad.ckpt"
+    w = np.ones((2, 3))
+    w[1, 2] = bad
+    ad.save_checkpoint({"b": np.zeros(3), "enc.w": w}, path)
+    with pytest.raises(MalformedHeader, match="enc.w"):
         ad.load_checkpoint(path)
 
 

@@ -162,6 +162,23 @@ def test_evaluate_model_header_keys(workspace, capsys):
     assert code == 0
 
 
+def test_evaluate_rejects_non_finite_checkpoint(workspace, capsys):
+    import numpy as np
+    from voxtag import model as M
+    from voxtag.errors import MalformedHeader
+    path = workspace / "nan.vxck"
+    model = M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8))
+    model.params["dec.out_b"].values[1] = np.nan
+    M.save_model(model, path)
+    with pytest.raises(MalformedHeader, match="dec.out_b"):
+        M.load_model(path)
+    code, _, err = run(capsys, "evaluate", "--model", str(path),
+                       "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--eval-tsv", str(workspace / "corpus" / "eval.tsv"),
+                       "--out", str(workspace / "nan.json"))
+    assert code == 1 and "dec.out_b" in err
+
+
 def test_average_ckpt_rejects_truncated_input(workspace, capsys):
     import numpy as np
     from voxtag import autodiff as ad

@@ -6,7 +6,6 @@ from voxtag import model as M
 from voxtag.errors import (
     DegenerateFrequency,
     EmptyPrefix,
-    InvalidDistribution,
     MissingBos,
     NonFinite,
     ShapeMismatch,
@@ -127,15 +126,16 @@ def test_class_weights_normalization_property():
 
 
 def test_label_smoothed_ce_examples():
+    # sequence_loss on one target: its logits row is log of a distribution
     one_hot = np.zeros(8)
     one_hot[3] = 1.0
-    assert M.label_smoothed_ce(ad.Tensor(one_hot + 1e-300), 3, 0.0).values < 1e-9
-    p = np.full(8, 0.125)
-    assert abs(M.label_smoothed_ce(ad.Tensor(p), 5, 0.1).values - np.log(8)) < 1e-9
-    assert abs(M.label_smoothed_ce(ad.Tensor(p), 5, 0.0).values - np.log(8)) < 1e-9
-    assert M.label_smoothed_ce(ad.Tensor(p), M.PAD_ID, 0.1).values == 0.0
-    with pytest.raises(InvalidDistribution):
-        M.label_smoothed_ce(ad.Tensor(np.full(8, 0.2)), 3, 0.1)
+    assert M.sequence_loss(ad.Tensor(np.log(one_hot + 1e-300)[None]), [3], 0.0).values < 1e-9
+    logits = ad.Tensor(np.log(np.full((1, 8), 0.125)))
+    assert abs(M.sequence_loss(logits, [5], 0.1).values - np.log(8)) < 1e-9
+    assert abs(M.sequence_loss(logits, [5], 0.0).values - np.log(8)) < 1e-9
+    assert M.sequence_loss(logits, [M.PAD_ID], 0.1).values == 0.0
+    with pytest.raises(ShapeMismatch):
+        M.sequence_loss(logits, [3, 4], 0.1)
 
 
 def test_weighted_disc_loss_examples():

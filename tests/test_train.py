@@ -85,9 +85,13 @@ def test_fine_tune_starts_from_init(tiny_corpus):
     base = train_loop(tiny_corpus, ModelConfig(mode="gender_unaware"),
                       tiny_cfg(seed=1), vocab=vocab)
     init = base.model.state_dict()
+    donor = {name: values.copy() for name, values in init.items()}
     ft = train_loop(tiny_corpus, ModelConfig(mode="gender_unaware"),
                     tiny_cfg(strategy="fine_tune", seed=1),
                     init=init, vocab=vocab)
+    # The model wraps init's arrays without copying; updates must not write them.
+    for name in donor:
+        np.testing.assert_array_equal(init[name], donor[name])
     # The fine-tune run's initial validation loss is the donor's final state.
     direct = train_loop(tiny_corpus, ModelConfig(mode="gender_unaware"),
                         tiny_cfg(strategy="fine_tune", seed=2),
@@ -206,6 +210,30 @@ def test_adam_moves_toward_minimum():
         ad.backward(ad.mean(loss))
         opt.step(0.05)
     assert abs(float(x.values[0])) < 1e-2
+
+
+def test_adam_step_matches_reference_update():
+    from voxtag import autodiff as ad
+    rng = np.random.default_rng(8)
+    params = {"enc.w": ad.Tensor(rng.normal(size=(3, 4))), "disc.b": ad.Tensor(rng.normal(size=4))}
+    opt = Adam(params, lr_scale={"disc": 10.0})
+    m = {k: np.zeros_like(t.values) for k, t in params.items()}
+    v = {k: np.zeros_like(t.values) for k, t in params.items()}
+    for t in range(1, 6):
+        expected = {}
+        for name, p in params.items():
+            p.grad = rng.normal(size=p.values.shape)
+            g = p.grad
+            m[name] = 0.9 * m[name] + (1 - 0.9) * g
+            v[name] = 0.98 * v[name] + (1 - 0.98) * g ** 2
+            m_hat = m[name] / (1 - 0.9 ** t)
+            v_hat = v[name] / (1 - 0.98 ** t)
+            scale = 10.0 if name.startswith("disc.") else 1.0
+            expected[name] = p.values - scale * 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-9)
+        opt.step(1e-2)
+        for name, p in params.items():
+            assert np.array_equal(p.values, expected[name])
+            assert np.array_equal(opt.m[name], m[name]) and np.array_equal(opt.v[name], v[name])
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 8])

@@ -330,7 +330,11 @@ def load_checkpoint(path) -> dict:
 
     params = {}
     for _ in range(u32s(1, "parameter count")[0]):
-        name = take(u32s(1, "name length")[0], "parameter name").decode("utf-8")
+        raw = take(u32s(1, "name length")[0], "parameter name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedHeader(f"{path}: parameter name {raw!r} is not UTF-8") from None
         dims = u32s(u32s(1, f"rank of {name}")[0], f"shape of {name}")
         data = np.frombuffer(take(8 * math.prod(dims), f"parameter {name}"), dtype="<f8")
         if not np.isfinite(data).all():
@@ -342,11 +346,12 @@ def load_checkpoint(path) -> dict:
 
 
 def average_checkpoints(ckpts: list) -> dict:
-    """Elementwise arithmetic mean of parameter dicts."""
+    """Elementwise arithmetic mean of parameter dicts, in the first dict's
+    parameter order."""
     if not ckpts:
         raise EmptyList("no checkpoints to average")
     names = set(ckpts[0])
     for c in ckpts[1:]:
         if set(c) != names or any(c[n].shape != ckpts[0][n].shape for n in names):
             raise ShapeMismatch("checkpoints disagree on parameter names or shapes")
-    return {n: np.mean([c[n] for c in ckpts], axis=0) for n in names}
+    return {n: np.mean([c[n] for c in ckpts], axis=0) for n in ckpts[0]}

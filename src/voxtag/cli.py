@@ -1,6 +1,6 @@
 """Command-line entry point exposing the pipeline as subcommands: corpus
-synthesis, perturbation, feature extraction, training, checkpoint averaging,
-evaluation, probing, and small calculators for schedules and class weights."""
+synthesis, perturbation, training, checkpoint averaging, evaluation, probing,
+and small calculators for schedules and class weights."""
 
 import os
 
@@ -23,7 +23,6 @@ from . import model as mdl
 from . import synthdata as sd
 from . import train as tr
 from .autodiff import LambdaSchedule, lambda_at
-from .dsp import logmel_features, save_features
 from .errors import ConfigInvalid, VoxtagError
 from .perturb import PerturbConfig, apply_opposite
 
@@ -86,17 +85,6 @@ def cmd_perturb(args):
     return 0
 
 
-def cmd_features(args):
-    utterances = sd.read_manifest(args.manifest)
-    feat_dir = os.path.join(args.out, "feat")
-    os.makedirs(feat_dir, exist_ok=True)
-    for utt in utterances:
-        save_features(logmel_features(utt.waveform),
-                      os.path.join(feat_dir, f"{utt.id}.vxft"))
-    print(f"wrote {len(utterances)} feature files to {feat_dir}")
-    return 0
-
-
 def cmd_train(args):
     cfg = load_run_config(args.config)
     model_over = {"mode": args.mode}
@@ -139,8 +127,7 @@ def cmd_evaluate(args):
     utterances = sd.read_manifest(args.manifest)
     entries = ev.read_eval_tsv(args.eval_tsv)
     reports, hypotheses = ev.tag_inversion_eval(model, utterances, entries)
-    by_id = {e.id: e for e in entries}
-    refs = [list(by_id[u.id].reference) for u in utterances]
+    refs = [list(e.reference) for e in ev.entries_for(utterances, entries)]
     hyps = [hypotheses[u.id] for u in utterances]
     bleu = ev.corpus_bleu(hyps, refs)
     ev.write_report(reports, bleu, args.out)
@@ -199,9 +186,6 @@ def build_parser():
     p = add("perturb", cmd_perturb, config=True, seed=True, out=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--p", type=float, default=None)
-
-    p = add("features", cmd_features, out=True)
-    p.add_argument("--manifest", required=True)
 
     p = add("train", cmd_train, config=True, seed=True, out=True)
     p.add_argument("--manifest", required=True)

@@ -1,13 +1,12 @@
 """Pitch tracking, voiced statistics and log-mel feature extraction."""
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import Waveform
-from .errors import AllUnvoiced, MalformedHeader, TooShort
+from .errors import AllUnvoiced, TooShort
 
 F0_MIN = 50.0
 F0_MAX = 500.0
@@ -19,8 +18,6 @@ LOG_FLOOR = 1e-10
 # to amortise per-call overhead, small enough that the per-block spectra stay
 # a few hundred kB
 FRAME_BLOCK = 16
-
-FEATURE_MAGIC = b"VXFT"
 
 
 @dataclass(frozen=True)
@@ -38,10 +35,9 @@ class F0Contour:
 
 @dataclass
 class FeatureMatrix:
-    """T x 80 log-mel energies, optionally mean/variance normalized."""
+    """T x 80 log-mel energies, mean/variance normalized per utterance."""
 
     frames: np.ndarray
-    normalized: bool = False
 
 
 def frame_matrix(x, frame_len, hop):
@@ -189,8 +185,9 @@ def apply_cmvn_(frames):
     return (frames - mean) / std
 
 
-def logmel_features(w: Waveform, apply_cmvn=True) -> FeatureMatrix:
-    """80-dim log mel-filterbank features: 25 ms Hann windows, 10 ms hop."""
+def logmel_features(w: Waveform) -> FeatureMatrix:
+    """80-dim log mel-filterbank features with per-utterance CMVN: 25 ms Hann
+    windows, 10 ms hop."""
     sr = w.sample_rate
     frame_len = int(round(0.025 * sr))
     hop = int(round(0.010 * sr))
@@ -203,33 +200,7 @@ def logmel_features(w: Waveform, apply_cmvn=True) -> FeatureMatrix:
     fb = mel_filterbank(sr, frame_len)
     mel = spec @ fb.T
     logmel = np.log(np.maximum(mel, LOG_FLOOR))
-    if apply_cmvn:
-        return FeatureMatrix(apply_cmvn_(logmel), normalized=True)
-    return FeatureMatrix(logmel, normalized=False)
-
-
-def save_features(fm: FeatureMatrix, path) -> None:
-    """Little-endian binary: magic, u32 T, u32 80, then T x 80 float32 row-major."""
-    t, d = fm.frames.shape
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC + struct.pack("<II", t, d))
-        f.write(fm.frames.astype("<f4").tobytes())
-
-
-def load_features(path) -> FeatureMatrix:
-    """Inverse of save_features. A file cut short or followed by trailing
-    bytes raises MalformedHeader."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12 or blob[:4] != FEATURE_MAGIC:
-        raise MalformedHeader(f"{path}: bad feature file magic")
-    t, d = struct.unpack("<II", blob[4:12])
-    if len(blob) < 12 + 4 * t * d:
-        raise MalformedHeader(f"{path}: truncated feature payload")
-    if len(blob) > 12 + 4 * t * d:
-        raise MalformedHeader(f"{path}: {len(blob) - 12 - 4 * t * d} trailing bytes")
-    data = np.frombuffer(blob[12:], dtype="<f4")
-    return FeatureMatrix(data.reshape(t, d).astype(np.float64), normalized=False)
+    return FeatureMatrix(apply_cmvn_(logmel))
 
 
 def envelope_peak_hz(w: Waveform, lo_hz=200.0, hi_hz=4000.0, f0=None):

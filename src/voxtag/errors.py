@@ -62,10 +62,6 @@ class UnknownToken(VoxtagError):
     pass
 
 
-class MissingBos(VoxtagError):
-    pass
-
-
 class DegenerateFrequency(VoxtagError):
     pass
 

@@ -6,8 +6,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSpec, LengthMismatch, MissingHypothesis, WrongMode
-from .model import TAG_F_ID, TAG_M_ID
+from .errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, WrongMode
+from .model import start_token
 from .perturb import SpeakerGender
 
 
@@ -79,6 +79,17 @@ def gender_accuracy(hypotheses, entries) -> GenderAccuracyReport:
     return GenderAccuracyReport(total_terms=total, found=found, correct=correct)
 
 
+def entries_for(corpus, entries):
+    """Each utterance's eval entry, in corpus order. Utterances that have no
+    entry raise InvalidSpec naming the first few of them."""
+    by_id = {e.id: e for e in entries}
+    missing = [utt.id for utt in corpus if utt.id not in by_id]
+    if missing:
+        shown = ", ".join(missing[:3]) + (", ..." if len(missing) > 3 else "")
+        raise InvalidSpec(f"{len(missing)} utterance(s) have no eval entry: {shown}")
+    return [by_id[utt.id] for utt in corpus]
+
+
 def tag_inversion_eval(model, corpus, entries, max_len=20):
     """Greedy-decode each utterance under both gender tags.
 
@@ -88,13 +99,12 @@ def tag_inversion_eval(model, corpus, entries, max_len=20):
     """
     if model.cfg.mode != "multi_gender":
         raise WrongMode(f"tag inversion needs a multi_gender model, got {model.cfg.mode}")
-    by_id = {e.id: e for e in entries}
     buckets = {"1F": [], "1M": [], "1F-tagM": [], "1M-tagF": []}
     hyps = {key: {} for key in buckets}
     matched_hyps = {}
-    for utt in corpus:
-        entry = by_id[utt.id]
-        for tag, tag_gender in ((TAG_F_ID, SpeakerGender.F), (TAG_M_ID, SpeakerGender.M)):
+    for utt, entry in zip(corpus, entries_for(corpus, entries)):
+        for tag_gender in (SpeakerGender.F, SpeakerGender.M):
+            tag = start_token(model.cfg.mode, tag_gender)
             ids = model.greedy_decode(utt.features, tag, max_len=max_len)
             tokens = model.vocab.decode(ids)
             matched = tag_gender is utt.gender
@@ -152,14 +162,21 @@ def corpus_bleu(hypotheses, references) -> float:
 
 
 def read_eval_tsv(path):
+    """Inverse of write_eval_tsv; a malformed line raises MalformedHeader."""
     entries = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            uid, ref, wrong, pairs = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 4")
+            uid, ref, wrong, pairs = fields
             term_pairs = tuple(tuple(p.split("|")) for p in pairs.split(";"))
+            if any(len(pair) != 2 for pair in term_pairs):
+                raise MalformedHeader(f"{path}:{lineno}: term pairs {pairs!r} are not "
+                                      "correct|wrong separated by ';'")
             entries.append(GenderEvalEntry(
                 id=uid, reference=tuple(ref.split()),
                 wrong_reference=tuple(wrong.split()), term_pairs=term_pairs))

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateFrequency,
     EmptyPrefix,
     MalformedHeader,
-    MissingBos,
     NonFinite,
     ShapeMismatch,
     UnknownToken,
@@ -98,12 +97,12 @@ def compute_class_weights(f_f: float, f_m: float) -> ClassWeights:
     return ClassWeights(w_f=1.0 / (2.0 * f_f), w_m=1.0 / (2.0 * f_m))
 
 
-def apply_target_forcing(prefix, gender: SpeakerGender):
-    """Replace the leading bos with the speaker's gender tag."""
-    if not len(prefix) or prefix[0] != BOS_ID:
-        raise MissingBos("prefix must start with bos")
-    tag = TAG_F_ID if gender is SpeakerGender.F else TAG_M_ID
-    return [tag] + list(prefix[1:])
+def start_token(mode, gender: SpeakerGender):
+    """The first decoder token: a multi_gender model is forced with the
+    speaker's gender tag, every other mode starts from bos."""
+    if mode == "multi_gender":
+        return TAG_F_ID if gender is SpeakerGender.F else TAG_M_ID
+    return BOS_ID
 
 
 @functools.lru_cache(maxsize=64)

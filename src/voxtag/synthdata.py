@@ -10,7 +10,7 @@ import numpy as np
 
 from .audio import Waveform, synth_harmonic, read_wav, write_wav
 from .dsp import logmel_features
-from .errors import InvalidSpec
+from .errors import InvalidSpec, MalformedHeader
 from .evaluation import GenderEvalEntry
 from .model import Vocabulary
 from .perturb import PerturbConfig, SpeakerGender, sample_target_median
@@ -202,13 +202,19 @@ def write_manifest(utterances, out_dir) -> str:
 
 
 def read_manifest(path):
+    """Inverse of write_manifest; a malformed line raises MalformedHeader."""
     utterances = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            uid, wav_path, gender, source, target = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 5")
+            uid, wav_path, gender, source, target = fields
+            if gender not in ("F", "M"):
+                raise MalformedHeader(f"{path}:{lineno}: gender {gender!r} is not F or M")
             utterances.append(Utterance(
                 id=uid, gender=SpeakerGender(gender),
                 source_tokens=source.split(), target_tokens=target.split(),

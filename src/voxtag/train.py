@@ -13,6 +13,13 @@ from .autodiff import LambdaSchedule, average_checkpoints, lambda_at
 from .errors import AllUnvoiced, ConfigInvalid, DivergedLoss, SingleClassData, TooShort
 from .perturb import PerturbConfig, SpeakerGender, apply_opposite
 
+# share of the corpus, taken from its head, held out for validation
+HOLDOUT_FRACTION = 0.1
+# Adversarial training is two-timescale: the discriminator head tracks
+# the encoder closely so the reversed gradient points toward class
+# confusion rather than an ever-flipping decision boundary.
+DISC_LR_MULTIPLIER = 10.0
+
 __all__ = ["TrainConfig", "TrainResult", "noam_lr", "Adam", "train_loop",
            "average_checkpoints", "probe_discriminator"]
 
@@ -30,11 +37,6 @@ class TrainConfig:
     seed: int = 0
     average_last: int = 7
     checkpoint_interval: int = 0
-    holdout_fraction: float = 0.1
-    # Adversarial training is two-timescale: the discriminator head tracks
-    # the encoder closely so the reversed gradient points toward class
-    # confusion rather than an ever-flipping decision boundary.
-    disc_lr_multiplier: float = 10.0
 
     def __post_init__(self):
         if self.strategy not in ("scratch", "fine_tune"):
@@ -99,12 +101,6 @@ class Adam:
             p.values = p.values - scale * lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _start_token(mode, gender):
-    if mode == "multi_gender":
-        return mdl.TAG_F_ID if gender is SpeakerGender.F else mdl.TAG_M_ID
-    return mdl.BOS_ID
-
-
 def _translation_loss(model, batch, vocab):
     """One graph over a batch of utterances: the stacked encoder output, its
     rows per utterance, and the mean translation loss over the batch."""
@@ -112,7 +108,7 @@ def _translation_loss(model, batch, vocab):
     enc = model.encode(feats)
     frames = mdl.pooled_frames(feats)
     targets = [vocab.encode(utt.target_tokens) + [mdl.EOS_ID] for utt in batch]
-    prefixes = [[_start_token(model.cfg.mode, utt.gender)] + t[:-1]
+    prefixes = [[mdl.start_token(model.cfg.mode, utt.gender)] + t[:-1]
                 for utt, t in zip(batch, targets)]
     loss = mdl.sequence_loss(model.decode_all(enc, prefixes, frames), targets,
                              model.cfg.label_smoothing)
@@ -161,7 +157,7 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
         model.load_state_dict(init)
     schedule = train_cfg.schedule()
 
-    n_val = max(2, int(round(train_cfg.holdout_fraction * len(corpus))))
+    n_val = max(2, int(round(HOLDOUT_FRACTION * len(corpus))))
     n_val = min(n_val, max(len(corpus) - train_cfg.batch_size, 1))
     val_set, train_set = corpus[:n_val], corpus[n_val:]
 
@@ -169,7 +165,7 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     f_f = min(max(n_f / len(train_set), 1e-3), 1 - 1e-3)
     weights = mdl.compute_class_weights(f_f, 1.0 - f_f)
 
-    lr_scale = {"disc": train_cfg.disc_lr_multiplier} if train_cfg.use_grl else None
+    lr_scale = {"disc": DISC_LR_MULTIPLIER} if train_cfg.use_grl else None
     opt = Adam(model.params, lr_scale=lr_scale)
     rng = np.random.default_rng(train_cfg.seed)
     initial_val = _val_loss(model, val_set, vocab, train_cfg.batch_size)

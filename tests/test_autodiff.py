@@ -210,6 +210,16 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
         ad.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("raw_name", [b"\xff\xfe", b"w\x80", b"\xc3("])
+def test_checkpoint_rejects_non_utf8_parameter_name(tmp_path, raw_name):
+    path = tmp_path / "names.ckpt"
+    ad.save_checkpoint({"ok": np.zeros(2), "ab": np.ones(3)}, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"ab", raw_name))
+    with pytest.raises(MalformedHeader, match="names.ckpt: parameter name .* is not UTF-8"):
+        ad.load_checkpoint(path)
+
+
 def test_average_checkpoints():
     a = {"w": np.zeros((2, 2))}
     b = {"w": np.full((2, 2), 2.0)}
@@ -219,3 +229,12 @@ def test_average_checkpoints():
         ad.average_checkpoints([])
     with pytest.raises(ShapeMismatch):
         ad.average_checkpoints([a, {"v": np.zeros((2, 2))}])
+
+
+def test_average_checkpoints_keeps_parameter_order():
+    """The order the checkpoint file is written in follows the first dict,
+    not the hash order of a set of names, so reruns write the same bytes."""
+    names = [f"layer{i}.w" for i in range(26)][::-1]
+    a = {n: np.full(2, float(i)) for i, n in enumerate(names)}
+    b = {n: a[n] + 2.0 for n in reversed(names)}
+    assert list(ad.average_checkpoints([a, b])) == names

@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from voxtag.cli import main
+from voxtag.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -41,10 +44,19 @@ def test_schedule_prints_checkpoint_steps(capsys):
 
 
 def test_help_exits_zero(capsys):
-    for sub in ("synth-data", "perturb", "features", "train", "average-ckpt",
+    for sub in ("synth-data", "perturb", "train", "average-ckpt",
                 "evaluate", "probe", "schedule", "class-weights"):
         assert main([sub, "--help"]) == 0
         capsys.readouterr()
+
+
+def test_readme_documents_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r"^voxtag ([\w-]+)", block, flags=re.M))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
 
 
 def test_unknown_subcommand(capsys):
@@ -53,11 +65,12 @@ def test_unknown_subcommand(capsys):
 
 
 def test_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"not_a_field": 1}))
-    code, _, err = run(capsys, "synth-data", "--config", str(cfg),
-                       "--out", str(tmp_path / "o"))
-    assert code == 1 and "not_a_field" in err
+    for key in ("not_a_field", "holdout_fraction"):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "synth-data", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1 and key in err
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +99,6 @@ def test_config_file_with_flag_override(workspace, capsys):
 
 def test_features_and_perturb(workspace, capsys):
     manifest = str(workspace / "corpus" / "manifest.tsv")
-    code, out, _ = run(capsys, "features", "--manifest", manifest,
-                       "--out", str(workspace / "f"))
-    assert code == 0
-    assert len(os.listdir(workspace / "f" / "feat")) == 24
     code, out, _ = run(capsys, "perturb", "--manifest", manifest, "--p", "1.0",
                        "--seed", "0", "--out", str(workspace / "pert"))
     assert code == 0
@@ -189,7 +198,23 @@ def test_average_ckpt_rejects_truncated_input(workspace, capsys):
     assert code == 1 and "truncated" in err
 
 
-def test_missing_file_is_validation_error(capsys):
-    code, _, err = run(capsys, "features", "--manifest", "/no/such.tsv",
-                       "--out", "/tmp/x")
+def test_evaluate_rejects_utterances_missing_from_eval_tsv(workspace, capsys):
+    from voxtag import model as M
+    path = workspace / "miss.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 path)
+    lines = (workspace / "corpus" / "eval.tsv").read_text().splitlines(keepends=True)
+    short = workspace / "short_eval.tsv"
+    short.write_text("".join(lines[:4]))
+    code, _, err = run(capsys, "evaluate", "--model", str(path),
+                       "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--eval-tsv", str(short), "--out", str(workspace / "miss.json"))
     assert code == 1
+    assert "20 utterance(s) have no eval entry" in err
+    assert lines[4].split("\t")[0] in err and ", ..." in err
+
+
+def test_missing_file_is_validation_error(capsys):
+    code, _, err = run(capsys, "perturb", "--manifest", "/no/such.tsv",
+                       "--out", "/tmp/x")
+    assert code == 1 and "/no/such.tsv" in err

@@ -8,17 +8,14 @@ from voxtag.dsp import (
     RMS_GATE,
     VOICING_THRESHOLD,
     F0Contour,
-    FeatureMatrix,
     _parabolic_peak,
     apply_cmvn_,
     estimate_f0_contour,
-    load_features,
     logmel_features,
     mel_filterbank,
-    save_features,
     voiced_median,
 )
-from voxtag.errors import AllUnvoiced, MalformedHeader, TooShort
+from voxtag.errors import AllUnvoiced, TooShort
 
 
 def test_pure_sine_tracked():
@@ -69,15 +66,13 @@ def test_voiced_median_permutation_and_unvoiced_insertion_invariance():
 
 def test_logmel_shape_one_second():
     w = synth_harmonic(150.0, [], 1.0, 16000)
-    fm = logmel_features(w, apply_cmvn=False)
+    fm = logmel_features(w)
     assert fm.frames.shape == (98, 80)
-    assert not fm.normalized
 
 
 def test_cmvn_standardizes():
     w = synth_harmonic(150.0, [(700.0, 5.0)], 1.0)
-    fm = logmel_features(w, apply_cmvn=True)
-    assert fm.normalized
+    fm = logmel_features(w)
     assert np.max(np.abs(fm.frames.mean(axis=0))) < 1e-5
     assert np.max(np.abs(fm.frames.var(axis=0) - 1.0)) < 1e-3
 
@@ -85,48 +80,22 @@ def test_cmvn_standardizes():
 def test_cmvn_gain_invariance():
     rng = np.random.default_rng(5)
     noise = rng.uniform(-0.09, 0.09, 16000)
-    a = logmel_features(Waveform(noise, 16000), apply_cmvn=True)
-    b = logmel_features(Waveform(10 * noise, 16000), apply_cmvn=True)
+    a = logmel_features(Waveform(noise, 16000))
+    b = logmel_features(Waveform(10 * noise, 16000))
     # clipping: scale kept within [-1, 1] so the log-gain is exactly additive
     assert np.max(np.abs(a.frames - b.frames)) < 1e-4
 
 
 def test_cmvn_idempotent():
     w = synth_harmonic(180.0, [(650.0, 4.0)], 0.5)
-    fm = logmel_features(w, apply_cmvn=True)
+    fm = logmel_features(w)
     again = apply_cmvn_(fm.frames)
     assert np.max(np.abs(again - fm.frames)) < 1e-5
 
 
 def test_logmel_too_short():
     with pytest.raises(TooShort):
-        logmel_features(Waveform(np.zeros(100), 16000), apply_cmvn=False)
-
-
-def test_feature_serialization_roundtrip(tmp_path):
-    w = synth_harmonic(140.0, [], 0.3)
-    fm = logmel_features(w, apply_cmvn=True)
-    path = tmp_path / "f.vxft"
-    save_features(fm, path)
-    back = load_features(path)
-    assert back.frames.shape == fm.frames.shape
-    assert np.max(np.abs(back.frames - fm.frames)) < 1e-5  # float32 storage
-
-
-def test_feature_file_rejects_truncation_and_trailing_bytes(tmp_path):
-    frames = np.random.default_rng(0).normal(size=(3, 80))
-    path = tmp_path / "f.vxft"
-    save_features(FeatureMatrix(frames), path)
-    blob = path.read_bytes()
-    assert np.array_equal(load_features(path).frames, frames.astype("<f4"))
-    bad = tmp_path / "bad.vxft"
-    for cut in range(len(blob)):
-        bad.write_bytes(blob[:cut])
-        with pytest.raises(MalformedHeader):
-            load_features(bad)
-    bad.write_bytes(blob + b"\x00")
-    with pytest.raises(MalformedHeader, match="trailing"):
-        load_features(bad)
+        logmel_features(Waveform(np.zeros(100), 16000))
 
 
 def _loop_parabolic_peak(values, i):
@@ -242,6 +211,6 @@ def test_mel_filterbank_cached_read_only():
         fb[0, 0] = 1.0
     assert np.array_equal(fb, mel_filterbank.__wrapped__(16000, 400))
     w = synth_harmonic(170.0, [(700.0, 5.0)], 0.3)
-    warm = logmel_features(w, apply_cmvn=False).frames
+    warm = logmel_features(w).frames
     mel_filterbank.cache_clear()
-    assert np.array_equal(logmel_features(w, apply_cmvn=False).frames, warm)
+    assert np.array_equal(logmel_features(w).frames, warm)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from voxtag.errors import (InvalidSpec, LengthMismatch, MissingHypothesis,
-                           WrongMode)
+from voxtag.errors import (InvalidSpec, LengthMismatch, MalformedHeader,
+                           MissingHypothesis, WrongMode)
 from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
                                read_eval_tsv, tag_inversion_eval,
                                write_eval_tsv)
@@ -140,6 +142,19 @@ def test_eval_tsv_roundtrip(tmp_path):
     path = tmp_path / "eval.tsv"
     write_eval_tsv(entries, path)
     assert read_eval_tsv(path) == entries
+
+
+@pytest.mark.parametrize("line, message", [
+    ("u1\tstanca\tstanco\tstanca-stanco", "term pairs 'stanca-stanco'"),
+    ("u1\tstanca\tstanco\tstanca|stanco|x", "term pairs 'stanca|stanco|x'"),
+    ("u1\tstanca\tstanca|stanco", "3 fields, expected 4"),
+    ("u1\tstanca\tstanco\tstanca|stanco\textra", "5 fields, expected 4"),
+])
+def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "eval.tsv"
+    path.write_text("u0\tamata\tamato\tamata|amato\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedHeader, match=re.escape(f"eval.tsv:2: {message}")):
+        read_eval_tsv(path)
 
 
 def test_tag_inversion_requires_multi_gender():

@@ -6,7 +6,6 @@ from voxtag import model as M
 from voxtag.errors import (
     DegenerateFrequency,
     EmptyPrefix,
-    MissingBos,
     NonFinite,
     ShapeMismatch,
     UnknownToken,
@@ -65,11 +64,13 @@ def test_decode_step_prefix_validation(small_model):
 
 
 def test_target_forcing():
-    assert M.apply_target_forcing([M.BOS_ID, 7, 9], SpeakerGender.F) == [M.TAG_F_ID, 7, 9]
-    assert M.apply_target_forcing([M.BOS_ID], SpeakerGender.M) == [M.TAG_M_ID]
-    forced = M.apply_target_forcing([M.BOS_ID, 5], SpeakerGender.F)
-    with pytest.raises(MissingBos):
-        M.apply_target_forcing(forced, SpeakerGender.F)
+    """A multi_gender model starts from the speaker's tag; every other mode
+    starts from bos."""
+    tags = {SpeakerGender.F: M.TAG_F_ID, SpeakerGender.M: M.TAG_M_ID}
+    for mode in M.MODES:
+        for gender, tag in tags.items():
+            expected = tag if mode == "multi_gender" else M.BOS_ID
+            assert M.start_token(mode, gender) == expected
 
 
 def test_discriminator_constant_input_pooling(small_model):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from voxtag.audio import Waveform
 from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
-from voxtag.errors import InvalidSpec
+from voxtag.errors import InvalidSpec, MalformedHeader
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import (GENDERED_STEMS, MAX_GENDERED, MAX_LEN, MIN_LEN,
                               NEUTRAL_TOKENS, SynthSpec, build_vocabulary,
@@ -118,6 +119,21 @@ def test_manifest_roundtrip(tmp_path, corpus):
         # 16-bit PCM roundtrip
         np.testing.assert_allclose(back.waveform.samples, orig.waveform.samples,
                                    atol=1.0 / 32767)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda f: f[:3], "3 fields, expected 5"),
+    (lambda f: f + ["extra"], "6 fields, expected 5"),
+    (lambda f: f[:2] + ["X"] + f[3:], "gender 'X' is not F or M"),
+])
+def test_read_manifest_names_file_and_line(tmp_path, corpus, corrupt, message):
+    path = write_manifest(corpus[0][:3], tmp_path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    lines[1] = "\t".join(corrupt(lines[1].split("\t")))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+    with pytest.raises(MalformedHeader, match=re.escape(f"manifest.tsv:2: {message}")):
+        read_manifest(path)
 
 
 def test_features_are_logmels_of_waveform_computed_once():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxtag.errors import ConfigInvalid, SingleClassData
+from voxtag.errors import ConfigInvalid, DivergedLoss, SingleClassData
 from voxtag.model import ModelConfig, TranslationModel
 from voxtag.perturb import PerturbConfig, SpeakerGender
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
@@ -112,6 +112,33 @@ def test_metrics_jsonl(tiny_corpus, tmp_path):
         assert set(l) == {"step", "lr", "translation_loss", "disc_loss", "lambda"}
         assert l["lambda"] == pytest.approx(0.5)
         assert np.isfinite(l["translation_loss"])
+
+
+@pytest.mark.parametrize("bad_val", [10.5, float("nan")])
+def test_diverged_validation_loss_stops_training(tiny_corpus, tmp_path, monkeypatch, bad_val):
+    """A validation loss above 10x the initial one, or not finite, raises
+    DivergedLoss at the first interval; metrics.jsonl is closed and holds
+    exactly the steps run before the raise."""
+    import json
+    from voxtag import train
+    # the initial validation loss, then the first interval's; a third read
+    # would raise StopIteration
+    val_losses = iter([1.0, bad_val])
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(train, "_val_loss", lambda *args: next(val_losses))
+    monkeypatch.setattr(train, "open", recording_open, raising=False)
+    path = tmp_path / "metrics.jsonl"
+    cfg = tiny_cfg(checkpoint_interval=3, average_last=1)
+    with pytest.raises(DivergedLoss, match="at step 3"):
+        train_loop(tiny_corpus, ModelConfig(mode="multi_gender"), cfg, metrics_path=path)
+    assert len(opened) == 1 and opened[0].closed
+    steps = [json.loads(l)["step"] for l in path.read_text().splitlines()]
+    assert steps == [1, 2, 3]
 
 
 def test_perturbation_redrawn_each_epoch(tiny_corpus, monkeypatch):

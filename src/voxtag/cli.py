@@ -28,11 +28,14 @@ from .perturb import PerturbConfig, apply_opposite
 
 _CONFIG_SECTIONS = (mdl.ModelConfig, tr.TrainConfig, PerturbConfig, sd.SynthSpec)
 _KNOWN_KEYS = {f.name for cls in _CONFIG_SECTIONS for f in fields(cls)}
+# TrainConfig fields that hold objects, which a flat JSON value cannot express;
+# --use-grl and --with-perturb set them up instead.
+_OBJECT_KEYS = {"grl_schedule", "perturb"}
 
 
 def load_run_config(path):
     """Flat JSON document whose keys mirror the config dataclasses; unknown
-    keys are rejected before any work starts."""
+    keys and keys of object-valued fields are rejected before any work starts."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as f:
@@ -42,6 +45,10 @@ def load_run_config(path):
     unknown = sorted(set(cfg) - _KNOWN_KEYS)
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
+    objects = sorted(set(cfg) & _OBJECT_KEYS)
+    if objects:
+        raise ConfigInvalid(f"cannot set {', '.join(objects)} from a config file: "
+                            "only --use-grl and --with-perturb configure them")
     return cfg
 
 

@@ -177,9 +177,13 @@ def read_eval_tsv(path):
             if any(len(pair) != 2 for pair in term_pairs):
                 raise MalformedHeader(f"{path}:{lineno}: term pairs {pairs!r} are not "
                                       "correct|wrong separated by ';'")
-            entries.append(GenderEvalEntry(
-                id=uid, reference=tuple(ref.split()),
-                wrong_reference=tuple(wrong.split()), term_pairs=term_pairs))
+            try:
+                entry = GenderEvalEntry(
+                    id=uid, reference=tuple(ref.split()),
+                    wrong_reference=tuple(wrong.split()), term_pairs=term_pairs)
+            except InvalidSpec as exc:
+                raise MalformedHeader(f"{path}:{lineno}: {exc}") from None
+            entries.append(entry)
     return entries
 
 

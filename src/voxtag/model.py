@@ -107,8 +107,9 @@ def start_token(mode, gender: SpeakerGender):
 
 @functools.lru_cache(maxsize=64)
 def sinusoidal_positions(length, dim):
-    """(length, dim) sinusoidal position table. Every decoder step asks for
-    one, so tables are cached; a cached table is shared, so it is read-only."""
+    """(length, dim) sinusoidal position table. Every training batch and every
+    greedy decode asks for one, so tables are cached; a cached table is
+    shared, so it is read-only."""
     pos = np.arange(length)[:, None]
     inv = np.exp(-np.log(10000.0) * (2 * (np.arange(dim) // 2)) / dim)
     angles = pos * inv[None, :]
@@ -272,21 +273,40 @@ class TranslationModel:
                                              p[f"dec.l{i}.b1"])))
         return ad.add(ad.matmul(hid, p["dec.out_w"]), p["dec.out_b"])
 
-    def decode_step(self, enc_out, prefix):
-        """Distribution over the vocabulary for the token after the prefix."""
-        logits = self.decode_all(enc_out, prefix)
-        return ad.softmax(ad.Tensor(logits.values[-1]), axis=-1)
+    def _next_logits(self, enc, tag, token, position):
+        """Row k of decode_all, forward only on the parameter arrays: the
+        next-token logits after token k, given the tag, position k's row of
+        the sinusoidal table and the encoder rows. The operations run in
+        decode_all's order, so the row differs from decode_all's at most by
+        the rounding of a one-row product against a multi-row one."""
+        p = self.params
+        emb = p["dec.emb"].values
+        d_in = (emb[token] + emb[tag]) + position
+        scores = (d_in @ enc.T) * (1.0 / np.sqrt(self.cfg.hidden_dim))
+        e = np.exp(scores - scores.max())
+        ctx = (e / e.sum()) @ enc
+        hid = np.concatenate([ctx, d_in]) @ p["dec.l0.w1"].values + p["dec.l0.b1"].values
+        hid = np.where(hid > 0, hid, 0.0)
+        for i in range(1, self.cfg.decoder_layers):
+            inner = hid @ p[f"dec.l{i}.w1"].values + p[f"dec.l{i}.b1"].values
+            hid = hid + np.where(inner > 0, inner, 0.0)
+        return hid @ p["dec.out_w"].values + p["dec.out_b"].values
 
     def greedy_decode(self, features, first_token, max_len=32):
-        enc_out = self.encode(features)
-        prefix = [first_token]
-        for _ in range(max_len):
-            dist = self.decode_step(enc_out, prefix)
-            nxt = int(np.argmax(dist.values))
-            if nxt == EOS_ID:
+        """Greedy token ids after first_token, stopping at eos or after max_len
+        steps. The decoder has no self-attention, so each step computes one
+        new row rather than rerunning the prefix, and off the autodiff tape."""
+        self._check_prefix([first_token])
+        enc = self.encode(features).values
+        positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
+        out, token = [], first_token
+        for k in range(max_len):
+            # Softmax is monotonic, so the argmax of the logits is the token.
+            token = int(np.argmax(self._next_logits(enc, first_token, token, positions[k])))
+            if token == EOS_ID:
                 break
-            prefix.append(nxt)
-        return prefix[1:]
+            out.append(token)
+        return out
 
     def discriminate(self, enc_out, lam, frames=None):
         """Gender logits (size 2) through the gradient reversal layer, averaged

@@ -65,7 +65,7 @@ def test_unknown_subcommand(capsys):
 
 
 def test_unknown_config_key(tmp_path, capsys):
-    for key in ("not_a_field", "holdout_fraction"):
+    for key in ("not_a_field", "holdout_fraction", "grl_schedule", "perturb"):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, "synth-data", "--config", str(cfg),

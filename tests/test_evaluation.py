@@ -149,6 +149,8 @@ def test_eval_tsv_roundtrip(tmp_path):
     ("u1\tstanca\tstanco\tstanca|stanco|x", "term pairs 'stanca|stanco|x'"),
     ("u1\tstanca\tstanca|stanco", "3 fields, expected 4"),
     ("u1\tstanca\tstanco\tstanca|stanco\textra", "5 fields, expected 4"),
+    ("u1\tamata\tamato\tamata|amato;amata|amata", "u1: degenerate pair 'amata'"),
+    ("u1\tamata\tamato\t|", "u1: degenerate pair ''"),
 ])
 def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "eval.tsv"

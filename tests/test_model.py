@@ -44,23 +44,87 @@ def test_encode_rejects_wrong_width(small_model):
         small_model.encode(np.zeros((10, 40)))
 
 
-def test_decode_step_is_distribution(small_model):
+def test_decode_all_is_deterministic_distribution(small_model):
     enc = small_model.encode(np.random.default_rng(1).normal(size=(20, 80)))
-    dist = small_model.decode_step(enc, [M.TAG_F_ID, 6, 7])
+    logits = small_model.decode_all(enc, [M.TAG_F_ID, 6, 7])
+    dist = ad.softmax(ad.Tensor(logits.values[-1]), axis=-1)
     assert abs(dist.values.sum() - 1.0) < 1e-9
     assert dist.values.min() > 0
-    again = small_model.decode_step(enc, [M.TAG_F_ID, 6, 7])
-    assert np.array_equal(dist.values, again.values)
+    again = small_model.decode_all(enc, [M.TAG_F_ID, 6, 7])
+    assert np.array_equal(logits.values, again.values)
 
 
-def test_decode_step_prefix_validation(small_model):
+def test_decode_all_prefix_validation(small_model):
     enc = small_model.encode(np.zeros((8, 80)))
     with pytest.raises(EmptyPrefix):
-        small_model.decode_step(enc, [])
+        small_model.decode_all(enc, [])
     with pytest.raises(UnknownToken):
-        small_model.decode_step(enc, [M.BOS_ID, 999])
+        small_model.decode_all(enc, [M.BOS_ID, 999])
     with pytest.raises(UnknownToken):
-        small_model.decode_step(enc, [7, 8])
+        small_model.decode_all(enc, [7, 8])
+
+
+def _greedy_decode_rerun(model, features, first_token, max_len):
+    """Reference greedy decode: every step reruns decode_all over the whole
+    prefix and takes the argmax of the softmax of its last row."""
+    enc = model.encode(features)
+    prefix = [first_token]
+    for _ in range(max_len):
+        last = model.decode_all(enc, prefix).values[-1]
+        nxt = int(np.argmax(ad.softmax(ad.Tensor(last), axis=-1).values))
+        if nxt == M.EOS_ID:
+            break
+        prefix.append(nxt)
+    return prefix[1:]
+
+
+@pytest.fixture(scope="module")
+def eos_model(small_model):
+    """small_model with its eos bias raised by 2.5, so that some greedy decodes
+    stop at eos after a few tokens and others run to max_len 32. A random-init
+    small_model never emits eos."""
+    twin = M.TranslationModel(small_model.vocab, small_model.cfg, seed=0)
+    twin.params["dec.out_b"].values[M.EOS_ID] += 2.5
+    return twin
+
+
+@pytest.mark.parametrize("max_len", [1, 3, 32])
+def test_greedy_decode_matches_prefix_rerun(small_model, eos_model, max_len):
+    rng = np.random.default_rng(12)
+    feats = [rng.normal(size=(T, 80)) for T in (5, 17, 40, 63)]
+    stopped_at_eos = set()
+    for model in (small_model, eos_model):
+        for f in feats:
+            for first_token in (M.TAG_F_ID, M.TAG_M_ID, M.BOS_ID):
+                ids = model.greedy_decode(f, first_token, max_len=max_len)
+                assert ids == _greedy_decode_rerun(model, f, first_token, max_len)
+                stopped_at_eos.add(len(ids) < max_len)
+    assert stopped_at_eos == ({True, False} if max_len == 32 else {False})
+
+
+def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
+    rng = np.random.default_rng(13)
+    table = M.sinusoidal_positions(32, small_model.cfg.hidden_dim)
+    for model in (small_model, eos_model):
+        for first_token in (M.TAG_F_ID, M.TAG_M_ID, M.BOS_ID):
+            feats = rng.normal(size=(29, 80))
+            # The tokens greedy_decode's steps read: first_token and every
+            # emitted token except a 32nd, which no step reads.
+            prefix = ([first_token] + model.greedy_decode(feats, first_token))[:32]
+            enc = model.encode(feats)
+            rows = model.decode_all(enc, prefix).values
+            for k, token in enumerate(prefix):
+                step = model._next_logits(enc.values, first_token, token, table[k])
+                np.testing.assert_allclose(step, rows[k], rtol=1e-12, atol=0)
+
+
+def test_greedy_decode_validates_inputs(small_model):
+    with pytest.raises(UnknownToken):
+        small_model.greedy_decode(np.zeros((8, 80)), 7)
+    with pytest.raises(UnknownToken):
+        small_model.greedy_decode(np.zeros((8, 80)), 999)
+    with pytest.raises(ShapeMismatch):
+        small_model.greedy_decode(np.zeros((8, 40)), M.TAG_F_ID)
 
 
 def test_target_forcing():
@@ -227,9 +291,10 @@ def test_model_save_load_roundtrip(tmp_path, small_model):
     assert loaded.cfg == small_model.cfg
     assert loaded.vocab.tokens == small_model.vocab.tokens
     feats = np.random.default_rng(9).normal(size=(16, 80))
-    a = small_model.decode_step(small_model.encode(feats), [M.TAG_M_ID, 5])
-    b = loaded.decode_step(loaded.encode(feats), [M.TAG_M_ID, 5])
+    a = small_model.decode_all(small_model.encode(feats), [M.TAG_M_ID, 5])
+    b = loaded.decode_all(loaded.encode(feats), [M.TAG_M_ID, 5])
     assert np.array_equal(a.values, b.values)
+    assert loaded.greedy_decode(feats, M.TAG_M_ID) == small_model.greedy_decode(feats, M.TAG_M_ID)
 
 
 def _pool4_loop(features):

@@ -32,10 +32,6 @@ class Waveform:
     def __len__(self):
         return len(self.samples)
 
-    @property
-    def duration(self):
-        return len(self.samples) / self.sample_rate
-
 
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file. Only 16-bit PCM mono is accepted."""
@@ -71,6 +67,8 @@ def read_wav(path) -> Waveform:
         raise UnsupportedEncoding(f"{path}: {channels} channels, expected mono")
     if bits != 16:
         raise UnsupportedEncoding(f"{path}: {bits} bits/sample, expected 16")
+    if sample_rate == 0:
+        raise MalformedHeader(f"{path}: sample rate 0")
 
     ints = np.frombuffer(pcm_bytes[: len(pcm_bytes) // 2 * 2], dtype="<i2")
     return Waveform(ints.astype(np.float64) / PCM_SCALE, sample_rate)

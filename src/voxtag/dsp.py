@@ -18,6 +18,8 @@ LOG_FLOOR = 1e-10
 # to amortise per-call overhead, small enough that the per-block spectra stay
 # a few hundred kB
 FRAME_BLOCK = 16
+# the band envelope_peak_hz searches for the spectral-envelope maximum
+ENVELOPE_LO_HZ, ENVELOPE_HI_HZ = 200.0, 4000.0
 
 
 @dataclass(frozen=True)
@@ -203,16 +205,15 @@ def logmel_features(w: Waveform) -> FeatureMatrix:
     return FeatureMatrix(apply_cmvn_(logmel))
 
 
-def envelope_peak_hz(w: Waveform, lo_hz=200.0, hi_hz=4000.0, f0=None):
-    """Frequency of the spectral-envelope maximum within [lo_hz, hi_hz].
+def envelope_peak_hz(w: Waveform, f0):
+    """Frequency of the spectral-envelope maximum of a signal with fundamental
+    f0, within [ENVELOPE_LO_HZ, ENVELOPE_HI_HZ].
 
     For harmonic signals the envelope is only sampled at multiples of f0, so
     the peak is located by a parabolic fit of log harmonic amplitudes around
-    the strongest harmonic. Pass f0 when it is known; single-formant signals
-    are nearly pure tones and can defeat the tracker.
+    the strongest harmonic. f0 is given rather than tracked: single-formant
+    signals are nearly pure tones and can defeat the tracker.
     """
-    if f0 is None:
-        f0 = voiced_median(estimate_f0_contour(w))
     n_fft = 1 << int(np.ceil(np.log2(max(4096, 8 * w.sample_rate / f0))))
     x = w.samples
     if len(x) < n_fft:
@@ -221,7 +222,7 @@ def envelope_peak_hz(w: Waveform, lo_hz=200.0, hi_hz=4000.0, f0=None):
     freqs = np.fft.rfftfreq(n_fft, 1.0 / w.sample_rate)
     bin_hz = freqs[1]
 
-    ks = np.arange(max(1, int(np.ceil(lo_hz / f0))), int(hi_hz / f0) + 1)
+    ks = np.arange(max(1, int(np.ceil(ENVELOPE_LO_HZ / f0))), int(ENVELOPE_HI_HZ / f0) + 1)
     if len(ks) == 0:
         raise ValueError("no harmonic inside the search band")
     amps, hzs = [], []

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all voxtag modules."""
+"""Exception hierarchy shared by all voxtag modules, and their UTF-8 line reader."""
+
+import io
 
 
 class VoxtagError(Exception):
@@ -99,3 +101,16 @@ class LengthMismatch(VoxtagError):
 # --- cli ---
 class ConfigInvalid(VoxtagError):
     pass
+
+
+def utf8_lines(path):
+    """The lines of a UTF-8 text file, as open(path, encoding="utf-8") yields
+    them. A byte that does not decode raises MalformedHeader naming the file
+    and the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedHeader(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from None

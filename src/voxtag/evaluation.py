@@ -1,12 +1,14 @@
 """Gender-accuracy scoring, the tag-inversion protocol, and corpus BLEU."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, WrongMode
+from .errors import (InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, WrongMode,
+                     utf8_lines)
 from .model import start_token
 from .perturb import SpeakerGender
 
@@ -121,11 +123,7 @@ def tag_inversion_eval(model, corpus, entries, max_len=20):
 
 
 def _ngram_counts(tokens, n):
-    counts = {}
-    for i in range(len(tokens) - n + 1):
-        gram = tuple(tokens[i:i + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    return counts
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
 def corpus_bleu(hypotheses, references) -> float:
@@ -164,26 +162,25 @@ def corpus_bleu(hypotheses, references) -> float:
 def read_eval_tsv(path):
     """Inverse of write_eval_tsv; a malformed line raises MalformedHeader."""
     entries = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 4")
-            uid, ref, wrong, pairs = fields
-            term_pairs = tuple(tuple(p.split("|")) for p in pairs.split(";"))
-            if any(len(pair) != 2 for pair in term_pairs):
-                raise MalformedHeader(f"{path}:{lineno}: term pairs {pairs!r} are not "
-                                      "correct|wrong separated by ';'")
-            try:
-                entry = GenderEvalEntry(
-                    id=uid, reference=tuple(ref.split()),
-                    wrong_reference=tuple(wrong.split()), term_pairs=term_pairs)
-            except InvalidSpec as exc:
-                raise MalformedHeader(f"{path}:{lineno}: {exc}") from None
-            entries.append(entry)
+    for lineno, line in enumerate(utf8_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 4")
+        uid, ref, wrong, pairs = fields
+        term_pairs = tuple(tuple(p.split("|")) for p in pairs.split(";"))
+        if any(len(pair) != 2 for pair in term_pairs):
+            raise MalformedHeader(f"{path}:{lineno}: term pairs {pairs!r} are not "
+                                  "correct|wrong separated by ';'")
+        try:
+            entry = GenderEvalEntry(
+                id=uid, reference=tuple(ref.split()),
+                wrong_reference=tuple(wrong.split()), term_pairs=term_pairs)
+        except InvalidSpec as exc:
+            raise MalformedHeader(f"{path}:{lineno}: {exc}") from None
+        entries.append(entry)
     return entries
 
 

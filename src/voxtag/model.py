@@ -18,6 +18,7 @@ from .errors import (
     NonFinite,
     ShapeMismatch,
     UnknownToken,
+    utf8_lines,
 )
 from .perturb import SpeakerGender
 
@@ -153,11 +154,6 @@ def _block_mask(rows, cols):
     return np.where(r[:, None] == c[None, :], 0.0, -1e30)
 
 
-def _is_batch(ids):
-    """True for a list of id sequences, False for one id sequence."""
-    return len(ids) > 0 and isinstance(ids[0], (list, tuple, np.ndarray))
-
-
 class TranslationModel:
     """Holds parameters and the forward graph for one configuration."""
 
@@ -214,13 +210,11 @@ class TranslationModel:
             t.zero_grad()
 
     def encode(self, features):
-        """features: (T, feature_dim) array -> (ceil(T/4), hidden_dim) Tensor.
-
-        A list of such arrays is a batch: the encoder is position-wise, so the
-        utterances' pooled frames are stacked in order into one
-        (sum of ceil(T/4), hidden_dim) Tensor."""
+        """features: a batch, a list of (T, feature_dim) arrays. The encoder is
+        position-wise, so the utterances' pooled frames are stacked in order
+        into one (sum of ceil(T/4), hidden_dim) Tensor."""
         pooled = []
-        for f in features if isinstance(features, (list, tuple)) else [features]:
+        for f in features:
             f = np.asarray(f, dtype=np.float64)
             if f.ndim != 2 or f.shape[1] != self.cfg.feature_dim:
                 raise ShapeMismatch(f"expected (T, {self.cfg.feature_dim}) features")
@@ -242,28 +236,25 @@ class TranslationModel:
         if prefix[0] not in (BOS_ID, TAG_F_ID, TAG_M_ID):
             raise UnknownToken("prefix must start with bos or a gender tag")
 
-    def decode_all(self, enc_out, prefix, frames=None):
-        """Teacher-forced next-token logits for every prefix position: (L, V).
-
-        A list of prefixes is a batch whose utterance u owns frames[u] rows of
-        the stacked encoder output; each prefix attends only to its own rows,
-        and the logits of all prefixes are stacked in order: (sum of L, V)."""
-        prefixes = prefix if _is_batch(prefix) else [prefix]
-        frames = [enc_out.shape[0]] if frames is None else frames
-        if len(frames) != len(prefixes) or sum(frames) != enc_out.shape[0]:
+    def decode_all(self, enc_out, prefix, frames):
+        """Teacher-forced next-token logits for a batch of prefixes (id lists):
+        utterance u owns frames[u] rows of the stacked encoder output, each
+        prefix attends only to its own rows, and the logits of all prefixes
+        are stacked in order: (sum of L, V)."""
+        if len(frames) != len(prefix) or sum(frames) != enc_out.shape[0]:
             raise ShapeMismatch("frames must count each prefix's rows of the encoder output")
-        for pre in prefixes:
+        for pre in prefix:
             self._check_prefix(pre)
         p = self.params
-        lengths = [len(pre) for pre in prefixes]
-        ids = np.concatenate([np.asarray(pre, dtype=np.int64) for pre in prefixes])
+        lengths = [len(pre) for pre in prefix]
+        ids = np.concatenate([np.asarray(pre, dtype=np.int64) for pre in prefix])
         emb = ad.embedding(p["dec.emb"], ids)
-        tag = ad.embedding(p["dec.emb"], np.repeat([pre[0] for pre in prefixes], lengths))
+        tag = ad.embedding(p["dec.emb"], np.repeat([pre[0] for pre in prefix], lengths))
         table = sinusoidal_positions(max(lengths), self.cfg.hidden_dim)
         d_in = ad.add(ad.add(emb, tag), ad.Tensor(np.concatenate([table[:n] for n in lengths])))
         scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
         scores = ad.mul(ad.matmul(d_in, ad.transpose(enc_out)), scale)
-        if len(prefixes) > 1:
+        if len(prefix) > 1:
             scores = ad.add(scores, ad.Tensor(_block_mask(lengths, frames)))
         ctx = ad.matmul(ad.softmax(scores, axis=-1), enc_out)
         hid = ad.relu(ad.add(ad.matmul(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"]),
@@ -297,7 +288,7 @@ class TranslationModel:
         steps. The decoder has no self-attention, so each step computes one
         new row rather than rerunning the prefix, and off the autodiff tape."""
         self._check_prefix([first_token])
-        enc = self.encode(features).values
+        enc = self.encode([features]).values
         positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
         out, token = [], first_token
         for k in range(max_len):
@@ -308,48 +299,42 @@ class TranslationModel:
             out.append(token)
         return out
 
-    def discriminate(self, enc_out, lam, frames=None):
-        """Gender logits (size 2) through the gradient reversal layer, averaged
-        over the utterance's rows. For a batch whose utterance u owns frames[u]
-        rows of the stacked encoder output: (B, 2), one row per utterance."""
+    def discriminate(self, enc_out, lam, frames):
+        """Gender logits through the gradient reversal layer for a batch whose
+        utterance u owns frames[u] rows of the stacked encoder output: (B, 2),
+        each row the mean over its utterance's rows."""
         p = self.params
         x = ad.grl_apply(enc_out, lam)
         hid = ad.relu(ad.add(ad.matmul(x, p["disc.w1"]), p["disc.b1"]))
         logits = ad.add(ad.matmul(hid, p["disc.w2"]), p["disc.b2"])
-        if frames is None:
-            return ad.mean(logits, axis=0)
         return ad.matmul(ad.Tensor(pooling_matrix(frames)), logits)
 
 
 def sequence_loss(logits, targets, smoothing: float):
-    """Mean label-smoothed cross entropy over non-pad positions of (L, V) logits.
-
-    For a batch, targets is a list of id lists whose logits are stacked in
-    order, and the loss is the mean over utterances of each one's loss."""
-    rows = targets if _is_batch(targets) else [targets]
-    ids = np.concatenate([np.asarray(t, dtype=np.int64) for t in rows])
+    """Label-smoothed cross entropy of a batch: targets is a list of id lists
+    whose (L, V) logits are stacked in order; the loss is the mean over
+    utterances of each one's mean over its non-pad positions."""
+    ids = np.concatenate([np.asarray(t, dtype=np.int64) for t in targets])
     if logits.values.shape[0] != len(ids):
         raise ShapeMismatch("logits and targets disagree on length")
     n = logits.values.shape[1]
     q = np.full((len(ids), n), smoothing / (n - 1))
     q[np.arange(len(ids)), ids] = 1.0 - smoothing
     mask = (ids != PAD_ID).astype(np.float64)
-    utt = np.repeat(np.arange(len(rows)), [len(t) for t in rows])
-    count = np.maximum(np.bincount(utt, weights=mask, minlength=len(rows)), 1.0)
-    q *= (mask / (count[utt] * len(rows)))[:, None]
+    utt = np.repeat(np.arange(len(targets)), [len(t) for t in targets])
+    count = np.maximum(np.bincount(utt, weights=mask, minlength=len(targets)), 1.0)
+    q *= (mask / (count[utt] * len(targets)))[:, None]
     return ad.cross_entropy(logits, q)
 
 
-def weighted_disc_loss(logits, label, weights: ClassWeights):
-    """Class-weighted cross entropy of the 2-way gender logits: size 2 with one
-    SpeakerGender label, or (B, 2) with B labels, averaged over the batch."""
-    single = isinstance(label, SpeakerGender)
-    labels = [label] if single else list(label)
+def weighted_disc_loss(logits, labels, weights: ClassWeights):
+    """Class-weighted cross entropy of (B, 2) gender logits with B
+    SpeakerGender labels, averaged over the batch."""
     q = np.zeros((len(labels), 2))
     for u, g in enumerate(labels):
         female = g is SpeakerGender.F
         q[u, 0 if female else 1] = (weights.w_f if female else weights.w_m) / len(labels)
-    return ad.cross_entropy(logits, q[0] if single else q)
+    return ad.cross_entropy(logits, q)
 
 
 def combined_loss(translation_loss, disc_loss, cfg: ModelConfig):
@@ -374,14 +359,13 @@ def save_model(model: TranslationModel, path) -> None:
 
 def load_model(path) -> TranslationModel:
     """Inverse of save_model. Keys that are not ModelConfig fields (such as a
-    legacy dropout line) are ignored; a missing or unparsable one raises
-    MalformedHeader."""
+    legacy dropout line) are ignored; a missing, unparsable or invalid one, or
+    a header that does not fit the checkpoint, raises MalformedHeader."""
     meta_path = str(path) + ".meta"
     meta = {}
-    with open(meta_path, encoding="utf-8") as f:
-        for line in f:
-            key, _, value = line.rstrip("\n").partition("=")
-            meta[key] = value
+    for line in utf8_lines(meta_path):
+        key, _, value = line.rstrip("\n").partition("=")
+        meta[key] = value
 
     def header(key, parse=str):
         if key not in meta:
@@ -391,8 +375,10 @@ def load_model(path) -> TranslationModel:
         except ValueError:
             raise MalformedHeader(f"{meta_path}: cannot parse {key}={meta[key]!r}") from None
 
-    cfg = ModelConfig(**{f.name: header(f.name, f.type) for f in fields(ModelConfig)})
-    vocab = Vocabulary(header("vocab").split())
-    model = TranslationModel(vocab, cfg)
-    model.load_state_dict(ad.load_checkpoint(path))
+    try:
+        cfg = ModelConfig(**{f.name: header(f.name, f.type) for f in fields(ModelConfig)})
+        model = TranslationModel(Vocabulary(header("vocab").split()), cfg)
+        model.load_state_dict(ad.load_checkpoint(path))
+    except (ValueError, UnknownToken, ShapeMismatch) as exc:
+        raise MalformedHeader(f"{meta_path} does not describe {path}: {exc}") from None
     return model

@@ -8,7 +8,7 @@ import numpy as np
 
 from .audio import Waveform
 from .dsp import FRAME_BLOCK, RMS_GATE, estimate_f0_contour, frame_matrix, voiced_median
-from .errors import AllUnvoiced, OutOfRangeFactor, ZeroSourceMedian
+from .errors import AllUnvoiced, OutOfRangeFactor, TooShort, ZeroSourceMedian
 
 
 class SpeakerGender(enum.Enum):
@@ -208,8 +208,6 @@ def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float,
 
     if contour is None:
         contour = estimate_f0_contour(w)
-    if not (contour.frame_hz > 0).any():
-        raise AllUnvoiced("cannot pitch-shift an unvoiced signal")
     y = _psola(w.samples, w.sample_rate, contour, alpha)
     # the resampling inside _psola scaled the envelope by alpha as well;
     # warp by formant_scale/alpha for a net envelope scale of formant_scale
@@ -228,13 +226,18 @@ def apply_opposite(w: Waveform, speaker_gender: SpeakerGender, cfg: PerturbConfi
     f0 distribution and scale formants (1.2 for M->F, 0.8 for F->M).
 
     Returns (waveform, manipulated). A fresh decision is made on every call;
-    callers invoke once per epoch per sample.
+    callers invoke once per epoch per sample. An utterance with no f0 to shift
+    (no voiced frame, or shorter than one tracker frame) is returned unchanged
+    and counts as not manipulated.
     """
     if rng.random() >= cfg.p:
         return w, False
     target = speaker_gender.opposite
-    contour = estimate_f0_contour(w)
-    source_median = voiced_median(contour)
+    try:
+        contour = estimate_f0_contour(w)
+        source_median = voiced_median(contour)
+    except (AllUnvoiced, TooShort):
+        return w, False
     target_median = sample_target_median(target, cfg, rng)
     alpha = float(np.clip(compute_alpha(source_median, target_median), 0.25, 4.0))
     scale = cfg.formant_up if target is SpeakerGender.F else cfg.formant_down

@@ -10,7 +10,7 @@ import numpy as np
 
 from .audio import Waveform, synth_harmonic, read_wav, write_wav
 from .dsp import logmel_features
-from .errors import InvalidSpec, MalformedHeader
+from .errors import InvalidSpec, MalformedHeader, utf8_lines
 from .evaluation import GenderEvalEntry
 from .model import Vocabulary
 from .perturb import PerturbConfig, SpeakerGender, sample_target_median
@@ -38,6 +38,8 @@ def gendered_form(stem: str, gender: SpeakerGender) -> str:
     return stem + ("a" if gender is SpeakerGender.F else "o")
 
 
+SAMPLE_RATE = 16000
+
 # Spoken tokens are identified by two high-band spectral peaks. These sit
 # above the gendered formant region (<= 1150 Hz) so token identity and
 # speaker gender occupy largely separate mel bands.
@@ -52,12 +54,11 @@ def token_peaks(token: str):
     return ((p1, TOKEN_PEAK_GAIN), (p2, TOKEN_PEAK_GAIN))
 
 
-def synth_utterance(f0, gender_peaks, source_tokens, token_duration,
-                    sample_rate=16000) -> Waveform:
+def synth_utterance(f0, gender_peaks, source_tokens, token_duration) -> Waveform:
     """One fixed-length harmonic segment per source token, all at the
     speaker's f0 and formants, with short fades to avoid segment clicks."""
-    n_seg = int(round(token_duration * sample_rate))
-    fade = min(int(0.005 * sample_rate), n_seg // 4)
+    n_seg = int(round(token_duration * SAMPLE_RATE))
+    fade = min(int(0.005 * SAMPLE_RATE), n_seg // 4)
     window = np.ones(n_seg)
     if fade > 0:
         window[:fade] = np.linspace(0.0, 1.0, fade)
@@ -65,9 +66,9 @@ def synth_utterance(f0, gender_peaks, source_tokens, token_duration,
     segments = []
     for token in source_tokens:
         peaks = tuple(gender_peaks) + token_peaks(token)
-        seg = synth_harmonic(f0, peaks, token_duration, sample_rate)
+        seg = synth_harmonic(f0, peaks, token_duration, SAMPLE_RATE)
         segments.append(seg.samples * window)
-    return Waveform(np.concatenate(segments), sample_rate)
+    return Waveform(np.concatenate(segments), SAMPLE_RATE)
 
 
 def grammar_tokens():
@@ -86,7 +87,6 @@ class SynthSpec:
     n_utterances: int
     gender_split: float = 0.3
     token_duration: float = 0.06
-    sample_rate: int = 16000
     seed: int = 0
 
     def __post_init__(self):
@@ -172,8 +172,7 @@ def generate_corpus(spec: SynthSpec):
             f0 = sample_target_median(gender, f0_cfg, rng)
         peaks = F_PEAKS if gender is SpeakerGender.F else M_PEAKS
         source, target, pairs = _sample_sentence(gender, rng)
-        w = synth_utterance(f0, peaks, source, spec.token_duration,
-                            spec.sample_rate)
+        w = synth_utterance(f0, peaks, source, spec.token_duration)
         swap = dict(pairs)
         swapped = [swap.get(t, t) for t in target]
         uid = f"utt{i:05d}"
@@ -204,20 +203,21 @@ def write_manifest(utterances, out_dir) -> str:
 def read_manifest(path):
     """Inverse of write_manifest; a malformed line raises MalformedHeader."""
     utterances = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 5")
-            uid, wav_path, gender, source, target = fields
-            if gender not in ("F", "M"):
-                raise MalformedHeader(f"{path}:{lineno}: gender {gender!r} is not F or M")
-            utterances.append(Utterance(
-                id=uid, gender=SpeakerGender(gender),
-                source_tokens=source.split(), target_tokens=target.split(),
-                waveform=read_wav(wav_path),
-                wav_path=wav_path))
+    for lineno, line in enumerate(utf8_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 5")
+        uid, wav_path, gender, source, target = fields
+        if gender not in ("F", "M"):
+            raise MalformedHeader(f"{path}:{lineno}: gender {gender!r} is not F or M")
+        if "\0" in wav_path:
+            raise MalformedHeader(f"{path}:{lineno}: wav path holds a NUL byte")
+        utterances.append(Utterance(
+            id=uid, gender=SpeakerGender(gender),
+            source_tokens=source.split(), target_tokens=target.split(),
+            waveform=read_wav(wav_path),
+            wav_path=wav_path))
     return utterances

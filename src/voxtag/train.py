@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .autodiff import LambdaSchedule, average_checkpoints, lambda_at
-from .errors import AllUnvoiced, ConfigInvalid, DivergedLoss, SingleClassData, TooShort
+from .errors import ConfigInvalid, DivergedLoss, SingleClassData
 from .perturb import PerturbConfig, SpeakerGender, apply_opposite
 
 # share of the corpus, taken from its head, held out for validation
@@ -19,6 +19,10 @@ HOLDOUT_FRACTION = 0.1
 # the encoder closely so the reversed gradient points toward class
 # confusion rather than an ever-flipping decision boundary.
 DISC_LR_MULTIPLIER = 10.0
+# Adam's moment decay rates and the floor of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
+# the post-hoc gender probe: full-batch Adam updates and their learning rate
+PROBE_STEPS, PROBE_LR = 400, 5e-3
 
 __all__ = ["TrainConfig", "TrainResult", "noam_lr", "Adam", "train_loop",
            "average_checkpoints", "probe_discriminator"]
@@ -73,9 +77,8 @@ def noam_lr(step: int, warmup: int, lr_peak: float) -> float:
 
 
 class Adam:
-    def __init__(self, params, beta1=0.9, beta2=0.98, eps=1e-9, lr_scale=None):
+    def __init__(self, params, lr_scale=None):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.lr_scale = lr_scale or {}
         self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
@@ -86,7 +89,7 @@ class Adam:
         updated in place; each parameter gets a fresh values array, so arrays
         handed to load_state_dict are never written."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for name, p in self.params.items():
             g = p.grad
@@ -98,7 +101,7 @@ class Adam:
             v *= b2
             v += (1 - b2) * g ** 2
             scale = self.lr_scale.get(name.split(".")[0], 1.0)
-            p.values = p.values - scale * lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.values = p.values - scale * lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _translation_loss(model, batch, vocab):
@@ -182,13 +185,8 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
             if train_cfg.perturb is not None:
                 for i, utt in enumerate(train_set):
                     sub = np.random.default_rng([train_cfg.seed, 7919, epoch, i])
-                    try:
-                        w, manipulated = apply_opposite(utt.waveform, utt.gender,
-                                                        train_cfg.perturb, sub)
-                    except (AllUnvoiced, TooShort):
-                        # no f0 to shift (unvoiced, or shorter than one
-                        # tracker frame): the utterance trains clean this epoch
-                        continue
+                    w, manipulated = apply_opposite(utt.waveform, utt.gender,
+                                                    train_cfg.perturb, sub)
                     if manipulated:
                         examples[i] = replace(utt, waveform=w)
             epoch += 1
@@ -219,7 +217,7 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     return TrainResult(model=model, checkpoints=checkpoints, val_losses=val_losses)
 
 
-def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
+def probe_discriminator(model, held_out, seed=0) -> float:
     """Train a fresh two-layer gender probe on the frozen encoder's outputs
     (even-indexed utterances), report accuracy on the odd-indexed rest."""
     train_set = held_out[0::2]
@@ -229,7 +227,7 @@ def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        encs = [model.encode(utt.features).values for utt in split]
+        encs = [model.encode([utt.features]).values for utt in split]
         labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
         P = mdl.pooling_matrix([len(enc) for enc in encs])
         return np.concatenate(encs, axis=0), P, np.array(labels)
@@ -248,13 +246,13 @@ def probe_discriminator(model, held_out, seed=0, steps=400, lr=5e-3) -> float:
     q = np.zeros((len(y_tr), 2))
     q[np.arange(len(y_tr)), y_tr] = 1.0 / len(y_tr)
     opt = Adam(params)
-    for _ in range(steps):
+    for _ in range(PROBE_STEPS):
         for t in params.values():
             t.zero_grad()
         hid = ad.relu(ad.add(ad.matmul(ad.Tensor(X_tr), params["w1"]), params["b1"]))
         logits = ad.matmul(ad.Tensor(P_tr), ad.add(ad.matmul(hid, params["w2"]), params["b2"]))
         ad.backward(ad.cross_entropy(logits, q))
-        opt.step(lr)
+        opt.step(PROBE_LR)
     hid = np.maximum(X_te @ params["w1"].values + params["b1"].values, 0.0)
     logits = P_te @ (hid @ params["w2"].values + params["b2"].values)
     return float(np.mean(np.argmax(logits, axis=1) == y_te))

@@ -175,10 +175,11 @@ def test_criterion_02_gradient_checks():
     def losses(m):
         tl, dl = ad.Tensor(0.0), ad.Tensor(0.0)
         for f, pre, tgt, g in zip(feats, prefixes, targets, genders):
-            enc = m.encode(f)
-            tl = ad.add(tl, mdl.sequence_loss(m.decode_all(enc, pre), tgt, 0.1))
-            dl = ad.add(dl, mdl.weighted_disc_loss(m.discriminate(enc, lam),
-                                                   g, weights))
+            enc = m.encode([f])
+            rows = [enc.shape[0]]
+            tl = ad.add(tl, mdl.sequence_loss(m.decode_all(enc, [pre], rows), [tgt], 0.1))
+            dl = ad.add(dl, mdl.weighted_disc_loss(m.discriminate(enc, lam, rows),
+                                                   [g], weights))
         return tl, dl
 
     model.zero_grad()

@@ -43,8 +43,8 @@ def test_rejects_garbage(tmp_path):
         read_wav(path)
 
 
-def _wav_bytes(fmt_tag=1, channels=1, bits=16):
-    body = struct.pack("<IHHIIHH", 16, fmt_tag, channels, 16000, 32000, 2, bits)
+def _wav_bytes(fmt_tag=1, channels=1, bits=16, sample_rate=16000):
+    body = struct.pack("<IHHIIHH", 16, fmt_tag, channels, sample_rate, 32000, 2, bits)
     data = b"\x00\x00" * 4
     return (b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
             + b"fmt " + body + b"data" + struct.pack("<I", len(data)) + data)
@@ -99,6 +99,13 @@ def test_synth_periodicity():
 def test_waveform_clips_on_construction():
     w = Waveform(np.array([2.0, -3.0, 0.5]), 8000)
     assert np.max(np.abs(w.samples)) <= 1.0
+
+
+def test_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(sample_rate=0))
+    with pytest.raises(MalformedHeader, match="sample rate"):
+        read_wav(path)
 
 
 def test_rejects_chunk_running_past_end_of_file(tmp_path):

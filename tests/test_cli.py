@@ -4,8 +4,10 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from voxtag.audio import Waveform, write_wav
 from voxtag.cli import build_parser, main
 
 
@@ -65,7 +67,7 @@ def test_unknown_subcommand(capsys):
 
 
 def test_unknown_config_key(tmp_path, capsys):
-    for key in ("not_a_field", "holdout_fraction", "grl_schedule", "perturb"):
+    for key in ("not_a_field", "holdout_fraction", "grl_schedule", "perturb", "sample_rate"):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, "synth-data", "--config", str(cfg),
@@ -97,12 +99,29 @@ def test_config_file_with_flag_override(workspace, capsys):
     assert "wrote 3 utterances" in out  # the flag wins over the file
 
 
-def test_features_and_perturb(workspace, capsys):
+def test_perturb(workspace, capsys):
     manifest = str(workspace / "corpus" / "manifest.tsv")
     code, out, _ = run(capsys, "perturb", "--manifest", manifest, "--p", "1.0",
                        "--seed", "0", "--out", str(workspace / "pert"))
     assert code == 0
     assert "perturbed 24/24" in out
+
+    # A voiceless utterance has no f0 to shift: it is written back unchanged
+    # and the run goes on.
+    lines = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()[:6]
+    silent = workspace / "silent.wav"
+    write_wav(Waveform(np.zeros(4800), 16000), silent)
+    fields = lines[3].split("\t")
+    fields[1] = str(silent)
+    lines[3] = "\t".join(fields)
+    mixed = workspace / "mixed.tsv"
+    mixed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "perturb", "--manifest", str(mixed), "--p", "1.0",
+                       "--seed", "0", "--out", str(workspace / "pert_mixed"))
+    assert code == 0
+    assert "perturbed 5/6" in out
+    written = workspace / "pert_mixed" / "wav" / f"{fields[0]}.wav"
+    assert written.read_bytes() == silent.read_bytes()
 
 
 def test_train_evaluate_probe_deterministic(workspace, capsys):
@@ -186,6 +205,44 @@ def test_evaluate_rejects_non_finite_checkpoint(workspace, capsys):
                        "--eval-tsv", str(workspace / "corpus" / "eval.tsv"),
                        "--out", str(workspace / "nan.json"))
     assert code == 1 and "dec.out_b" in err
+
+
+def test_non_utf8_text_input_names_file_and_line(workspace, capsys):
+    """A manifest, eval.tsv or model header holding a byte that is not UTF-8
+    is a validation error that names the file and the line."""
+    from voxtag import model as M
+    model = workspace / "utf.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 model)
+    manifest = workspace / "corpus" / "manifest.tsv"
+    eval_tsv = workspace / "corpus" / "eval.tsv"
+
+    def broken(src, dst):
+        lines = src.read_bytes().split(b"\n")
+        lines[2] = b"\xae" + lines[2]
+        (workspace / dst).write_bytes(b"\n".join(lines))
+        return str(workspace / dst)
+
+    bad_manifest = broken(manifest, "bad.tsv")
+    bad_eval = broken(eval_tsv, "bad_eval.tsv")
+    (workspace / "bad.vxck").write_bytes(model.read_bytes())
+    bad_meta = broken(workspace / "utf.vxck.meta", "bad.vxck.meta")
+    bad_model = str(workspace / "bad.vxck")
+    out = ["--out", str(workspace / "utf_out")]
+    cases = [
+        (["perturb", "--manifest", bad_manifest] + out, bad_manifest),
+        (["evaluate", "--model", str(model), "--manifest", bad_manifest,
+          "--eval-tsv", str(eval_tsv)] + out, bad_manifest),
+        (["evaluate", "--model", str(model), "--manifest", str(manifest),
+          "--eval-tsv", bad_eval] + out, bad_eval),
+        (["evaluate", "--model", bad_model, "--manifest", str(manifest),
+          "--eval-tsv", str(eval_tsv)] + out, bad_meta),
+        (["probe", "--model", str(model), "--manifest", bad_manifest], bad_manifest),
+        (["probe", "--model", bad_model, "--manifest", str(manifest)], bad_meta),
+    ]
+    for argv, named in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and f"{named}:3: byte 0xae is not UTF-8" in err, (argv, err)
 
 
 def test_average_ckpt_rejects_truncated_input(workspace, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from voxtag import model as M
 from voxtag.errors import (
     DegenerateFrequency,
     EmptyPrefix,
+    MalformedHeader,
     NonFinite,
     ShapeMismatch,
     UnknownToken,
@@ -34,43 +37,43 @@ def test_vocabulary_reserved_ids():
 
 
 def test_encode_output_length(small_model):
-    enc = small_model.encode(np.zeros((98, 80)))
+    enc = small_model.encode([np.zeros((98, 80))])
     assert enc.shape == (25, 16)
-    assert small_model.encode(np.zeros((4, 80))).shape == (1, 16)
+    assert small_model.encode([np.zeros((4, 80))]).shape == (1, 16)
 
 
 def test_encode_rejects_wrong_width(small_model):
     with pytest.raises(ShapeMismatch):
-        small_model.encode(np.zeros((10, 40)))
+        small_model.encode([np.zeros((10, 40))])
 
 
 def test_decode_all_is_deterministic_distribution(small_model):
-    enc = small_model.encode(np.random.default_rng(1).normal(size=(20, 80)))
-    logits = small_model.decode_all(enc, [M.TAG_F_ID, 6, 7])
+    enc = small_model.encode([np.random.default_rng(1).normal(size=(20, 80))])
+    logits = small_model.decode_all(enc, [[M.TAG_F_ID, 6, 7]], [enc.shape[0]])
     dist = ad.softmax(ad.Tensor(logits.values[-1]), axis=-1)
     assert abs(dist.values.sum() - 1.0) < 1e-9
     assert dist.values.min() > 0
-    again = small_model.decode_all(enc, [M.TAG_F_ID, 6, 7])
+    again = small_model.decode_all(enc, [[M.TAG_F_ID, 6, 7]], [enc.shape[0]])
     assert np.array_equal(logits.values, again.values)
 
 
 def test_decode_all_prefix_validation(small_model):
-    enc = small_model.encode(np.zeros((8, 80)))
+    enc = small_model.encode([np.zeros((8, 80))])
     with pytest.raises(EmptyPrefix):
-        small_model.decode_all(enc, [])
+        small_model.decode_all(enc, [[]], [enc.shape[0]])
     with pytest.raises(UnknownToken):
-        small_model.decode_all(enc, [M.BOS_ID, 999])
+        small_model.decode_all(enc, [[M.BOS_ID, 999]], [enc.shape[0]])
     with pytest.raises(UnknownToken):
-        small_model.decode_all(enc, [7, 8])
+        small_model.decode_all(enc, [[7, 8]], [enc.shape[0]])
 
 
 def _greedy_decode_rerun(model, features, first_token, max_len):
     """Reference greedy decode: every step reruns decode_all over the whole
     prefix and takes the argmax of the softmax of its last row."""
-    enc = model.encode(features)
+    enc = model.encode([features])
     prefix = [first_token]
     for _ in range(max_len):
-        last = model.decode_all(enc, prefix).values[-1]
+        last = model.decode_all(enc, [prefix], [enc.shape[0]]).values[-1]
         nxt = int(np.argmax(ad.softmax(ad.Tensor(last), axis=-1).values))
         if nxt == M.EOS_ID:
             break
@@ -111,8 +114,8 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
             # The tokens greedy_decode's steps read: first_token and every
             # emitted token except a 32nd, which no step reads.
             prefix = ([first_token] + model.greedy_decode(feats, first_token))[:32]
-            enc = model.encode(feats)
-            rows = model.decode_all(enc, prefix).values
+            enc = model.encode([feats])
+            rows = model.decode_all(enc, [prefix], [enc.shape[0]]).values
             for k, token in enumerate(prefix):
                 step = model._next_logits(enc.values, first_token, token, table[k])
                 np.testing.assert_allclose(step, rows[k], rtol=1e-12, atol=0)
@@ -140,17 +143,17 @@ def test_target_forcing():
 def test_discriminator_constant_input_pooling(small_model):
     row = np.random.default_rng(2).normal(size=16)
     enc = ad.Tensor(np.tile(row, (6, 1)))
-    pooled = small_model.discriminate(enc, 0.0)
-    single = small_model.discriminate(ad.Tensor(row[None, :]), 0.0)
+    pooled = small_model.discriminate(enc, 0.0, [6])
+    single = small_model.discriminate(ad.Tensor(row[None, :]), 0.0, [1])
     assert np.allclose(pooled.values, single.values)
-    assert pooled.shape == (2,)
+    assert pooled.shape == (1, 2)
 
 
 def test_grl_blocks_encoder_gradient_at_lambda_zero(small_model):
     small_model.zero_grad()
-    enc = small_model.encode(np.random.default_rng(3).normal(size=(12, 80)))
-    loss = M.weighted_disc_loss(small_model.discriminate(enc, 0.0),
-                                SpeakerGender.F, M.ClassWeights(1.0, 1.0))
+    enc = small_model.encode([np.random.default_rng(3).normal(size=(12, 80))])
+    loss = M.weighted_disc_loss(small_model.discriminate(enc, 0.0, [enc.shape[0]]),
+                                [SpeakerGender.F], M.ClassWeights(1.0, 1.0))
     ad.backward(loss)
     assert np.allclose(small_model.params["enc.in_w"].grad, 0.0)
     assert np.linalg.norm(small_model.params["disc.w1"].grad) > 0
@@ -162,9 +165,9 @@ def test_grl_flips_and_scales_encoder_gradient(small_model):
     grads = {}
     for lam in (0.5, 1.0):
         small_model.zero_grad()
-        enc = small_model.encode(feats)
-        loss = M.weighted_disc_loss(small_model.discriminate(enc, lam),
-                                    SpeakerGender.M, M.ClassWeights(1.0, 1.0))
+        enc = small_model.encode([feats])
+        loss = M.weighted_disc_loss(small_model.discriminate(enc, lam, [enc.shape[0]]),
+                                    [SpeakerGender.M], M.ClassWeights(1.0, 1.0))
         ad.backward(loss)
         grads[lam] = small_model.params["enc.in_w"].grad.copy()
     assert np.allclose(grads[0.5], 0.5 * grads[1.0])
@@ -194,32 +197,32 @@ def test_label_smoothed_ce_examples():
     # sequence_loss on one target: its logits row is log of a distribution
     one_hot = np.zeros(8)
     one_hot[3] = 1.0
-    assert M.sequence_loss(ad.Tensor(np.log(one_hot + 1e-300)[None]), [3], 0.0).values < 1e-9
+    assert M.sequence_loss(ad.Tensor(np.log(one_hot + 1e-300)[None]), [[3]], 0.0).values < 1e-9
     logits = ad.Tensor(np.log(np.full((1, 8), 0.125)))
-    assert abs(M.sequence_loss(logits, [5], 0.1).values - np.log(8)) < 1e-9
-    assert abs(M.sequence_loss(logits, [5], 0.0).values - np.log(8)) < 1e-9
-    assert M.sequence_loss(logits, [M.PAD_ID], 0.1).values == 0.0
+    assert abs(M.sequence_loss(logits, [[5]], 0.1).values - np.log(8)) < 1e-9
+    assert abs(M.sequence_loss(logits, [[5]], 0.0).values - np.log(8)) < 1e-9
+    assert M.sequence_loss(logits, [[M.PAD_ID]], 0.1).values == 0.0
     with pytest.raises(ShapeMismatch):
-        M.sequence_loss(logits, [3, 4], 0.1)
+        M.sequence_loss(logits, [[3, 4]], 0.1)
 
 
 def test_weighted_disc_loss_examples():
-    zero_logits = ad.Tensor(np.zeros(2))
-    loss = M.weighted_disc_loss(zero_logits, SpeakerGender.F, M.ClassWeights(1.0, 1.0))
+    zero_logits = ad.Tensor(np.zeros((1, 2)))
+    loss = M.weighted_disc_loss(zero_logits, [SpeakerGender.F], M.ClassWeights(1.0, 1.0))
     assert abs(loss.values - np.log(2)) < 1e-12
-    loss = M.weighted_disc_loss(zero_logits, SpeakerGender.F, M.ClassWeights(1.4, 0.8))
+    loss = M.weighted_disc_loss(zero_logits, [SpeakerGender.F], M.ClassWeights(1.4, 0.8))
     assert abs(loss.values - 1.4 * np.log(2)) < 1e-12
-    confident = ad.Tensor(np.array([-50.0, 50.0]))
-    loss = M.weighted_disc_loss(confident, SpeakerGender.M, M.ClassWeights(1.4, 0.8))
+    confident = ad.Tensor(np.array([[-50.0, 50.0]]))
+    loss = M.weighted_disc_loss(confident, [SpeakerGender.M], M.ClassWeights(1.4, 0.8))
     assert loss.values < 1e-9
 
 
 def test_weighted_disc_loss_saturated_logits():
-    logits = ad.Tensor(np.array([0.0, 800.0]), requires_grad=True)
-    loss = M.weighted_disc_loss(logits, SpeakerGender.F, M.ClassWeights(1.0, 1.0))
+    logits = ad.Tensor(np.array([[0.0, 800.0]]), requires_grad=True)
+    loss = M.weighted_disc_loss(logits, [SpeakerGender.F], M.ClassWeights(1.0, 1.0))
     ad.backward(loss)
     assert loss.values == 800.0
-    assert np.array_equal(logits.grad, [-1.0, 1.0])
+    assert np.array_equal(logits.grad, [[-1.0, 1.0]])
 
 
 def test_combined_loss():
@@ -250,10 +253,12 @@ def test_end_to_end_gradient_matches_finite_differences(small_model):
     def losses(m):
         tl_total, dl_total = ad.Tensor(0.0), ad.Tensor(0.0)
         for f, pre, tgt, g in zip(feats, prefixes, targets, genders):
-            enc = m.encode(f)
-            tl_total = ad.add(tl_total, M.sequence_loss(m.decode_all(enc, pre), tgt, 0.1))
+            enc = m.encode([f])
+            rows = [enc.shape[0]]
+            tl_total = ad.add(tl_total,
+                              M.sequence_loss(m.decode_all(enc, [pre], rows), [tgt], 0.1))
             dl_total = ad.add(dl_total,
-                              M.weighted_disc_loss(m.discriminate(enc, lam), g, weights))
+                              M.weighted_disc_loss(m.discriminate(enc, lam, rows), [g], weights))
         return tl_total, dl_total
 
     small_model.zero_grad()
@@ -291,10 +296,23 @@ def test_model_save_load_roundtrip(tmp_path, small_model):
     assert loaded.cfg == small_model.cfg
     assert loaded.vocab.tokens == small_model.vocab.tokens
     feats = np.random.default_rng(9).normal(size=(16, 80))
-    a = small_model.decode_all(small_model.encode(feats), [M.TAG_M_ID, 5])
-    b = loaded.decode_all(loaded.encode(feats), [M.TAG_M_ID, 5])
+    a = small_model.decode_all(small_model.encode([feats]), [[M.TAG_M_ID, 5]], [4])
+    b = loaded.decode_all(loaded.encode([feats]), [[M.TAG_M_ID, 5]], [4])
     assert np.array_equal(a.values, b.values)
     assert loaded.greedy_decode(feats, M.TAG_M_ID) == small_model.greedy_decode(feats, M.TAG_M_ID)
+
+
+def test_load_model_header_that_does_not_fit_names_the_file(tmp_path, small_model):
+    """An invalid mode, a repeated vocabulary token, or a vocabulary whose size
+    does not match the checkpoint raises MalformedHeader naming the file."""
+    path = tmp_path / "m.vxck"
+    M.save_model(small_model, path)
+    meta = (tmp_path / "m.vxck.meta").read_text(encoding="utf-8")
+    for old, new in (("mode=multi_gender", "mode=bogus"), ("w1 w2", "w1 w1"), (" w9", "")):
+        assert old in meta
+        (tmp_path / "m.vxck.meta").write_text(meta.replace(old, new), encoding="utf-8")
+        with pytest.raises(MalformedHeader, match=re.escape(str(path))):
+            M.load_model(path)
 
 
 def _pool4_loop(features):
@@ -331,19 +349,21 @@ def test_batched_graph_equals_mean_of_utterance_graphs(small_model, B, use_grl):
     prefixes = [[M.TAG_F_ID if g is SpeakerGender.F else M.TAG_M_ID] + t[:-1]
                 for g, t in zip(genders, targets)]
 
-    def update(feats, prefix, target, gender, rows=None):
+    def update(feats, prefixes, targets, genders):
         small_model.zero_grad()
         enc = small_model.encode(feats)
-        tl = M.sequence_loss(small_model.decode_all(enc, prefix, rows), target, 0.1)
-        dl = M.weighted_disc_loss(small_model.discriminate(enc, lam, rows), gender,
+        rows = M.pooled_frames(feats)
+        tl = M.sequence_loss(small_model.decode_all(enc, prefixes, rows), targets, 0.1)
+        dl = M.weighted_disc_loss(small_model.discriminate(enc, lam, rows), genders,
                                   weights) if use_grl else None
         loss = M.combined_loss(tl, dl, small_model.cfg)
         ad.backward(loss)
         grads = {k: t.grad.copy() for k, t in small_model.params.items() if t.grad is not None}
         return loss.values.item(), grads
 
-    batched = update(feats, prefixes, targets, genders, M.pooled_frames(feats))
-    singles = [update(*args) for args in zip(feats, prefixes, targets, genders)]
+    batched = update(feats, prefixes, targets, genders)
+    singles = [update([f], [pre], [t], [g])
+               for f, pre, t, g in zip(feats, prefixes, targets, genders)]
     small_model.zero_grad()
     assert batched[0] == pytest.approx(sum(s[0] for s in singles) / B, rel=1e-9, abs=0)
     assert set(batched[1]) == set().union(*(s[1] for s in singles))

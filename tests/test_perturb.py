@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voxtag import perturb
-from voxtag.audio import synth_harmonic
+from voxtag.audio import Waveform, synth_harmonic
 from voxtag.dsp import RMS_GATE, envelope_peak_hz, estimate_f0_contour, voiced_median
 from voxtag.errors import OutOfRangeFactor, ZeroSourceMedian
 from voxtag.perturb import (
@@ -110,6 +110,18 @@ def test_apply_opposite_rate_concentration():
     rng = np.random.default_rng(33)
     hits = sum(apply_opposite(w, SpeakerGender.F, cfg, rng)[1] for _ in range(10000))
     assert abs(hits / 10000 - 0.5) <= 0.02
+
+
+def test_apply_opposite_passes_through_waveform_without_f0():
+    """A waveform with no voiced frame, or shorter than one f0-tracker frame
+    (640 samples at 16 kHz), has no f0 to shift: it is returned as it is."""
+    cfg = PerturbConfig(p=1.0)
+    silent = Waveform(np.zeros(4800), 16000)
+    short = synth_harmonic(150.0, M_PEAKS, 0.03)
+    for w in (silent, short):
+        out, manipulated = apply_opposite(w, SpeakerGender.M, cfg, np.random.default_rng(0))
+        assert out is w
+        assert not manipulated
 
 
 def test_apply_opposite_deterministic():

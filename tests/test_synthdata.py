@@ -9,7 +9,7 @@ from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
 from voxtag.errors import InvalidSpec, MalformedHeader
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import (GENDERED_STEMS, MAX_GENDERED, MAX_LEN, MIN_LEN,
-                              NEUTRAL_TOKENS, SynthSpec, build_vocabulary,
+                              NEUTRAL_TOKENS, SAMPLE_RATE, SynthSpec, build_vocabulary,
                               gendered_form, generate_corpus, grammar_tokens,
                               read_manifest, token_peaks, write_manifest)
 
@@ -84,7 +84,7 @@ def test_waveform_length_tracks_sentence(corpus):
     spec = SynthSpec(n_utterances=60, seed=7)
     for utt in utterances[:10]:
         expected = len(utt.source_tokens) * int(round(spec.token_duration
-                                                      * spec.sample_rate))
+                                                      * SAMPLE_RATE))
         assert len(utt.waveform.samples) == expected
 
 
@@ -125,6 +125,7 @@ def test_manifest_roundtrip(tmp_path, corpus):
     (lambda f: f[:3], "3 fields, expected 5"),
     (lambda f: f + ["extra"], "6 fields, expected 5"),
     (lambda f: f[:2] + ["X"] + f[3:], "gender 'X' is not F or M"),
+    (lambda f: f[:1] + [f[1] + "\0"] + f[2:], "wav path holds a NUL byte"),
 ])
 def test_read_manifest_names_file_and_line(tmp_path, corpus, corrupt, message):
     path = write_manifest(corpus[0][:3], tmp_path)

@@ -273,9 +273,9 @@ def test_chunked_val_loss_is_mean_of_utterance_losses(tiny_corpus, batch_size):
     for utt in tiny_corpus:
         targets = vocab.encode(utt.target_tokens) + [mdl.EOS_ID]
         tag = mdl.TAG_F_ID if utt.gender is SpeakerGender.F else mdl.TAG_M_ID
-        enc = model.encode(utt.features)
-        loss = mdl.sequence_loss(model.decode_all(enc, [tag] + targets[:-1]), targets,
-                                 model.cfg.label_smoothing)
+        enc = model.encode([utt.features])
+        loss = mdl.sequence_loss(model.decode_all(enc, [[tag] + targets[:-1]], [enc.shape[0]]),
+                                 [targets], model.cfg.label_smoothing)
         per_utt.append(loss.values.item())
     chunked = train_mod._val_loss(model, tiny_corpus, vocab, batch_size)
     assert chunked == pytest.approx(np.mean(per_utt), rel=1e-10, abs=0)

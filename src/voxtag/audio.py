@@ -90,31 +90,42 @@ def write_wav(w: Waveform, path) -> None:
 def synth_harmonic(f0, formant_peaks, duration, sample_rate=16000) -> Waveform:
     """Sum of harmonics of f0 up to Nyquist, shaped by an envelope interpolated
     through formant_peaks [(hz, gain), ...], peak-normalized to 0.9."""
+    return Waveform(harmonic_rows(f0, [formant_peaks], duration, sample_rate)[0], sample_rate)
+
+
+def harmonic_rows(f0, peak_sets, duration, sample_rate) -> np.ndarray:
+    """One synth_harmonic signal per formant-peak set, all at f0 and of one
+    duration, as the rows of a (len(peak_sets), samples) array. Each sine is
+    computed once and added into every row, so a row holds the same sums in the
+    same harmonic order as a signal synthesised on its own."""
     if not 50.0 <= f0 <= 500.0:
         raise InvalidF0(f"f0 {f0} Hz outside [50, 500]")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-
     n = int(round(duration * sample_rate))
+    if n < 1:
+        raise ValueError(f"duration {duration} s holds no sample at {sample_rate} Hz")
+
     t = np.arange(n) / sample_rate
     nyquist = sample_rate / 2.0
     harmonics = np.arange(1, int(nyquist // f0) + 1) * f0
     harmonics = harmonics[harmonics < nyquist]
+    gains = np.stack([_envelope(harmonics, peaks) for peaks in peak_sets])
 
-    if formant_peaks:
-        # resonance-like envelope: gentle lowpass base plus a Gaussian bump
-        # per formant, so the envelope maximum sits at the stated peak
-        envelope = 0.4 / (1.0 + (harmonics / 3000.0) ** 2)
-        for hz, gain in formant_peaks:
-            bw = max(80.0, 0.12 * hz)
-            envelope = envelope + gain * np.exp(-0.5 * ((harmonics - hz) / bw) ** 2)
-    else:
-        envelope = np.ones_like(harmonics)
+    rows = np.zeros((len(gains), n))
+    for k, hz in enumerate(harmonics):
+        rows += gains[:, k:k + 1] * np.sin(2.0 * np.pi * hz * t)
+    peak = np.max(np.abs(rows), axis=1)
+    rows *= np.divide(0.9, peak, out=np.ones_like(peak), where=peak > 0)[:, None]
+    return rows
 
-    out = np.zeros(n)
-    for hz, gain in zip(harmonics, envelope):
-        out += gain * np.sin(2.0 * np.pi * hz * t)
-    peak = np.max(np.abs(out))
-    if peak > 0:
-        out *= 0.9 / peak
-    return Waveform(out, sample_rate)
+
+def _envelope(harmonics, formant_peaks):
+    """Gain of each harmonic; flat without formant peaks."""
+    if not formant_peaks:
+        return np.ones_like(harmonics)
+    # resonance-like envelope: gentle lowpass base plus a Gaussian bump
+    # per formant, so the envelope maximum sits at the stated peak
+    envelope = 0.4 / (1.0 + (harmonics / 3000.0) ** 2)
+    for hz, gain in formant_peaks:
+        bw = max(80.0, 0.12 * hz)
+        envelope = envelope + gain * np.exp(-0.5 * ((harmonics - hz) / bw) ** 2)
+    return envelope

@@ -38,8 +38,11 @@ def load_run_config(path):
     keys and keys of object-valued fields are rejected before any work starts."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            cfg = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be a JSON object")
     unknown = sorted(set(cfg) - _KNOWN_KEYS)

@@ -2,13 +2,14 @@
 speaker's gender and target sentences contain gender-marked token pairs."""
 
 import functools
+import math
 import os
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, synth_harmonic, read_wav, write_wav
+from .audio import Waveform, harmonic_rows, read_wav, write_wav
 from .dsp import logmel_features
 from .errors import InvalidSpec, MalformedHeader, utf8_lines
 from .evaluation import GenderEvalEntry
@@ -57,18 +58,15 @@ def token_peaks(token: str):
 def synth_utterance(f0, gender_peaks, source_tokens, token_duration) -> Waveform:
     """One fixed-length harmonic segment per source token, all at the
     speaker's f0 and formants, with short fades to avoid segment clicks."""
-    n_seg = int(round(token_duration * SAMPLE_RATE))
+    peak_sets = [tuple(gender_peaks) + token_peaks(token) for token in source_tokens]
+    segments = harmonic_rows(f0, peak_sets, token_duration, SAMPLE_RATE)
+    n_seg = segments.shape[1]
     fade = min(int(0.005 * SAMPLE_RATE), n_seg // 4)
     window = np.ones(n_seg)
     if fade > 0:
         window[:fade] = np.linspace(0.0, 1.0, fade)
         window[-fade:] = np.linspace(1.0, 0.0, fade)
-    segments = []
-    for token in source_tokens:
-        peaks = tuple(gender_peaks) + token_peaks(token)
-        seg = synth_harmonic(f0, peaks, token_duration, SAMPLE_RATE)
-        segments.append(seg.samples * window)
-    return Waveform(np.concatenate(segments), SAMPLE_RATE)
+    return Waveform((segments * window).ravel(), SAMPLE_RATE)
 
 
 def grammar_tokens():
@@ -94,8 +92,11 @@ class SynthSpec:
             raise InvalidSpec("n_utterances must be positive")
         if not 0.0 < self.gender_split < 1.0:
             raise InvalidSpec("gender_split must be in (0, 1)")
-        if self.token_duration <= 0:
-            raise InvalidSpec("token_duration must be positive")
+        if not math.isfinite(self.token_duration):
+            raise InvalidSpec(f"token_duration {self.token_duration} is not finite")
+        if round(self.token_duration * SAMPLE_RATE) < 1:
+            raise InvalidSpec(f"token_duration {self.token_duration} s holds no sample "
+                              f"at {SAMPLE_RATE} Hz")
 
 
 @dataclass
@@ -215,9 +216,13 @@ def read_manifest(path):
             raise MalformedHeader(f"{path}:{lineno}: gender {gender!r} is not F or M")
         if "\0" in wav_path:
             raise MalformedHeader(f"{path}:{lineno}: wav path holds a NUL byte")
+        try:
+            waveform = read_wav(wav_path)
+        except (IsADirectoryError, NotADirectoryError) as exc:
+            raise MalformedHeader(f"{path}:{lineno}: wav path is not a file "
+                                  f"({exc.strerror}): {wav_path!r}") from None
         utterances.append(Utterance(
             id=uid, gender=SpeakerGender(gender),
             source_tokens=source.split(), target_tokens=target.split(),
-            waveform=read_wav(wav_path),
-            wav_path=wav_path))
+            waveform=waveform, wav_path=wav_path))
     return utterances

@@ -75,6 +75,12 @@ def test_synth_rejects_out_of_range_f0():
         synth_harmonic(600.0, [], 0.5)
 
 
+@pytest.mark.parametrize("duration", [1e-5, 0.0, -0.5])
+def test_synth_rejects_duration_without_a_sample(duration):
+    with pytest.raises(ValueError, match=f"duration {duration} s holds no sample at 16000 Hz"):
+        synth_harmonic(150.0, [], duration)
+
+
 def test_synth_envelope_maximum_at_formant():
     w = synth_harmonic(100.0, [(700.0, 8.0)], 0.5)
     n = 512

@@ -75,6 +75,25 @@ def test_unknown_config_key(tmp_path, capsys):
         assert code == 1 and key in err
 
 
+@pytest.mark.parametrize("body, message", [
+    (b'{"seed": \xae1}', "'utf-8' codec can't decode byte 0xae"),
+    (b'{"seed": }', "Expecting value: line 1 column 10"),
+])
+def test_unreadable_config_names_the_file(tmp_path, capsys, body, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(body)
+    code, _, err = run(capsys, "synth-data", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith(f"error: {cfg}: {message}")
+
+
+def test_synth_data_rejects_token_duration_without_a_sample(tmp_path, capsys):
+    code, _, err = run(capsys, "synth-data", "--n-utterances", "2", "--token-duration", "0.00001",
+                       "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "token_duration 1e-05 s holds no sample at 16000 Hz" in err
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")

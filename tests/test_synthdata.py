@@ -1,17 +1,19 @@
+import os
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from voxtag.audio import Waveform
+from voxtag.audio import Waveform, synth_harmonic
 from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
 from voxtag.errors import InvalidSpec, MalformedHeader
 from voxtag.perturb import SpeakerGender
-from voxtag.synthdata import (GENDERED_STEMS, MAX_GENDERED, MAX_LEN, MIN_LEN,
+from voxtag.synthdata import (GENDERED_STEMS, M_PEAKS, MAX_GENDERED, MAX_LEN, MIN_LEN,
                               NEUTRAL_TOKENS, SAMPLE_RATE, SynthSpec, build_vocabulary,
                               gendered_form, generate_corpus, grammar_tokens,
-                              read_manifest, token_peaks, write_manifest)
+                              read_manifest, synth_utterance, token_peaks,
+                              write_manifest)
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +36,13 @@ def test_spec_validation():
         SynthSpec(n_utterances=0)
     with pytest.raises(InvalidSpec):
         SynthSpec(n_utterances=1, gender_split=1.0)
-    with pytest.raises(InvalidSpec):
-        SynthSpec(n_utterances=1, token_duration=0.0)
+    for duration in (0.0, 1e-5, 0.5 / SAMPLE_RATE):
+        with pytest.raises(InvalidSpec, match=f"token_duration {duration} s holds no sample"):
+            SynthSpec(n_utterances=1, token_duration=duration)
+    SynthSpec(n_utterances=1, token_duration=0.6 / SAMPLE_RATE)  # rounds to one sample
+    for duration in (float("inf"), float("nan")):
+        with pytest.raises(InvalidSpec, match=f"token_duration {duration} is not finite"):
+            SynthSpec(n_utterances=1, token_duration=duration)
 
 
 def test_sentence_shape(corpus):
@@ -126,6 +133,10 @@ def test_manifest_roundtrip(tmp_path, corpus):
     (lambda f: f + ["extra"], "6 fields, expected 5"),
     (lambda f: f[:2] + ["X"] + f[3:], "gender 'X' is not F or M"),
     (lambda f: f[:1] + [f[1] + "\0"] + f[2:], "wav path holds a NUL byte"),
+    (lambda f: f[:1] + [os.path.dirname(f[1])] + f[2:],
+     "wav path is not a file (Is a directory)"),
+    (lambda f: f[:1] + [os.path.join(f[1], "u0.wav")] + f[2:],
+     "wav path is not a file (Not a directory)"),
 ])
 def test_read_manifest_names_file_and_line(tmp_path, corpus, corrupt, message):
     path = write_manifest(corpus[0][:3], tmp_path)
@@ -147,3 +158,60 @@ def test_features_are_logmels_of_waveform_computed_once():
     np.testing.assert_array_equal(other.features, logmel_features(w2).frames)
     assert not np.array_equal(other.features, first)
     assert utt.features is first
+
+
+def _reference_synth_harmonic(f0, formant_peaks, duration, sample_rate=16000):
+    """synth_harmonic as one signal per call: the reference that the shared
+    multi-row kernel must reproduce bit for bit."""
+    n = int(round(duration * sample_rate))
+    t = np.arange(n) / sample_rate
+    nyquist = sample_rate / 2.0
+    harmonics = np.arange(1, int(nyquist // f0) + 1) * f0
+    harmonics = harmonics[harmonics < nyquist]
+    if formant_peaks:
+        envelope = 0.4 / (1.0 + (harmonics / 3000.0) ** 2)
+        for hz, gain in formant_peaks:
+            bw = max(80.0, 0.12 * hz)
+            envelope = envelope + gain * np.exp(-0.5 * ((harmonics - hz) / bw) ** 2)
+    else:
+        envelope = np.ones_like(harmonics)
+    out = np.zeros(n)
+    for hz, gain in zip(harmonics, envelope):
+        out += gain * np.sin(2.0 * np.pi * hz * t)
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out *= 0.9 / peak
+    return Waveform(out, sample_rate)
+
+
+def _reference_synth_utterance(f0, gender_peaks, source_tokens, token_duration):
+    """synth_utterance as one synth_harmonic call per token."""
+    n_seg = int(round(token_duration * SAMPLE_RATE))
+    fade = min(int(0.005 * SAMPLE_RATE), n_seg // 4)
+    window = np.ones(n_seg)
+    if fade > 0:
+        window[:fade] = np.linspace(0.0, 1.0, fade)
+        window[-fade:] = np.linspace(1.0, 0.0, fade)
+    segments = []
+    for token in source_tokens:
+        peaks = tuple(gender_peaks) + token_peaks(token)
+        seg = _reference_synth_harmonic(f0, peaks, token_duration, SAMPLE_RATE)
+        segments.append(seg.samples * window)
+    return Waveform(np.concatenate(segments), SAMPLE_RATE)
+
+
+# Segments of 16 samples (a 4-sample fade), 208, 960, 594 (rounded up from
+# 593.6) and 597, an odd count.
+@pytest.mark.parametrize("f0", [50.0, 130.0, 250.0, 500.0])
+@pytest.mark.parametrize("token_duration", [0.001, 0.013, 0.06, 0.0371, 0.0373])
+def test_synthesis_equals_per_token_reference(f0, token_duration):
+    tokens = grammar_tokens()
+    for n_tokens in (1, 12):
+        source = [tokens[(7 * k) % len(tokens)] for k in range(n_tokens)]
+        for gender_peaks in ((), M_PEAKS):
+            got = synth_utterance(f0, gender_peaks, source, token_duration).samples
+            want = _reference_synth_utterance(f0, gender_peaks, source, token_duration).samples
+            assert np.array_equal(got, want)
+    for peaks in ([], list(M_PEAKS)):
+        assert np.array_equal(synth_harmonic(f0, peaks, token_duration).samples,
+                              _reference_synth_harmonic(f0, peaks, token_duration).samples)

@@ -4,8 +4,7 @@ normally and one trained against a discriminator through gradient reversal."""
 from voxtag.autodiff import LambdaSchedule
 from voxtag.model import ModelConfig
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
-from voxtag.train import (TrainConfig, average_checkpoints,
-                          probe_discriminator, train_loop)
+from voxtag.train import TrainConfig, probe_discriminator, train_loop
 
 corpus, _ = generate_corpus(SynthSpec(n_utterances=200, seed=11))
 probe_set, _ = generate_corpus(SynthSpec(n_utterances=80, gender_split=0.5,
@@ -16,11 +15,7 @@ base = dict(total_updates=2000, warmup_updates=200, lr_peak=1e-3, seed=0)
 
 def train(model_cfg, **extra):
     cfg = TrainConfig(**base, **extra)
-    result = train_loop(corpus, model_cfg, cfg, vocab=vocab)
-    model = result.model
-    model.load_state_dict(
-        average_checkpoints(result.checkpoints[-cfg.average_last:]))
-    return model
+    return train_loop(corpus, model_cfg, cfg, vocab=vocab).averaged_model(cfg.average_last)
 
 
 print("training the gender-unaware baseline ...")

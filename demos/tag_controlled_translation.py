@@ -5,7 +5,7 @@ import numpy as np
 
 from voxtag.model import TAG_F_ID, TAG_M_ID, ModelConfig
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
-from voxtag.train import TrainConfig, average_checkpoints, train_loop
+from voxtag.train import TrainConfig, train_loop
 
 corpus, entries = generate_corpus(SynthSpec(n_utterances=120, seed=5))
 vocab = build_vocabulary()
@@ -13,8 +13,7 @@ vocab = build_vocabulary()
 print(f"training on {len(corpus)} synthetic utterances ...")
 cfg = TrainConfig(total_updates=1200, warmup_updates=120, lr_peak=1e-3, seed=0)
 result = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg, vocab=vocab)
-model = result.model
-model.load_state_dict(average_checkpoints(result.checkpoints[-cfg.average_last:]))
+model = result.averaged_model(cfg.average_last)
 print(f"validation loss {result.val_losses[0][1]:.2f} -> "
       f"{result.val_losses[-1][1]:.2f}")
 

@@ -37,16 +37,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # convenience arithmetic used all over the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)

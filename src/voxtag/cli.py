@@ -13,7 +13,7 @@ if _threads:
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -57,11 +57,21 @@ def load_run_config(path):
 
 def _section_kwargs(cfg, cls, overrides):
     """Config-file values for one dataclass, with non-None flag overrides
-    winning over the file."""
-    names = {f.name for f in fields(cls)}
-    kwargs = {k: v for k, v in cfg.items() if k in names}
+    winning over the file. A value of the wrong type (an int may stand for a
+    float; a bool is never a number) or a required field that neither gives
+    is a ConfigInvalid naming the key."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {k: v for k, v in cfg.items() if k in types}
     kwargs.update({k: v for k, v in overrides.items()
-                   if k in names and v is not None})
+                   if k in types and v is not None})
+    for key, value in kwargs.items():
+        kind = types[key]
+        if isinstance(value, bool) != (kind is bool) or \
+                not isinstance(value, (int, float) if kind is float else kind):
+            raise ConfigInvalid(f"config key {key} must be of type {kind.__name__}, got {value!r}")
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigInvalid(f"missing {f.name}: give it as a flag or a config key")
     return kwargs
 
 
@@ -116,9 +126,8 @@ def cmd_train(args):
     for i, state in enumerate(result.checkpoints):
         step = (i + 1) * train_cfg.interval
         ad.save_checkpoint(state, os.path.join(args.out, f"ckpt_{step:06d}.vxck"))
-    averaged = tr.average_checkpoints(result.checkpoints[-train_cfg.average_last:])
-    result.model.load_state_dict(averaged)
-    mdl.save_model(result.model, os.path.join(args.out, "model.vxck"))
+    mdl.save_model(result.averaged_model(train_cfg.average_last),
+                   os.path.join(args.out, "model.vxck"))
     final_val = result.val_losses[-1][1]
     print(f"trained {train_cfg.total_updates} updates; "
           f"final validation loss {final_val:.4f}")

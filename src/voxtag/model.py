@@ -7,6 +7,7 @@ prefix token (bos or a gender tag) at every position.
 
 import functools
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,18 +68,15 @@ class ModelConfig:
     feature_dim: int = 80
     hidden_dim: int = 64
     encoder_layers: int = 2
-    decoder_layers: int = 1
     disc_hidden: int = 64
-    label_smoothing: float = 0.1
-    disc_loss_weight: float = 0.5
     mode: str = "multi_gender"
+    # constants, not fields: neither is a config key nor a line of a header
+    label_smoothing: ClassVar[float] = 0.1
+    disc_loss_weight: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if min(self.feature_dim, self.hidden_dim, self.encoder_layers,
-               self.decoder_layers, self.disc_hidden) <= 0:
+        if min(self.feature_dim, self.hidden_dim, self.encoder_layers, self.disc_hidden) <= 0:
             raise ValueError("dimensions and layer counts must be positive")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -184,9 +182,6 @@ class TranslationModel:
         param("dec.emb", (V, h), h)
         param("dec.l0.w1", (2 * h, h), 2 * h)
         param("dec.l0.b1", (h,), 1)
-        for i in range(1, cfg.decoder_layers):
-            param(f"dec.l{i}.w1", (h, h), h)
-            param(f"dec.l{i}.b1", (h,), 1)
         param("dec.out_w", (h, V), h)
         param("dec.out_b", (V,), 1)
         param("disc.w1", (h, cfg.disc_hidden), h)
@@ -259,9 +254,6 @@ class TranslationModel:
         ctx = ad.matmul(ad.softmax(scores, axis=-1), enc_out)
         hid = ad.relu(ad.add(ad.matmul(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"]),
                              p["dec.l0.b1"]))
-        for i in range(1, self.cfg.decoder_layers):
-            hid = ad.add(hid, ad.relu(ad.add(ad.matmul(hid, p[f"dec.l{i}.w1"]),
-                                             p[f"dec.l{i}.b1"])))
         return ad.add(ad.matmul(hid, p["dec.out_w"]), p["dec.out_b"])
 
     def _next_logits(self, enc, tag, token, position):
@@ -278,9 +270,6 @@ class TranslationModel:
         ctx = (e / e.sum()) @ enc
         hid = np.concatenate([ctx, d_in]) @ p["dec.l0.w1"].values + p["dec.l0.b1"].values
         hid = np.where(hid > 0, hid, 0.0)
-        for i in range(1, self.cfg.decoder_layers):
-            inner = hid @ p[f"dec.l{i}.w1"].values + p[f"dec.l{i}.b1"].values
-            hid = hid + np.where(inner > 0, inner, 0.0)
         return hid @ p["dec.out_w"].values + p["dec.out_b"].values
 
     def greedy_decode(self, features, first_token, max_len=32):

@@ -3,6 +3,7 @@ scaling and spectral-envelope (formant) warping."""
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,21 +24,18 @@ class SpeakerGender(enum.Enum):
 @dataclass(frozen=True)
 class PerturbConfig:
     p: float = 0.5
-    feminine_mean: float = 250.0
-    feminine_std: float = 17.0
-    masculine_mean: float = 140.0
-    masculine_std: float = 20.0
-    formant_up: float = 1.2
-    formant_down: float = 0.8
     seed: int = 0
+    # constants, not fields: target f0 distributions (Hz) and formant factors
+    feminine_mean: ClassVar[float] = 250.0
+    feminine_std: ClassVar[float] = 17.0
+    masculine_mean: ClassVar[float] = 140.0
+    masculine_std: ClassVar[float] = 20.0
+    formant_up: ClassVar[float] = 1.2
+    formant_down: ClassVar[float] = 0.8
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
-        if self.feminine_std <= 0 or self.masculine_std <= 0:
-            raise ValueError("stds must be positive")
-        if not self.formant_up > 1.0 > self.formant_down > 0.0:
-            raise ValueError("need formant_up > 1 > formant_down > 0")
 
 
 def sample_target_median(target_gender: SpeakerGender, cfg: PerturbConfig, rng) -> float:

@@ -70,6 +70,13 @@ class TrainResult:
     checkpoints: list
     val_losses: list = field(default_factory=list)
 
+    def averaged_model(self, last):
+        """A new model whose parameters are the mean of the last `last`
+        interval checkpoints; self.model stays the last-step model."""
+        model = mdl.TranslationModel(self.model.vocab, self.model.cfg)
+        model.load_state_dict(average_checkpoints(self.checkpoints[-last:]))
+        return model
+
 
 def noam_lr(step: int, warmup: int, lr_peak: float) -> float:
     """Linear ramp to lr_peak at step=warmup, inverse-sqrt decay after."""

@@ -21,8 +21,7 @@ from voxtag.perturb import (PerturbConfig, SpeakerGender, apply_opposite,
                             sample_target_median)
 from voxtag.synthdata import (F_PEAKS, M_PEAKS, SynthSpec, build_vocabulary,
                               generate_corpus)
-from voxtag.train import (TrainConfig, average_checkpoints,
-                          probe_discriminator, train_loop)
+from voxtag.train import TrainConfig, probe_discriminator, train_loop
 
 SEEDS = (0, 1, 2)
 DESK = dict(total_updates=2000, warmup_updates=200, lr_peak=1e-3)
@@ -47,9 +46,7 @@ def experiment():
 
     def run(model_cfg, train_cfg, init=None):
         res = train_loop(corpus, model_cfg, train_cfg, init=init, vocab=vocab)
-        res.model.load_state_dict(
-            average_checkpoints(res.checkpoints[-train_cfg.average_last:]))
-        return res.model
+        return res.averaged_model(train_cfg.average_last)
 
     models = {}
     for seed in SEEDS:

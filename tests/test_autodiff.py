@@ -38,8 +38,8 @@ def check_grad(build, x0):
     lambda x: ad.sum_(ad.relu(x)),
     lambda x: ad.sum_(ad.tanh(x)),
     lambda x: ad.mean(ad.mul(x, ad.Tensor(np.arange(12.0).reshape(3, 4)))),
-    lambda x: ad.sum_(ad.softmax(x, axis=-1) * ad.Tensor(np.arange(12.0).reshape(3, 4))),
-    lambda x: ad.sum_(ad.log(ad.softmax(x, axis=-1) + 1e-9)),
+    lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=-1), ad.Tensor(np.arange(12.0).reshape(3, 4)))),
+    lambda x: ad.sum_(ad.log(ad.add(ad.softmax(x, axis=-1), 1e-9))),
     # soft targets with an all-zero row and a row summing to 0.3
     lambda x: ad.cross_entropy(x, np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 0.0],
                                             [0.0, 0.3, 0.0, 0.0]])),

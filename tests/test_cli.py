@@ -66,8 +66,24 @@ def test_unknown_subcommand(capsys):
     capsys.readouterr()
 
 
+def test_readme_documents_every_config_key():
+    from voxtag import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("Config keys:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`([a-z_]+)`", listed)) == cli._KNOWN_KEYS - cli._OBJECT_KEYS
+
+
+# Constants, not settings: the last six were PerturbConfig fields, and the
+# three before them ModelConfig fields.
+_FORMER_KEYS = ("decoder_layers", "label_smoothing", "disc_loss_weight",
+                "feminine_mean", "feminine_std", "masculine_mean", "masculine_std",
+                "formant_up", "formant_down")
+
+
 def test_unknown_config_key(tmp_path, capsys):
-    for key in ("not_a_field", "holdout_fraction", "grl_schedule", "perturb", "sample_rate"):
+    for key in ("not_a_field", "holdout_fraction", "grl_schedule", "perturb", "sample_rate",
+                *_FORMER_KEYS):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, "synth-data", "--config", str(cfg),
@@ -85,6 +101,34 @@ def test_unreadable_config_names_the_file(tmp_path, capsys, body, message):
     code, _, err = run(capsys, "synth-data", "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert code == 1
     assert err.startswith(f"error: {cfg}: {message}")
+
+
+@pytest.mark.parametrize("argv, body, message", [
+    (["synth-data"], {}, "missing n_utterances"),
+    (["synth-data"], {"seed": 1}, "missing n_utterances"),
+    (["synth-data"], {"n_utterances": "5"}, "config key n_utterances must be of type int, got '5'"),
+    (["synth-data"], {"n_utterances": 5.0}, "config key n_utterances must be of type int, got 5.0"),
+    (["synth-data"], {"n_utterances": True}, "config key n_utterances must be of type int, got True"),
+    (["synth-data", "--n-utterances", "2"], {"gender_split": False},
+     "config key gender_split must be of type float, got False"),
+    (["perturb", "--manifest", "m.tsv"], {"p": "x"}, "config key p must be of type float, got 'x'"),
+    (["train", "--manifest", "m.tsv"], {"mode": 1}, "config key mode must be of type str, got 1"),
+    (["train", "--manifest", "m.tsv"], {"use_grl": 1}, "config key use_grl must be of type bool, got 1"),
+])
+def test_config_value_of_wrong_type_or_missing_is_invalid(tmp_path, capsys, argv, body, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(body))
+    code, _, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_int_is_accepted_as_float():
+    from voxtag import cli
+    from voxtag.perturb import PerturbConfig
+    assert cli._section_kwargs({"p": 1, "seed": 3}, PerturbConfig, {}) == {"p": 1, "seed": 3}
+    assert cli._section_kwargs({"p": 0.5}, PerturbConfig, {"p": 1.0}) == {"p": 1.0}
 
 
 def test_synth_data_rejects_token_duration_without_a_sample(tmp_path, capsys):
@@ -205,6 +249,15 @@ def test_evaluate_model_header_keys(workspace, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 1 and "hidden_dim" in err and "hdr.vxck.meta" in err
     (workspace / "hdr.vxck.meta").write_text("dropout=0.0\n" + meta)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    # A header written when these were still fields carries their lines;
+    # they are not fields now, so they are ignored as dropout is.
+    old = meta.replace("encoder_layers=2\n", "encoder_layers=2\ndecoder_layers=1\n")
+    old = old.replace("disc_hidden=8\n",
+                      "disc_hidden=8\nlabel_smoothing=0.1\ndisc_loss_weight=0.5\n")
+    assert old.count("\n") == meta.count("\n") + 3
+    (workspace / "hdr.vxck.meta").write_text(old)
     code, _, _ = run(capsys, *argv)
     assert code == 0
 

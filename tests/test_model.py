@@ -289,6 +289,19 @@ def test_end_to_end_gradient_matches_finite_differences(small_model):
     small_model.zero_grad()
 
 
+def test_config_settings_and_constants():
+    """The decoder has one layer, and label smoothing and the discriminator
+    weight are class constants: none of the three is a field."""
+    from dataclasses import fields
+    assert [f.name for f in fields(M.ModelConfig)] == [
+        "feature_dim", "hidden_dim", "encoder_layers", "disc_hidden", "mode"]
+    cfg = M.ModelConfig()
+    assert (cfg.label_smoothing, cfg.disc_loss_weight) == (0.1, 0.5)
+    for key in ("decoder_layers", "label_smoothing", "disc_loss_weight"):
+        with pytest.raises(TypeError):
+            M.ModelConfig(**{key: 1})
+
+
 def test_model_save_load_roundtrip(tmp_path, small_model):
     path = tmp_path / "m.ckpt"
     M.save_model(small_model, path)
@@ -313,6 +326,20 @@ def test_load_model_header_that_does_not_fit_names_the_file(tmp_path, small_mode
         (tmp_path / "m.vxck.meta").write_text(meta.replace(old, new), encoding="utf-8")
         with pytest.raises(MalformedHeader, match=re.escape(str(path))):
             M.load_model(path)
+
+
+def test_load_model_rejects_a_second_decoder_layer(tmp_path, small_model):
+    """The decoder has one layer. A checkpoint with dec.l1.* parameters, as a
+    decoder_layers=2 model once saved, does not fit the model its header
+    describes."""
+    path = tmp_path / "m.vxck"
+    M.save_model(small_model, path)
+    state = small_model.state_dict()
+    h = small_model.cfg.hidden_dim
+    state.update({"dec.l1.w1": np.zeros((h, h)), "dec.l1.b1": np.zeros(h)})
+    ad.save_checkpoint(state, path)
+    with pytest.raises(MalformedHeader, match="parameter names do not match"):
+        M.load_model(path)
 
 
 def _pool4_loop(features):

@@ -21,6 +21,20 @@ M_PEAKS = [(650.0, 8.0), (950.0, 5.0)]
 F_PEAKS = [(800.0, 8.0), (1150.0, 5.0)]
 
 
+def test_config_settings_and_constants():
+    """Only p and seed are settings; the target distributions and formant
+    factors are class constants that a constructor rejects."""
+    from dataclasses import fields
+    assert [f.name for f in fields(PerturbConfig)] == ["p", "seed"]
+    cfg = PerturbConfig(p=0.3)
+    assert (cfg.feminine_mean, cfg.feminine_std, cfg.masculine_mean, cfg.masculine_std,
+            cfg.formant_up, cfg.formant_down) == (250.0, 17.0, 140.0, 20.0, 1.2, 0.8)
+    with pytest.raises(TypeError):
+        PerturbConfig(formant_up=1.3)
+    with pytest.raises(ValueError):
+        PerturbConfig(p=1.5)
+
+
 def test_sample_target_median_feminine_range():
     cfg = PerturbConfig()
     rng = np.random.default_rng(11)

@@ -80,6 +80,19 @@ def test_checkpoint_cadence_and_averaging(tiny_corpus):
         np.testing.assert_allclose(avg[name], expected)
 
 
+def test_averaged_model_leaves_last_step_model(tiny_corpus):
+    cfg = tiny_cfg(total_updates=20, checkpoint_interval=5, average_last=3)
+    res = train_loop(tiny_corpus, ModelConfig(), cfg)
+    last = res.model.state_dict()
+    model = res.averaged_model(cfg.average_last)
+    assert model is not res.model and model.cfg == res.model.cfg
+    assert model.vocab.tokens == res.model.vocab.tokens
+    avg = average_checkpoints(res.checkpoints[-3:])
+    for name, values in model.state_dict().items():
+        np.testing.assert_array_equal(values, avg[name])
+        np.testing.assert_array_equal(res.model.params[name].values, last[name])
+
+
 def test_fine_tune_starts_from_init(tiny_corpus):
     vocab = build_vocabulary()
     base = train_loop(tiny_corpus, ModelConfig(mode="gender_unaware"),

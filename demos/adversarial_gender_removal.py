@@ -1,7 +1,6 @@
 """Compare what a post-hoc gender probe can read off two encoders: one trained
 normally and one trained against a discriminator through gradient reversal."""
 
-from voxtag.autodiff import LambdaSchedule
 from voxtag.model import ModelConfig
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 from voxtag.train import TrainConfig, probe_discriminator, train_loop
@@ -21,9 +20,7 @@ def train(model_cfg, **extra):
 print("training the gender-unaware baseline ...")
 plain = train(ModelConfig(mode="gender_unaware"))
 print("training the adversarial model (lambda = 0.5) ...")
-adversarial = train(ModelConfig(mode="multi_gender"), use_grl=True,
-                    grl_schedule=LambdaSchedule(total_updates=2000,
-                                                fixed_lambda=0.5))
+adversarial = train(ModelConfig(mode="multi_gender"), use_grl=True)
 
 for name, model in (("baseline", plain), ("adversarial", adversarial)):
     acc = probe_discriminator(model, probe_set, seed=0)

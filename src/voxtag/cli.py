@@ -2,16 +2,9 @@
 synthesis, perturbation, training, checkpoint averaging, evaluation, probing,
 and small calculators for schedules and class weights."""
 
-import os
-
-# Cap numeric-library worker threads before numpy spins up its pools.
-_threads = os.environ.get("VOXTAG_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
+import os
 import sys
 from dataclasses import MISSING, fields, replace
 
@@ -56,10 +49,12 @@ def load_run_config(path):
 
 
 def _section_kwargs(cfg, cls, overrides):
-    """Config-file values for one dataclass, with non-None flag overrides
-    winning over the file. A value of the wrong type (an int may stand for a
-    float; a bool is never a number) or a required field that neither gives
-    is a ConfigInvalid naming the key."""
+    """Config-file values for one dataclass, with the non-None overrides that
+    name one of its fields winning over the file. The overrides are a
+    command's parsed flags, vars(args): each flag's dest is its config key.
+    A value of the wrong type (an int may stand for a float; a bool is never
+    a number) or a required field that neither gives is a ConfigInvalid
+    naming the key."""
     types = {f.name: f.type for f in fields(cls)}
     kwargs = {k: v for k, v in cfg.items() if k in types}
     kwargs.update({k: v for k, v in overrides.items()
@@ -77,9 +72,7 @@ def _section_kwargs(cfg, cls, overrides):
 
 def cmd_synth_data(args):
     cfg = load_run_config(args.config)
-    over = {"n_utterances": args.n_utterances, "gender_split": args.gender_split,
-            "token_duration": args.token_duration, "seed": args.seed}
-    spec = sd.SynthSpec(**_section_kwargs(cfg, sd.SynthSpec, over))
+    spec = sd.SynthSpec(**_section_kwargs(cfg, sd.SynthSpec, vars(args)))
     utterances, entries = sd.generate_corpus(spec)
     os.makedirs(args.out, exist_ok=True)
     manifest = sd.write_manifest(utterances, args.out)
@@ -90,8 +83,7 @@ def cmd_synth_data(args):
 
 def cmd_perturb(args):
     cfg = load_run_config(args.config)
-    over = {"p": args.p, "seed": args.seed}
-    pcfg = PerturbConfig(**_section_kwargs(cfg, PerturbConfig, over))
+    pcfg = PerturbConfig(**_section_kwargs(cfg, PerturbConfig, vars(args)))
     utterances = sd.read_manifest(args.manifest)
     n_changed = 0
     for i, utt in enumerate(utterances):
@@ -106,17 +98,11 @@ def cmd_perturb(args):
 
 
 def cmd_train(args):
-    cfg = load_run_config(args.config)
-    model_over = {"mode": args.mode}
-    train_over = {"strategy": args.strategy, "use_grl": args.use_grl,
-                  "lr_peak": args.lr_peak, "warmup_updates": args.warmup_updates,
-                  "total_updates": args.total_updates, "batch_size": args.batch_size,
-                  "seed": args.seed}
-    model_cfg = mdl.ModelConfig(**_section_kwargs(cfg, mdl.ModelConfig, model_over))
-    train_kwargs = _section_kwargs(cfg, tr.TrainConfig, train_over)
+    cfg, flags = load_run_config(args.config), vars(args)
+    model_cfg = mdl.ModelConfig(**_section_kwargs(cfg, mdl.ModelConfig, flags))
+    train_kwargs = _section_kwargs(cfg, tr.TrainConfig, flags)
     if args.with_perturb:
-        train_kwargs["perturb"] = PerturbConfig(
-            **_section_kwargs(cfg, PerturbConfig, {"seed": args.seed}))
+        train_kwargs["perturb"] = PerturbConfig(**_section_kwargs(cfg, PerturbConfig, flags))
     train_cfg = tr.TrainConfig(**train_kwargs)
     utterances = sd.read_manifest(args.manifest)
     init = ad.load_checkpoint(args.init) if args.init else None
@@ -209,7 +195,6 @@ def build_parser():
     p = add("train", cmd_train, config=True, seed=True, out=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", default=None, choices=mdl.MODES)
-    p.add_argument("--strategy", default=None, choices=("scratch", "fine_tune"))
     p.add_argument("--init", default=None)
     p.add_argument("--use-grl", action="store_const", const=True, default=None)
     p.add_argument("--with-perturb", action="store_true")
@@ -251,7 +236,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (VoxtagError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (VoxtagError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -30,7 +30,6 @@ __all__ = ["TrainConfig", "TrainResult", "noam_lr", "Adam", "train_loop",
 
 @dataclass(frozen=True)
 class TrainConfig:
-    strategy: str = "scratch"
     use_grl: bool = False
     grl_schedule: LambdaSchedule = None
     perturb: Optional[PerturbConfig] = None
@@ -43,8 +42,6 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("scratch", "fine_tune"):
-            raise ConfigInvalid(f"unknown strategy {self.strategy!r}")
         if self.warmup_updates > self.total_updates:
             raise ConfigInvalid("warmup_updates must not exceed total_updates")
         if min(self.warmup_updates, self.total_updates, self.batch_size) <= 0:
@@ -55,13 +52,6 @@ class TrainConfig:
     @property
     def interval(self):
         return self.checkpoint_interval or max(1, self.total_updates // 10)
-
-    def schedule(self):
-        if self.grl_schedule is not None:
-            return self.grl_schedule
-        # Fixed lambdas mirroring the defaults for each strategy.
-        fixed = 10.0 if self.strategy == "fine_tune" else 0.5
-        return LambdaSchedule(total_updates=self.total_updates, fixed_lambda=fixed)
 
 
 @dataclass
@@ -151,9 +141,8 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                metrics_path=None) -> TrainResult:
     """Adam + Noam training over utterances; returns the trained model and all
     interval checkpoints. With use_grl the discriminator loss joins the total
-    through the gradient reversal layer at lambda_at(current step)."""
-    if train_cfg.strategy == "fine_tune" and init is None:
-        raise ConfigInvalid("fine_tune requires an initial checkpoint")
+    through the gradient reversal layer at lambda_at(current step); without a
+    grl_schedule lambda is fixed at 0.5, or at 10.0 for a fine-tune from init."""
     if model_cfg.mode == "specialized_F" and any(u.gender is not SpeakerGender.F for u in corpus):
         raise ConfigInvalid("specialized_F requires a feminine-only corpus")
     if model_cfg.mode == "specialized_M" and any(u.gender is not SpeakerGender.M for u in corpus):
@@ -165,7 +154,12 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     model = mdl.TranslationModel(vocab, model_cfg, seed=train_cfg.seed)
     if init is not None:
         model.load_state_dict(init)
-    schedule = train_cfg.schedule()
+    schedule = train_cfg.grl_schedule
+    if schedule is None:
+        # A fine-tune (a run from init) starts from an encoder that already
+        # separates the genders, so it reverses harder than a run from scratch.
+        schedule = LambdaSchedule(total_updates=train_cfg.total_updates,
+                                  fixed_lambda=0.5 if init is None else 10.0)
 
     n_val = max(2, int(round(HOLDOUT_FRACTION * len(corpus))))
     n_val = min(n_val, max(len(corpus) - train_cfg.batch_size, 1))

@@ -55,7 +55,7 @@ def experiment():
         baseline = run(mdl.ModelConfig(mode="gender_unaware"),
                        TrainConfig(seed=seed, **DESK))
         finetune = run(mdl.ModelConfig(mode="multi_gender"),
-                       TrainConfig(strategy="fine_tune", seed=seed, **DESK),
+                       TrainConfig(seed=seed, **DESK),
                        init=baseline.state_dict())
         models[seed] = {"scratch": scratch, "baseline": baseline,
                         "finetune": finetune}

@@ -74,11 +74,12 @@ def test_readme_documents_every_config_key():
     assert set(re.findall(r"`([a-z_]+)`", listed)) == cli._KNOWN_KEYS - cli._OBJECT_KEYS
 
 
-# Constants, not settings: the last six were PerturbConfig fields, and the
-# three before them ModelConfig fields.
+# Former fields. The first three were ModelConfig fields and the next six
+# PerturbConfig fields; they are constants now. TrainConfig's strategy is gone:
+# a run given an init checkpoint is a fine-tune.
 _FORMER_KEYS = ("decoder_layers", "label_smoothing", "disc_loss_weight",
                 "feminine_mean", "feminine_std", "masculine_mean", "masculine_std",
-                "formant_up", "formant_down")
+                "formant_up", "formant_down", "strategy")
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -89,6 +90,35 @@ def test_unknown_config_key(tmp_path, capsys):
         code, _, err = run(capsys, "synth-data", "--config", str(cfg),
                            "--out", str(tmp_path / "o"))
         assert code == 1 and key in err
+
+
+def test_strategy_flag_is_gone(tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--manifest", "m.tsv", "--strategy", "fine_tune",
+                       "--out", str(tmp_path / "o"))
+    assert code == 1 and "--strategy" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_config_flag_is_a_config_key():
+    """The config commands pass vars(args) to _section_kwargs, which keeps
+    only the fields of a section: a flag whose dest is no field of a section
+    the command reads would be parsed and then silently ignored."""
+    from dataclasses import fields
+
+    from voxtag import model as mdl
+    from voxtag import synthdata as sd
+    from voxtag import train as tr
+    from voxtag.perturb import PerturbConfig
+    sections = {"synth-data": (sd.SynthSpec,), "perturb": (PerturbConfig,),
+                "train": (mdl.ModelConfig, tr.TrainConfig, PerturbConfig)}
+    not_keys = {"config", "out", "manifest", "init", "with_perturb", "help"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, classes in sections.items():
+        keys = {f.name for cls in classes for f in fields(cls)}
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert dests - not_keys <= keys, command
+        assert dests & keys, command
 
 
 @pytest.mark.parametrize("body, message", [
@@ -347,3 +377,23 @@ def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "perturb", "--manifest", "/no/such.tsv",
                        "--out", "/tmp/x")
     assert code == 1 and "/no/such.tsv" in err
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["train", "--manifest", "{m}", "--init", "{d}", "--out", "{o}"], "{d}"),
+    (["train", "--manifest", "{d}", "--out", "{o}"], "{d}"),
+    (["train", "--manifest", "{m}", "--init", "{f}/x", "--out", "{o}"], "{f}/x"),
+    (["average-ckpt", "{d}", "--out", "{o}/avg.vxck"], "{d}"),
+    (["synth-data", "--config", "{d}", "--out", "{o}"], "{d}"),
+    (["synth-data", "--n-utterances", "2", "--out", "{f}"], "{f}"),
+])
+def test_path_of_the_wrong_kind_is_validation_error(workspace, tmp_path, capsys, argv, path):
+    """A directory where a file is read, or a file where a directory is
+    needed, fails closed like a missing file and names the path."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x")
+    names = {"m": workspace / "corpus" / "manifest.tsv", "d": tmp_path / "adir",
+             "f": tmp_path / "afile", "o": tmp_path / "out"}
+    code, _, err = run(capsys, *(a.format(**names) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ") and path.format(**names) in err

@@ -35,8 +35,6 @@ def test_noam_shape():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        TrainConfig(strategy="weird")
-    with pytest.raises(ConfigInvalid):
         TrainConfig(warmup_updates=100, total_updates=50)
     with pytest.raises(ConfigInvalid):
         TrainConfig(batch_size=0)
@@ -44,14 +42,17 @@ def test_config_validation():
         TrainConfig(total_updates=100, average_last=20)
 
 
-def test_default_schedule_by_strategy():
-    assert TrainConfig(strategy="scratch").schedule().fixed_lambda == 0.5
-    assert TrainConfig(strategy="fine_tune").schedule().fixed_lambda == 10.0
-
-
-def test_fine_tune_requires_init(tiny_corpus):
-    with pytest.raises(ConfigInvalid):
-        train_loop(tiny_corpus, ModelConfig(), tiny_cfg(strategy="fine_tune"))
+def test_default_lambda_is_fixed_and_harder_from_init(tiny_corpus, tmp_path):
+    import json
+    vocab = build_vocabulary()
+    init = TranslationModel(vocab, ModelConfig(), seed=5).state_dict()
+    cfg = tiny_cfg(total_updates=5, warmup_updates=2, average_last=1, use_grl=True)
+    for start, lam in ((None, 0.5), (init, 10.0)):
+        path = tmp_path / "metrics.jsonl"
+        train_loop(tiny_corpus, ModelConfig(), cfg, init=start, vocab=vocab,
+                   metrics_path=path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["lambda"] for row in rows] == [lam] * 5
 
 
 def test_specialized_mode_rejects_mixed_corpus(tiny_corpus):
@@ -100,14 +101,14 @@ def test_fine_tune_starts_from_init(tiny_corpus):
     init = base.model.state_dict()
     donor = {name: values.copy() for name, values in init.items()}
     ft = train_loop(tiny_corpus, ModelConfig(mode="gender_unaware"),
-                    tiny_cfg(strategy="fine_tune", seed=1),
+                    tiny_cfg(seed=1),
                     init=init, vocab=vocab)
     # The model wraps init's arrays without copying; updates must not write them.
     for name in donor:
         np.testing.assert_array_equal(init[name], donor[name])
     # The fine-tune run's initial validation loss is the donor's final state.
     direct = train_loop(tiny_corpus, ModelConfig(mode="gender_unaware"),
-                        tiny_cfg(strategy="fine_tune", seed=2),
+                        tiny_cfg(seed=2),
                         init=init, vocab=vocab)
     assert ft.val_losses[0][1] == pytest.approx(direct.val_losses[0][1])
     assert ft.val_losses[0][1] != pytest.approx(base.val_losses[0][1])

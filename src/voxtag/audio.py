@@ -16,6 +16,9 @@ class Waveform:
 
     samples: np.ndarray
     sample_rate: int
+    # the default-analysis F0Contour, filled by dsp.estimate_f0_contour on its
+    # first call: the samples never change, so neither does their f0
+    _f0: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)

@@ -24,11 +24,17 @@ ENVELOPE_LO_HZ, ENVELOPE_HI_HZ = 200.0, 4000.0
 
 @dataclass(frozen=True)
 class F0Contour:
-    """Per-frame fundamental frequency track; 0.0 marks unvoiced frames."""
+    """Per-frame fundamental frequency track; 0.0 marks unvoiced frames.
+    frame_hz is read-only: a waveform's contour is shared by every caller."""
 
     frame_hz: np.ndarray
     hop: int
     frame_len: int
+
+    def __post_init__(self):
+        frame_hz = np.array(self.frame_hz, dtype=np.float64)
+        frame_hz.setflags(write=False)
+        object.__setattr__(self, "frame_hz", frame_hz)
 
     @property
     def voiced(self):
@@ -99,7 +105,13 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None) -> F0Contour:
     Frames with peak correlation below the voicing threshold or RMS below
     the gate are marked unvoiced (0.0). Frames are processed FRAME_BLOCK at a
     time, each step one 2-D array operation over the block.
+
+    The contour of the default analysis (frame_len and hop not given) is
+    computed once per waveform and kept on it; later calls return that object.
     """
+    default = frame_len is None and hop is None
+    if default and w._f0 is not None:
+        return w._f0
     sr = w.sample_rate
     if frame_len is None:
         frame_len = int(round(2 * sr / F0_MIN))
@@ -140,7 +152,10 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None) -> F0Contour:
         voiced = rmax >= VOICING_THRESHOLD
         out[b0 + np.flatnonzero(loud)[voiced]] = f0[voiced]
 
-    return F0Contour(out, hop=hop, frame_len=frame_len)
+    contour = F0Contour(out, hop=hop, frame_len=frame_len)
+    if default:
+        object.__setattr__(w, "_f0", contour)
+    return contour
 
 
 def voiced_median(c: F0Contour) -> float:

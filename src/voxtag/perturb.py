@@ -1,6 +1,7 @@
 """Opposite-gender voice perturbation: f0-median resampling, TD-PSOLA pitch
 scaling and spectral-envelope (formant) warping."""
 
+import bisect
 import enum
 from dataclasses import dataclass
 from typing import ClassVar
@@ -97,31 +98,48 @@ def _psola(x, sr, contour, alpha):
     marks1 = np.round(marks / alpha).astype(int)
     gamma = n / n1
 
-    out = np.zeros(n)
-    norm = np.zeros(n)
-    hann = {}  # grain windows by half-length p
+    # grain positions are a scalar recurrence; each grain centred at output
+    # sample s copies the resampled signal around the mark m nearest s / gamma
+    mark_list = marks1.tolist()
+    grains = []  # (s, m, lo_off, hi_off, p)
     pos = float(marks1[0]) * gamma
     while pos < n:
-        s = int(round(pos))
-        i = int(np.argmin(np.abs(marks1 - s / gamma)))
-        m = int(marks1[i])
-        src_idx = min(int(round(m * alpha)), n - 1)
-        p = max(2, int(round(period[src_idx] / alpha)))
+        s = round(pos)
+        t = s / gamma
+        j = bisect.bisect_left(mark_list, t)
+        if j == len(mark_list) or (j > 0 and t - mark_list[j - 1] <= mark_list[j] - t):
+            j -= 1  # on a tie the lower mark, as argmin would take
+        m = mark_list[j]
+        step = period.item(min(round(m * alpha), n - 1)) / alpha
+        p = max(2, round(step))
         lo_off = min(p, m, s)
         hi_off = min(p, n1 - m, n - s)
         if hi_off + lo_off > 2:
-            if p not in hann:
-                hann[p] = np.hanning(2 * p + 1)
-            win = hann[p][p - lo_off:p + hi_off]
-            out[s - lo_off:s + hi_off] += win * y1[m - lo_off:m + hi_off]
-            norm[s - lo_off:s + hi_off] += win
-        pos += period[src_idx] / alpha
+            grains.append((s, m, lo_off, hi_off, p))
+        pos += step
+
+    # overlap-add every grain at once: bincount sums each output sample's
+    # contributions in grain order, as adding grain by grain would
+    s, m, lo_off, hi_off, p = np.array(grains, dtype=np.intp).T
+    length = lo_off + hi_off
+    # with the grains laid end to end, element k is output sample k + shift[k];
+    # a grain reads y1 m - s samples and its window table_start + p - s
+    # samples further on
+    shift = np.repeat(s - lo_off - (np.cumsum(length) - length), length)
+    idx = np.arange(len(shift)) + shift
+    # grain windows: one np.hanning(2p + 1) per half-length p, laid end to end
+    half = sorted(set(p.tolist()))
+    table = np.concatenate([np.hanning(2 * q + 1) for q in half])
+    table_start = np.cumsum([0] + [2 * q + 1 for q in half])[np.searchsorted(half, p)]
+    win = table[idx + np.repeat(table_start + p - s, length)]
+    out = np.bincount(idx, win * y1[idx + np.repeat(m - s, length)], n)
+    norm = np.bincount(idx, win, n)
 
     covered = norm > 0.2
-    out[covered] /= norm[covered]
+    np.divide(out, norm, out=out, where=covered)
     # gaps (edges, unvoiced stretches): naive stretch of the resampled signal
-    fallback_idx = np.clip(np.round(np.arange(n) / gamma).astype(int), 0, n1 - 1)
-    out[~covered] = y1[fallback_idx[~covered]]
+    gaps = np.flatnonzero(~covered)
+    out[gaps] = y1[np.clip(np.round(gaps / gamma).astype(int), 0, n1 - 1)]
     return out
 
 
@@ -158,7 +176,8 @@ def _warp_gain(mag, scale, bin_hz, windows):
     f*scale, clipped to [1e-3, 1e3]."""
     bins = np.arange(mag.shape[1])
     env = _harmonic_envelope(mag, bin_hz, windows)
-    warped = np.array([np.interp(bins / scale, bins, e) for e in env])
+    at = bins / scale
+    warped = np.array([np.interp(at, bins, e) for e in env])
     return np.clip(warped / np.maximum(env, 1e-12), 1e-3, 1e3)
 
 
@@ -171,11 +190,10 @@ def _formant_warp(x, scale, sr, f0):
     window = np.hanning(n_fft)
     pad = n_fft
     xp = np.pad(x, (pad, pad))
-    out = np.zeros(len(xp))
-    norm = np.zeros(len(xp))
     bin_hz = sr / n_fft
     windows = _harmonic_windows(n_fft // 2 + 1, bin_hz, f0)
     frames = frame_matrix(xp, n_fft, hop)
+    warped = np.empty(frames.shape)
 
     for b0 in range(0, len(frames), FRAME_BLOCK):
         block = frames[b0:b0 + FRAME_BLOCK] * window
@@ -184,28 +202,34 @@ def _formant_warp(x, scale, sr, f0):
         loud = np.sqrt(np.mean(block ** 2, axis=1)) >= RMS_GATE
         if loud.any():
             spec[loud] *= _warp_gain(np.abs(spec[loud]), scale, bin_hz, windows)
-        block = np.fft.irfft(spec, n_fft, axis=1)
-        block *= window
-        for i, frame_out in enumerate(block):
-            start = (b0 + i) * hop
-            out[start:start + n_fft] += frame_out
-            norm[start:start + n_fft] += window ** 2
-    out /= np.maximum(norm, 1e-8)
-    return out[pad:pad + len(x)]
+        np.multiply(np.fft.irfft(spec, n_fft, axis=1), window, out=warped[b0:b0 + FRAME_BLOCK])
+
+    # frame f covers output quarters f..f+3 (a quarter is one hop). Adding
+    # phase q = 3, 2, 1, 0 adds frame b-3 first and frame b last into quarter
+    # b, so each sample sums its frames in frame order.
+    n_frames = len(frames)
+    quarters = warped.reshape(n_frames, 4, hop)
+    window_sq = (window ** 2).reshape(4, hop)
+    out = np.zeros((n_frames + 3, hop))
+    norm = np.zeros((n_frames + 3, hop))
+    for q in (3, 2, 1, 0):
+        out[q:q + n_frames] += quarters[:, q]
+        norm[q:q + n_frames] += window_sq[q]
+    keep = slice(pad, pad + len(x))
+    return out.ravel()[keep] / np.maximum(norm.ravel()[keep], 1e-8)
 
 
-def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float,
-                        contour=None) -> Waveform:
+def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float) -> Waveform:
     """Scale the f0 contour by alpha (TD-PSOLA) and the spectral envelope by
-    formant_scale. Duration is preserved. contour is w's f0 track
-    (estimate_f0_contour(w)); it is computed when not given."""
+    formant_scale. Duration is preserved. w's f0 contour is tracked once per
+    waveform (estimate_f0_contour keeps it on w), so repeated shifts of one
+    waveform reuse it."""
     if not 0.25 <= alpha <= 4.0:
         raise OutOfRangeFactor(f"alpha {alpha} outside [0.25, 4]")
     if not 0.5 <= formant_scale <= 2.0:
         raise OutOfRangeFactor(f"formant_scale {formant_scale} outside [0.5, 2]")
 
-    if contour is None:
-        contour = estimate_f0_contour(w)
+    contour = estimate_f0_contour(w)
     y = _psola(w.samples, w.sample_rate, contour, alpha)
     # the resampling inside _psola scaled the envelope by alpha as well;
     # warp by formant_scale/alpha for a net envelope scale of formant_scale
@@ -232,11 +256,10 @@ def apply_opposite(w: Waveform, speaker_gender: SpeakerGender, cfg: PerturbConfi
         return w, False
     target = speaker_gender.opposite
     try:
-        contour = estimate_f0_contour(w)
-        source_median = voiced_median(contour)
+        source_median = voiced_median(estimate_f0_contour(w))
     except (AllUnvoiced, TooShort):
         return w, False
     target_median = sample_target_median(target, cfg, rng)
     alpha = float(np.clip(compute_alpha(source_median, target_median), 0.25, 4.0))
     scale = cfg.formant_up if target is SpeakerGender.F else cfg.formant_down
-    return pitch_formant_shift(w, alpha, scale, contour), True
+    return pitch_formant_shift(w, alpha, scale), True

@@ -42,6 +42,33 @@ def test_too_short_waveform():
         estimate_f0_contour(Waveform(np.zeros(100), 16000))
 
 
+def test_f0_contour_computed_once_per_waveform():
+    """The default analysis is kept on the waveform and returned read-only;
+    another waveform, even with equal samples, gets its own analysis."""
+    from dataclasses import replace
+    w = synth_harmonic(140.0, [(650.0, 8.0)], 0.3)
+    c = estimate_f0_contour(w)
+    assert estimate_f0_contour(w) is c
+    with pytest.raises(ValueError):
+        c.frame_hz[0] = 1.0
+    for other in (Waveform(w.samples, w.sample_rate), replace(w)):
+        d = estimate_f0_contour(other)
+        assert d is not c
+        assert np.array_equal(d.frame_hz, c.frame_hz)
+
+
+def test_f0_contour_memo_only_answers_the_default_analysis():
+    w = synth_harmonic(140.0, [(650.0, 8.0)], 0.3)
+    estimate_f0_contour(w, frame_len=641)  # fills no memo
+    default = estimate_f0_contour(w)
+    assert (default.frame_len, default.hop) == (640, 160)
+    for frame_len, hop in ((641, None), (None, 97), (641, 97)):
+        c = estimate_f0_contour(w, frame_len=frame_len, hop=hop)
+        assert c is not default
+        assert (c.frame_len, c.hop) == (frame_len or 640, hop or 160)
+    assert estimate_f0_contour(w) is default
+
+
 def test_voiced_median_hand_cases():
     c = F0Contour(np.array([100.0, 110, 120, 0, 130, 140]), hop=160, frame_len=640)
     assert voiced_median(c) == 120.0

@@ -193,6 +193,62 @@ def _loop_formant_warp(x, scale, sr, f0, n_fft=1024):
     return out[n_fft:n_fft + len(x)]
 
 
+def _loop_psola(x, sr, contour, alpha):
+    """The grain-by-grain overlap-add that the one-pass version replaced, kept as
+    the reference."""
+    n = len(x)
+    marks, period = perturb._pitch_marks(x, sr, contour)
+    n1 = max(4, int(np.floor((n - 1) / alpha)) + 1)
+    y1 = np.interp(alpha * np.arange(n1), np.arange(n), x)
+    marks1 = np.round(marks / alpha).astype(int)
+    gamma = n / n1
+    out = np.zeros(n)
+    norm = np.zeros(n)
+    pos = float(marks1[0]) * gamma
+    while pos < n:
+        s = int(round(pos))
+        m = int(marks1[int(np.argmin(np.abs(marks1 - s / gamma)))])
+        src_idx = min(int(round(m * alpha)), n - 1)
+        p = max(2, int(round(period[src_idx] / alpha)))
+        lo_off = min(p, m, s)
+        hi_off = min(p, n1 - m, n - s)
+        if hi_off + lo_off > 2:
+            win = np.hanning(2 * p + 1)[p - lo_off:p + hi_off]
+            out[s - lo_off:s + hi_off] += win * y1[m - lo_off:m + hi_off]
+            norm[s - lo_off:s + hi_off] += win
+        pos += period[src_idx] / alpha
+    covered = norm > 0.2
+    out[covered] /= norm[covered]
+    fallback_idx = np.clip(np.round(np.arange(n) / gamma).astype(int), 0, n1 - 1)
+    out[~covered] = y1[fallback_idx[~covered]]
+    return out
+
+
+def _psola_reference_cases():
+    voice = synth_harmonic(130.0, M_PEAKS, 0.4).samples
+    tail = voice.copy()
+    tail[:int(0.7 * len(tail))] = 0.0
+    cases = [
+        ("alpha 0.25", voice, 0.25),
+        ("alpha 4", voice, 4.0),
+        ("voiced only in the tail", tail, 1.6),
+        ("641 samples", synth_harmonic(210.0, F_PEAKS, 641 / 16000).samples, 0.7),
+    ]
+    for f0, peaks in ((110.0, M_PEAKS), (150.0, M_PEAKS), (220.0, F_PEAKS), (280.0, F_PEAKS)):
+        x = synth_harmonic(f0, peaks, 0.35).samples
+        for alpha in (0.45, 0.8, 1.0, 1.3, 2.2):
+            cases.append((f"voice {f0:.0f} Hz, alpha {alpha}", x, alpha))
+    return cases
+
+
+@pytest.mark.parametrize("case", _psola_reference_cases(), ids=lambda c: c[0])
+def test_psola_matches_grain_loop(case):
+    _, x, alpha = case
+    contour = estimate_f0_contour(Waveform(x, 16000))
+    assert np.array_equal(perturb._psola(x, 16000, contour, alpha),
+                          _loop_psola(x, 16000, contour, alpha))
+
+
 def _warp_reference_cases():
     rng = np.random.default_rng(23)
     voice = synth_harmonic(150.0, M_PEAKS, 0.5).samples
@@ -238,30 +294,30 @@ def test_harmonic_envelope_matches_per_frame_loop(f0):
 @pytest.mark.parametrize("case", _warp_reference_cases(), ids=lambda c: c[0])
 def test_formant_warp_matches_per_frame_loop(case):
     _, x, scale, f0 = case
-    got = _formant_warp(x, scale, 16000, f0)
-    want = _loop_formant_warp(x, scale, 16000, f0)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert np.array_equal(_formant_warp(x, scale, 16000, f0),
+                          _loop_formant_warp(x, scale, 16000, f0))
 
 
 def test_apply_opposite_tracks_source_once(monkeypatch):
-    """A manipulated call tracks the source f0 once and hands that contour to
-    pitch_formant_shift; an untouched call tracks nothing."""
-    calls = []
+    """Every f0 contour apply_opposite reads for one waveform, over many
+    calls, is the one analysis kept on that waveform; a missed draw tracks
+    nothing."""
+    returned = []
 
     def counting(w, *args, **kwargs):
-        calls.append(w)
-        return estimate_f0_contour(w, *args, **kwargs)
+        returned.append(estimate_f0_contour(w, *args, **kwargs))
+        return returned[-1]
 
     monkeypatch.setattr(perturb, "estimate_f0_contour", counting)
     w = synth_harmonic(130.0, M_PEAKS, 0.3)
     cfg = PerturbConfig(p=0.5)
     seen = set()
     for seed in range(8):
-        calls.clear()
+        before = len(returned)
         out, manipulated = apply_opposite(w, SpeakerGender.M, cfg, np.random.default_rng(seed))
         seen.add(manipulated)
-        assert len(calls) == (1 if manipulated else 0)
+        assert (len(returned) > before) == manipulated
+        assert all(c is returned[0] for c in returned)
         if not manipulated:
             continue
         # replay the same rng draws: decision, then the target median

@@ -323,3 +323,23 @@ def test_perturbed_training_survives_too_short_utterance():
     res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
     assert len(res.checkpoints) == 12 // cfg.interval
     assert all(np.isfinite(v) for _, v in res.val_losses)
+
+
+def test_perturbed_training_is_identical_with_warm_f0_contours(tmp_path):
+    """A perturbed run on a corpus whose f0 contours were kept from an earlier
+    run matches a run on a freshly generated corpus, byte for byte."""
+    def run(corpus, name):
+        path = tmp_path / f"{name}.jsonl"
+        cfg = tiny_cfg(total_updates=30, batch_size=8, checkpoint_interval=10,
+                       perturb=PerturbConfig(p=0.5))
+        res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg, metrics_path=path)
+        state = {k: v.tobytes() for k, v in res.model.state_dict().items()}
+        return state, res.val_losses, path.read_bytes()
+
+    spec = SynthSpec(n_utterances=24, seed=13)
+    corpus, _ = generate_corpus(spec)
+    cold = run(corpus, "cold")
+    assert any(u.waveform._f0 is not None for u in corpus)
+    warm = run(corpus, "warm")
+    fresh = run(generate_corpus(spec)[0], "fresh")
+    assert cold == warm == fresh

@@ -89,7 +89,7 @@ def cmd_perturb(args):
     for i, utt in enumerate(utterances):
         rng = np.random.default_rng([pcfg.seed, i])
         w, changed = apply_opposite(utt.waveform, utt.gender, pcfg, rng)
-        utterances[i] = replace(utt, waveform=w, wav_path=None)
+        utterances[i] = replace(utt, waveform=w)
         n_changed += changed
     os.makedirs(args.out, exist_ok=True)
     manifest = sd.write_manifest(utterances, args.out)

@@ -13,6 +13,7 @@ F0_MAX = 500.0
 VOICING_THRESHOLD = 0.3
 RMS_GATE = 1e-4
 N_MELS = 80
+MEL_LO_HZ = 20.0  # the lower edge of the lowest mel filter
 LOG_FLOOR = 1e-10
 # frames per batched pass in the f0 tracker and the formant warp: large enough
 # to amortise per-call overhead, small enough that the per-block spectra stay
@@ -99,28 +100,22 @@ def _normalized_autocorrelation(frames, n_fft, lags):
     return np.where(denom > 0, raw / np.maximum(denom, 1e-20), 0.0)
 
 
-def estimate_f0_contour(w: Waveform, frame_len=None, hop=None) -> F0Contour:
-    """Normalized-autocorrelation pitch tracker over [F0_MIN, F0_MAX].
+def estimate_f0_contour(w: Waveform) -> F0Contour:
+    """Normalized-autocorrelation pitch tracker over [F0_MIN, F0_MAX], on
+    frames two F0_MIN periods long and 10 ms apart.
 
     Frames with peak correlation below the voicing threshold or RMS below
     the gate are marked unvoiced (0.0). Frames are processed FRAME_BLOCK at a
     time, each step one 2-D array operation over the block.
 
-    The contour of the default analysis (frame_len and hop not given) is
-    computed once per waveform and kept on it; later calls return that object.
+    The contour is computed once per waveform and kept on it; later calls
+    return that object.
     """
-    default = frame_len is None and hop is None
-    if default and w._f0 is not None:
+    if w._f0 is not None:
         return w._f0
     sr = w.sample_rate
-    if frame_len is None:
-        frame_len = int(round(2 * sr / F0_MIN))
-    if hop is None:
-        hop = max(1, sr // 100)
-    if frame_len < 2 * sr / F0_MIN:
-        raise ValueError("frame_len must cover two periods of the lowest trackable f0")
-    if hop <= 0:
-        raise ValueError("hop must be positive")
+    frame_len = int(round(2 * sr / F0_MIN))
+    hop = max(1, sr // 100)
     x = w.samples
     if len(x) < frame_len:
         raise TooShort(f"waveform of {len(x)} samples shorter than one frame ({frame_len})")
@@ -153,8 +148,7 @@ def estimate_f0_contour(w: Waveform, frame_len=None, hop=None) -> F0Contour:
         out[b0 + np.flatnonzero(loud)[voiced]] = f0[voiced]
 
     contour = F0Contour(out, hop=hop, frame_len=frame_len)
-    if default:
-        object.__setattr__(w, "_f0", contour)
+    object.__setattr__(w, "_f0", contour)
     return contour
 
 
@@ -175,16 +169,16 @@ def mel_to_hz(mel):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(sample_rate, n_fft, n_mels=N_MELS, f_lo=20.0):
-    """Triangular mel filters spanning [f_lo, Nyquist], shape (n_mels, n_fft//2+1).
-    Every log-mel extraction asks for one, so filterbanks are cached; a cached
-    filterbank is shared, so it is read-only."""
+def mel_filterbank(sample_rate, n_fft):
+    """Triangular mel filters spanning [MEL_LO_HZ, Nyquist], shape
+    (N_MELS, n_fft//2+1). Every log-mel extraction asks for one, so
+    filterbanks are cached; a cached filterbank is shared, so it is read-only."""
     f_hi = sample_rate / 2.0
-    mel_pts = np.linspace(hz_to_mel(f_lo), hz_to_mel(f_hi), n_mels + 2)
+    mel_pts = np.linspace(hz_to_mel(MEL_LO_HZ), hz_to_mel(f_hi), N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
     bins = hz_pts * n_fft / sample_rate
-    fb = np.zeros((n_mels, n_fft // 2 + 1))
-    for m in range(n_mels):
+    fb = np.zeros((N_MELS, n_fft // 2 + 1))
+    for m in range(N_MELS):
         lo, mid, hi = bins[m], bins[m + 1], bins[m + 2]
         k = np.arange(n_fft // 2 + 1)
         up = (k - lo) / max(mid - lo, 1e-9)

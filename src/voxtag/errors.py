@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all voxtag modules, and their UTF-8 line reader."""
+"""Exception hierarchy shared by all voxtag modules, and their text readers."""
 
 import io
 
@@ -114,3 +114,23 @@ def utf8_lines(path):
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise MalformedHeader(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+
+
+def tsv_records(path, n_fields):
+    """(line number, fields) of each non-blank line of a tab-separated UTF-8
+    file whose first field is an utterance id. Another number of fields, or an
+    id seen on an earlier line, raises MalformedHeader naming file and line."""
+    first_line = {}
+    for lineno, line in enumerate(utf8_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected {n_fields}")
+        uid = fields[0]
+        if uid in first_line:
+            raise MalformedHeader(f"{path}:{lineno}: duplicate utterance id {uid!r} "
+                                  f"(first on line {first_line[uid]})")
+        first_line[uid] = lineno
+        yield lineno, fields

@@ -8,9 +8,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, WrongMode,
-                     utf8_lines)
+                     tsv_records)
 from .model import start_token
 from .perturb import SpeakerGender
+
+# each tag-inversion decode stops at eos or after this many steps
+DECODE_MAX_LEN = 20
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def entries_for(corpus, entries):
     return [by_id[utt.id] for utt in corpus]
 
 
-def tag_inversion_eval(model, corpus, entries, max_len=20):
+def tag_inversion_eval(model, corpus, entries):
     """Greedy-decode each utterance under both gender tags.
 
     Returns four reports keyed 1F, 1M (tag matches the speaker) and
@@ -107,7 +110,7 @@ def tag_inversion_eval(model, corpus, entries, max_len=20):
     for utt, entry in zip(corpus, entries_for(corpus, entries)):
         for tag_gender in (SpeakerGender.F, SpeakerGender.M):
             tag = start_token(model.cfg.mode, tag_gender)
-            ids = model.greedy_decode(utt.features, tag, max_len=max_len)
+            ids = model.greedy_decode(utt.features, tag, max_len=DECODE_MAX_LEN)
             tokens = model.vocab.decode(ids)
             matched = tag_gender is utt.gender
             if matched:
@@ -162,14 +165,7 @@ def corpus_bleu(hypotheses, references) -> float:
 def read_eval_tsv(path):
     """Inverse of write_eval_tsv; a malformed line raises MalformedHeader."""
     entries = []
-    for lineno, line in enumerate(utf8_lines(path), 1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 4")
-        uid, ref, wrong, pairs = fields
+    for lineno, (uid, ref, wrong, pairs) in tsv_records(path, 4):
         term_pairs = tuple(tuple(p.split("|")) for p in pairs.split(";"))
         if any(len(pair) != 2 for pair in term_pairs):
             raise MalformedHeader(f"{path}:{lineno}: term pairs {pairs!r} are not "

@@ -30,7 +30,7 @@ TAG_F_ID = 3
 TAG_M_ID = 4
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<tag_F>", "<tag_M>")
 
-MODES = ("gender_unaware", "multi_gender", "specialized_F", "specialized_M")
+MODES = ("gender_unaware", "multi_gender")
 
 
 class Vocabulary:
@@ -98,7 +98,7 @@ def compute_class_weights(f_f: float, f_m: float) -> ClassWeights:
 
 def start_token(mode, gender: SpeakerGender):
     """The first decoder token: a multi_gender model is forced with the
-    speaker's gender tag, every other mode starts from bos."""
+    speaker's gender tag, a gender_unaware one starts from bos."""
     if mode == "multi_gender":
         return TAG_F_ID if gender is SpeakerGender.F else TAG_M_ID
     return BOS_ID

@@ -11,7 +11,7 @@ import numpy as np
 
 from .audio import Waveform, harmonic_rows, read_wav, write_wav
 from .dsp import logmel_features
-from .errors import InvalidSpec, MalformedHeader, utf8_lines
+from .errors import InvalidSpec, MalformedHeader, tsv_records
 from .evaluation import GenderEvalEntry
 from .model import Vocabulary
 from .perturb import PerturbConfig, SpeakerGender, sample_target_median
@@ -105,8 +105,7 @@ class Utterance:
     gender: SpeakerGender
     source_tokens: list
     target_tokens: list
-    waveform: Waveform = None
-    wav_path: str = None
+    waveform: Waveform
 
     @functools.cached_property
     def features(self):
@@ -192,9 +191,8 @@ def write_manifest(utterances, out_dir) -> str:
     path = os.path.join(out_dir, "manifest.tsv")
     with open(path, "w", encoding="utf-8") as f:
         for utt in utterances:
-            wav_path = utt.wav_path or os.path.join(wav_dir, f"{utt.id}.wav")
-            if utt.waveform is not None:
-                write_wav(utt.waveform, wav_path)
+            wav_path = os.path.join(wav_dir, f"{utt.id}.wav")
+            write_wav(utt.waveform, wav_path)
             f.write("\t".join([utt.id, wav_path, utt.gender.value,
                                " ".join(utt.source_tokens),
                                " ".join(utt.target_tokens)]) + "\n")
@@ -204,14 +202,9 @@ def write_manifest(utterances, out_dir) -> str:
 def read_manifest(path):
     """Inverse of write_manifest; a malformed line raises MalformedHeader."""
     utterances = []
-    for lineno, line in enumerate(utf8_lines(path), 1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise MalformedHeader(f"{path}:{lineno}: {len(fields)} fields, expected 5")
-        uid, wav_path, gender, source, target = fields
+    for lineno, (uid, wav_path, gender, source, target) in tsv_records(path, 5):
+        if "/" in uid or "\0" in uid:  # write_manifest names each WAV after its id
+            raise MalformedHeader(f"{path}:{lineno}: utterance id {uid!r} is not a file name")
         if gender not in ("F", "M"):
             raise MalformedHeader(f"{path}:{lineno}: gender {gender!r} is not F or M")
         if "\0" in wav_path:
@@ -224,5 +217,5 @@ def read_manifest(path):
         utterances.append(Utterance(
             id=uid, gender=SpeakerGender(gender),
             source_tokens=source.split(), target_tokens=target.split(),
-            waveform=waveform, wav_path=wav_path))
+            waveform=waveform))
     return utterances

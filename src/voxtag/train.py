@@ -143,10 +143,6 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     interval checkpoints. With use_grl the discriminator loss joins the total
     through the gradient reversal layer at lambda_at(current step); without a
     grl_schedule lambda is fixed at 0.5, or at 10.0 for a fine-tune from init."""
-    if model_cfg.mode == "specialized_F" and any(u.gender is not SpeakerGender.F for u in corpus):
-        raise ConfigInvalid("specialized_F requires a feminine-only corpus")
-    if model_cfg.mode == "specialized_M" and any(u.gender is not SpeakerGender.M for u in corpus):
-        raise ConfigInvalid("specialized_M requires a masculine-only corpus")
     if vocab is None:
         tokens = sorted({t for u in corpus for t in u.target_tokens})
         vocab = mdl.Vocabulary(tokens)

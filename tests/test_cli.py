@@ -292,6 +292,55 @@ def test_evaluate_model_header_keys(workspace, capsys):
     assert code == 0
 
 
+def test_specialized_modes_are_gone(workspace, capsys):
+    """A gender-specialized model is a gender_unaware run on one gender's
+    utterances; no mode names it, in a ModelConfig, on the command line or in
+    a model header."""
+    from voxtag import model as M
+    from voxtag.errors import MalformedHeader
+    assert M.MODES == ("gender_unaware", "multi_gender")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        M.ModelConfig(mode="specialized_F")
+    code, _, _ = run(capsys, "train", "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                     "--mode", "specialized_F", "--out", str(workspace / "spec"))
+    assert code == 1
+    assert not os.path.exists(workspace / "spec")
+    path = workspace / "spec.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 path)
+    meta = workspace / "spec.vxck.meta"
+    meta.write_text(meta.read_text().replace("mode=multi_gender", "mode=specialized_F"))
+    with pytest.raises(MalformedHeader, match=re.escape(f"{meta} does not describe")):
+        M.load_model(path)
+
+
+def test_duplicate_utterance_id_is_validation_error(workspace, capsys):
+    """perturb and evaluate refuse a manifest or eval.tsv that repeats an id,
+    naming the file, the line and the line of the id's first use."""
+    from voxtag import model as M
+    lines = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = workspace / "dup.tsv"
+    manifest.write_text("\n".join([lines[0], lines[0]]) + "\n", encoding="utf-8")
+    uid = lines[0].split("\t")[0]
+    message = f":2: duplicate utterance id {uid!r} (first on line 1)"
+    code, _, err = run(capsys, "perturb", "--manifest", str(manifest), "--p", "1.0",
+                       "--out", str(workspace / "dup_pert"))
+    assert code == 1 and f"dup.tsv{message}" in err
+    assert not os.path.exists(workspace / "dup_pert")
+
+    eval_lines = (workspace / "corpus" / "eval.tsv").read_text(encoding="utf-8").splitlines()
+    eval_tsv = workspace / "dup_eval.tsv"
+    eval_tsv.write_text("\n".join([eval_lines[0], eval_lines[0]]) + "\n", encoding="utf-8")
+    model = workspace / "dup.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 model)
+    code, _, err = run(capsys, "evaluate", "--model", str(model),
+                       "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--eval-tsv", str(eval_tsv), "--out", str(workspace / "dup.json"))
+    assert code == 1 and f"dup_eval.tsv{message}" in err
+    assert not os.path.exists(workspace / "dup.json")
+
+
 def test_evaluate_rejects_non_finite_checkpoint(workspace, capsys):
     import numpy as np
     from voxtag import model as M

@@ -57,18 +57,6 @@ def test_f0_contour_computed_once_per_waveform():
         assert np.array_equal(d.frame_hz, c.frame_hz)
 
 
-def test_f0_contour_memo_only_answers_the_default_analysis():
-    w = synth_harmonic(140.0, [(650.0, 8.0)], 0.3)
-    estimate_f0_contour(w, frame_len=641)  # fills no memo
-    default = estimate_f0_contour(w)
-    assert (default.frame_len, default.hop) == (640, 160)
-    for frame_len, hop in ((641, None), (None, 97), (641, 97)):
-        c = estimate_f0_contour(w, frame_len=frame_len, hop=hop)
-        assert c is not default
-        assert (c.frame_len, c.hop) == (frame_len or 640, hop or 160)
-    assert estimate_f0_contour(w) is default
-
-
 def test_voiced_median_hand_cases():
     c = F0Contour(np.array([100.0, 110, 120, 0, 130, 140]), hop=160, frame_len=640)
     assert voiced_median(c) == 120.0
@@ -135,12 +123,12 @@ def _loop_parabolic_peak(values, i):
     return i + float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
 
 
-def _loop_f0_contour(w, frame_len=None, hop=None):
+def _loop_f0_contour(w):
     """The per-frame tracker that the frame-batched one replaced, kept as the
-    reference (thresholds at their defaults)."""
+    reference."""
     sr = w.sample_rate
-    frame_len = frame_len or int(round(2 * sr / F0_MIN))
-    hop = hop or max(1, sr // 100)
+    frame_len = int(round(2 * sr / F0_MIN))
+    hop = max(1, sr // 100)
     x = w.samples
     lag_min = max(2, int(np.floor(sr / F0_MAX)))
     lag_max = int(np.ceil(sr / F0_MIN))
@@ -187,23 +175,27 @@ def _f0_reference_cases():
     half[len(half) // 2:] = 0.0
     t = np.arange(8000) / sr
     cases = [
-        ("silence", np.zeros(8000), None, None),
-        ("below the RMS gate", 1e-5 * voice, None, None),
-        ("half silence", half, None, None),
-        ("white noise", rng.uniform(-0.5, 0.5, 8000), None, None),
-        ("pure sine", 0.5 * np.sin(2 * np.pi * 200.0 * t), None, None),
+        ("silence", np.zeros(8000)),
+        ("below the RMS gate", 1e-5 * voice),
+        ("half silence", half),
+        ("white noise", rng.uniform(-0.5, 0.5, 8000)),
+        ("pure sine", 0.5 * np.sin(2 * np.pi * 200.0 * t)),
         # a period past the longest lag: the maximum sits on the last lag and
         # f0 clips to F0_MIN
-        ("sine below F0_MIN", 0.5 * np.sin(2 * np.pi * 47.0 * t), None, None),
-        ("odd frame_len, custom hop", voice, 641, 97),
-        ("long frame, short hop", voice, 900, 33),
+        ("sine below F0_MIN", 0.5 * np.sin(2 * np.pi * 47.0 * t)),
     ]
     for f0 in (90.0, 120.0, 150.0, 200.0, 250.0, 300.0):
         peaks = [(650.0, 8.0), (950.0, 5.0)] if f0 < 180 else [(800.0, 8.0), (1150.0, 5.0)]
-        cases.append((f"voice {f0:.0f} Hz", synth_harmonic(f0, peaks, 0.4).samples, None, None))
+        cases.append((f"voice {f0:.0f} Hz", synth_harmonic(f0, peaks, 0.4).samples))
     for n_frames in (1, 16, 17, 33):  # block edges
-        cases.append((f"{n_frames} frames", voice[:640 + (n_frames - 1) * 160], None, None))
-    return [(name, Waveform(x, sr), fl, hop) for name, x, fl, hop in cases]
+        cases.append((f"{n_frames} frames", voice[:640 + (n_frames - 1) * 160]))
+    cases = [(name, Waveform(x, sr)) for name, x in cases]
+    # other rates: at 11025 Hz a frame is 441 samples (odd) and the hop 110,
+    # at 22050 Hz they are 882 and 220
+    for rate in (11025, 22050):
+        voice_at = synth_harmonic(150.0, [(650.0, 8.0), (950.0, 5.0)], 0.5, rate)
+        cases.append((f"voice at {rate} Hz", voice_at))
+    return cases
 
 
 def test_parabolic_peak_matches_scalar_rule():
@@ -223,9 +215,9 @@ def test_parabolic_peak_matches_scalar_rule():
 
 @pytest.mark.parametrize("case", _f0_reference_cases(), ids=lambda c: c[0])
 def test_f0_contour_matches_per_frame_loop(case):
-    _, w, frame_len, hop = case
-    got = estimate_f0_contour(w, frame_len=frame_len, hop=hop).frame_hz
-    want = _loop_f0_contour(w, frame_len, hop)
+    _, w = case
+    got = estimate_f0_contour(w).frame_hz
+    want = _loop_f0_contour(w)
     assert got.shape == want.shape
     assert np.array_equal(got > 0, want > 0)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)

@@ -151,6 +151,7 @@ def test_eval_tsv_roundtrip(tmp_path):
     ("u1\tstanca\tstanco\tstanca|stanco\textra", "5 fields, expected 4"),
     ("u1\tamata\tamato\tamata|amato;amata|amata", "u1: degenerate pair 'amata'"),
     ("u1\tamata\tamato\t|", "u1: degenerate pair ''"),
+    ("u0\tstanca\tstanco\tstanca|stanco", "duplicate utterance id 'u0' (first on line 1)"),
 ])
 def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "eval.tsv"

@@ -115,7 +115,7 @@ def test_generation_is_deterministic():
 
 def test_manifest_roundtrip(tmp_path, corpus):
     utterances, _ = corpus
-    path = write_manifest(utterances[:5], tmp_path)
+    path = write_manifest(utterances[:5], tmp_path / "a")
     loaded = read_manifest(path)
     assert len(loaded) == 5
     for orig, back in zip(utterances, loaded):
@@ -127,6 +127,18 @@ def test_manifest_roundtrip(tmp_path, corpus):
         np.testing.assert_allclose(back.waveform.samples, orig.waveform.samples,
                                    atol=1.0 / 32767)
 
+    # Writing what was read goes only under the new directory: the source
+    # WAVs are not touched, and the new manifest names its own copies.
+    sources = sorted((tmp_path / "a" / "wav").iterdir())
+    before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in sources]
+    again = read_manifest(write_manifest(loaded, tmp_path / "b"))
+    assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in sources] == before
+    wav_paths = [line.split("\t")[1] for line in
+                 (tmp_path / "b" / "manifest.tsv").read_text(encoding="utf-8").splitlines()]
+    assert wav_paths == [str(tmp_path / "b" / "wav" / f"{u.id}.wav") for u in loaded]
+    for orig, back in zip(loaded, again):
+        np.testing.assert_array_equal(back.waveform.samples, orig.waveform.samples)
+
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda f: f[:3], "3 fields, expected 5"),
@@ -137,6 +149,9 @@ def test_manifest_roundtrip(tmp_path, corpus):
      "wav path is not a file (Is a directory)"),
     (lambda f: f[:1] + [os.path.join(f[1], "u0.wav")] + f[2:],
      "wav path is not a file (Not a directory)"),
+    (lambda f: ["utt00000"] + f[1:], "duplicate utterance id 'utt00000' (first on line 1)"),
+    (lambda f: ["../../u1"] + f[1:], "utterance id '../../u1' is not a file name"),
+    (lambda f: ["u\0"] + f[1:], "utterance id 'u\\x00' is not a file name"),
 ])
 def test_read_manifest_names_file_and_line(tmp_path, corpus, corrupt, message):
     path = write_manifest(corpus[0][:3], tmp_path)

@@ -55,12 +55,6 @@ def test_default_lambda_is_fixed_and_harder_from_init(tiny_corpus, tmp_path):
         assert [row["lambda"] for row in rows] == [lam] * 5
 
 
-def test_specialized_mode_rejects_mixed_corpus(tiny_corpus):
-    assert len({u.gender for u in tiny_corpus}) == 2
-    with pytest.raises(ConfigInvalid):
-        train_loop(tiny_corpus, ModelConfig(mode="specialized_F"), tiny_cfg())
-
-
 def test_training_is_seed_deterministic(tiny_corpus):
     vocab = build_vocabulary()
     runs = [train_loop(tiny_corpus, ModelConfig(mode="multi_gender"),

@@ -30,9 +30,8 @@ class Tensor:
         return self.values.shape
 
     def accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+        # never +=: the first g is stored as is and may be another leaf's grad
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self):
         self.grad = None
@@ -205,9 +204,10 @@ def embedding(table, ids):
         raise ShapeMismatch("embedding id out of range")
 
     def backward(g):
-        gt = np.zeros(table.shape)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # one bincount over (id, column) bins sums each in input order, as np.add.at
+        V, d = table.shape
+        flat = (ids[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(flat, weights=g.ravel(), minlength=V * d).reshape(V, d),)
 
     return Tensor(table.values[ids], _parents=(table,), _backward=backward)
 

@@ -118,17 +118,12 @@ def sinusoidal_positions(length, dim):
 
 
 def pool4(features):
-    """Mean-pool frames in groups of 4; the tail group may be shorter."""
+    """Mean-pool frames in groups of 4 into encoder rows; the tail group may be shorter."""
     full = features.shape[0] // 4 * 4
     pooled = features[:full].reshape(-1, 4, features.shape[1]).mean(axis=1)
     if full < features.shape[0]:
         pooled = np.concatenate([pooled, features[full:].mean(axis=0, keepdims=True)])
     return pooled
-
-
-def pooled_frames(features):
-    """Encoder rows of each utterance in a list of (T, feature_dim) arrays."""
-    return [-(-len(f) // 4) for f in features]
 
 
 def pooling_matrix(frames):
@@ -204,17 +199,17 @@ class TranslationModel:
         for t in self.params.values():
             t.zero_grad()
 
-    def encode(self, features):
-        """features: a batch, a list of (T, feature_dim) arrays. The encoder is
-        position-wise, so the utterances' pooled frames are stacked in order
-        into one (sum of ceil(T/4), hidden_dim) Tensor."""
-        pooled = []
-        for f in features:
-            f = np.asarray(f, dtype=np.float64)
-            if f.ndim != 2 or f.shape[1] != self.cfg.feature_dim:
-                raise ShapeMismatch(f"expected (T, {self.cfg.feature_dim}) features")
-            pooled.append(pool4(f))
-        x = ad.Tensor(np.concatenate(pooled))
+    def _checked(self, rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.cfg.feature_dim:
+            raise ShapeMismatch(f"expected (T, {self.cfg.feature_dim}) features")
+        return rows
+
+    def encode(self, pooled):
+        """pooled: a batch, a list of each utterance's pool4 rows, (ceil(T/4),
+        feature_dim) arrays. The encoder is position-wise, so the rows are
+        stacked in order into one (sum of ceil(T/4), hidden_dim) Tensor."""
+        x = ad.Tensor(np.concatenate([self._checked(rows) for rows in pooled]))
         p = self.params
         h = ad.add(ad.matmul(x, p["enc.in_w"]), p["enc.in_b"])
         for i in range(self.cfg.encoder_layers):
@@ -273,11 +268,11 @@ class TranslationModel:
         return hid @ p["dec.out_w"].values + p["dec.out_b"].values
 
     def greedy_decode(self, features, first_token, max_len=32):
-        """Greedy token ids after first_token, stopping at eos or after max_len
-        steps. The decoder has no self-attention, so each step computes one
-        new row rather than rerunning the prefix, and off the autodiff tape."""
+        """Greedy token ids after first_token for one utterance's (T, feature_dim)
+        log-mels, pooled here, up to eos or max_len steps. With no self-attention,
+        each step computes one new row off the autodiff tape, not the prefix."""
         self._check_prefix([first_token])
-        enc = self.encode([features]).values
+        enc = self.encode([pool4(self._checked(features))]).values
         positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
         out, token = [], first_token
         for k in range(max_len):

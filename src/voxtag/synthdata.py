@@ -13,7 +13,7 @@ from .audio import Waveform, harmonic_rows, read_wav, write_wav
 from .dsp import logmel_features
 from .errors import InvalidSpec, MalformedHeader, tsv_records
 from .evaluation import GenderEvalEntry
-from .model import Vocabulary
+from . import model
 from .perturb import PerturbConfig, SpeakerGender, sample_target_median
 
 # Two-peak spectral envelopes per gender, picked so the 1.2x / 0.8x formant
@@ -76,8 +76,8 @@ def grammar_tokens():
     return sorted(NEUTRAL_TOKENS) + sorted(forms)
 
 
-def build_vocabulary() -> Vocabulary:
-    return Vocabulary(grammar_tokens())
+def build_vocabulary() -> model.Vocabulary:
+    return model.Vocabulary(grammar_tokens())
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,11 @@ class Utterance:
         audio of an utterance is not changed after that: a new waveform makes
         a new utterance, `dataclasses.replace(utt, waveform=w)`."""
         return logmel_features(self.waveform).frames
+
+    @functools.cached_property
+    def pooled(self):
+        """The encoder's input rows, model.pool4 of the features, cached like them."""
+        return model.pool4(self.features)
 
 
 BIGRAM_BRANCHING = 3

@@ -46,6 +46,12 @@ class TrainConfig:
             raise ConfigInvalid("warmup_updates must not exceed total_updates")
         if min(self.warmup_updates, self.total_updates, self.batch_size) <= 0:
             raise ConfigInvalid("updates and batch size must be positive")
+        if not self.lr_peak > 0:
+            raise ConfigInvalid(f"lr_peak must be positive, got {self.lr_peak}")
+        if self.checkpoint_interval < 0:
+            raise ConfigInvalid(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
+        if self.average_last < 1:
+            raise ConfigInvalid(f"average_last must be at least 1, got {self.average_last}")
         if self.average_last > self.total_updates // self.interval:
             raise ConfigInvalid("average_last exceeds the number of saved checkpoints")
 
@@ -104,9 +110,9 @@ class Adam:
 def _translation_loss(model, batch, vocab):
     """One graph over a batch of utterances: the stacked encoder output, its
     rows per utterance, and the mean translation loss over the batch."""
-    feats = [utt.features for utt in batch]
-    enc = model.encode(feats)
-    frames = mdl.pooled_frames(feats)
+    pooled = [utt.pooled for utt in batch]
+    enc = model.encode(pooled)
+    frames = [len(rows) for rows in pooled]
     targets = [vocab.encode(utt.target_tokens) + [mdl.EOS_ID] for utt in batch]
     prefixes = [[mdl.start_token(model.cfg.mode, utt.gender)] + t[:-1]
                 for utt, t in zip(batch, targets)]
@@ -224,7 +230,7 @@ def probe_discriminator(model, held_out, seed=0) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        encs = [model.encode([utt.features]).values for utt in split]
+        encs = [model.encode([utt.pooled]).values for utt in split]
         labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
         P = mdl.pooling_matrix([len(enc) for enc in encs])
         return np.concatenate(encs, axis=0), P, np.array(labels)

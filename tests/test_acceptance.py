@@ -172,7 +172,7 @@ def test_criterion_02_gradient_checks():
     def losses(m):
         tl, dl = ad.Tensor(0.0), ad.Tensor(0.0)
         for f, pre, tgt, g in zip(feats, prefixes, targets, genders):
-            enc = m.encode([f])
+            enc = m.encode([mdl.pool4(f)])
             rows = [enc.shape[0]]
             tl = ad.add(tl, mdl.sequence_loss(m.decode_all(enc, [pre], rows), [tgt], 0.1))
             dl = ad.add(dl, mdl.weighted_disc_loss(m.discriminate(enc, lam, rows),

@@ -109,6 +109,59 @@ def test_embedding_gradient_accumulates_repeated_ids():
     assert np.array_equal(table.grad, expected)
 
 
+def _embedding_grad_add_at(shape, ids, g):
+    """Reference embedding backward: rows scattered with np.add.at."""
+    gt = np.zeros(shape)
+    np.add.at(gt, ids, g)
+    return gt
+
+
+@pytest.mark.parametrize("ids", [
+    [1, 1, 3],
+    [4, 0, 4, 2, 0, 4, 4, 1],
+    [3, 2, 1, 0, 2, 3, 3, 0, 2],
+    list(np.random.default_rng(31).integers(0, 5, size=200)),
+])
+def test_embedding_backward_matches_add_at_bitwise(ids):
+    """Repeated ids, ids in unsorted order, and row 5 that no id reads, with
+    a random g whose magnitudes span 16 decades, so that summing a bin in any
+    other order than the ids' would round differently."""
+    rng = np.random.default_rng(len(ids))
+    ids = np.array(ids)
+    table = ad.Tensor(rng.normal(size=(6, 7)), requires_grad=True)
+    g = rng.normal(size=(len(ids), 7)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 7))
+    ad.backward(ad.sum_(ad.mul(ad.embedding(table, ids), g)))
+    expected = _embedding_grad_add_at(table.shape, ids, g)
+    assert table.grad.tobytes() == expected.tobytes()
+    assert not expected[5].any()
+
+
+def test_leaves_fed_by_one_add_get_separate_gradients():
+    """Two same-shape leaves summed by one add both receive the add's upstream
+    gradient g. A second backward without zero_grad gives each exactly 2g, and
+    one leaf's accumulation never changes the other's grad."""
+    rng = np.random.default_rng(22)
+    a = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    g = rng.normal(size=(3, 4))
+
+    def loss():
+        return ad.sum_(ad.mul(ad.add(a, b), g))
+
+    ad.backward(loss())
+    assert np.array_equal(a.grad, g) and np.array_equal(b.grad, g)
+    a.accumulate(g)
+    assert np.array_equal(a.grad, 2 * g) and np.array_equal(b.grad, g)
+    b.accumulate(g)
+    assert np.array_equal(a.grad, 2 * g) and np.array_equal(b.grad, 2 * g)
+
+    a.zero_grad()
+    b.zero_grad()
+    ad.backward(loss())
+    ad.backward(loss())
+    assert np.array_equal(a.grad, 2 * g) and np.array_equal(b.grad, 2 * g)
+
+
 def test_mean_axis_gradient():
     rng = np.random.default_rng(4)
     check_grad(lambda x: ad.sum_(ad.tanh(ad.mean(x, axis=0))),

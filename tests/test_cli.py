@@ -144,6 +144,12 @@ def test_unreadable_config_names_the_file(tmp_path, capsys, body, message):
     (["perturb", "--manifest", "m.tsv"], {"p": "x"}, "config key p must be of type float, got 'x'"),
     (["train", "--manifest", "m.tsv"], {"mode": 1}, "config key mode must be of type str, got 1"),
     (["train", "--manifest", "m.tsv"], {"use_grl": 1}, "config key use_grl must be of type bool, got 1"),
+    (["train", "--manifest", "m.tsv"], {"average_last": 0}, "average_last must be at least 1, got 0"),
+    (["train", "--manifest", "m.tsv"], {"average_last": -3}, "average_last must be at least 1, got -3"),
+    (["train", "--manifest", "m.tsv"], {"checkpoint_interval": -5},
+     "checkpoint_interval must be >= 0, got -5"),
+    (["train", "--manifest", "m.tsv"], {"lr_peak": 0.0}, "lr_peak must be positive, got 0.0"),
+    (["train", "--manifest", "m.tsv"], {"lr_peak": -1.0}, "lr_peak must be positive, got -1.0"),
 ])
 def test_config_value_of_wrong_type_or_missing_is_invalid(tmp_path, capsys, argv, body, message):
     cfg = tmp_path / "c.json"

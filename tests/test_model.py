@@ -37,9 +37,9 @@ def test_vocabulary_reserved_ids():
 
 
 def test_encode_output_length(small_model):
-    enc = small_model.encode([np.zeros((98, 80))])
+    enc = small_model.encode([M.pool4(np.zeros((98, 80)))])
     assert enc.shape == (25, 16)
-    assert small_model.encode([np.zeros((4, 80))]).shape == (1, 16)
+    assert small_model.encode([M.pool4(np.zeros((4, 80)))]).shape == (1, 16)
 
 
 def test_encode_rejects_wrong_width(small_model):
@@ -48,7 +48,7 @@ def test_encode_rejects_wrong_width(small_model):
 
 
 def test_decode_all_is_deterministic_distribution(small_model):
-    enc = small_model.encode([np.random.default_rng(1).normal(size=(20, 80))])
+    enc = small_model.encode([M.pool4(np.random.default_rng(1).normal(size=(20, 80)))])
     logits = small_model.decode_all(enc, [[M.TAG_F_ID, 6, 7]], [enc.shape[0]])
     dist = ad.softmax(ad.Tensor(logits.values[-1]), axis=-1)
     assert abs(dist.values.sum() - 1.0) < 1e-9
@@ -58,7 +58,7 @@ def test_decode_all_is_deterministic_distribution(small_model):
 
 
 def test_decode_all_prefix_validation(small_model):
-    enc = small_model.encode([np.zeros((8, 80))])
+    enc = small_model.encode([M.pool4(np.zeros((8, 80)))])
     with pytest.raises(EmptyPrefix):
         small_model.decode_all(enc, [[]], [enc.shape[0]])
     with pytest.raises(UnknownToken):
@@ -70,7 +70,7 @@ def test_decode_all_prefix_validation(small_model):
 def _greedy_decode_rerun(model, features, first_token, max_len):
     """Reference greedy decode: every step reruns decode_all over the whole
     prefix and takes the argmax of the softmax of its last row."""
-    enc = model.encode([features])
+    enc = model.encode([M.pool4(features)])
     prefix = [first_token]
     for _ in range(max_len):
         last = model.decode_all(enc, [prefix], [enc.shape[0]]).values[-1]
@@ -114,7 +114,7 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
             # The tokens greedy_decode's steps read: first_token and every
             # emitted token except a 32nd, which no step reads.
             prefix = ([first_token] + model.greedy_decode(feats, first_token))[:32]
-            enc = model.encode([feats])
+            enc = model.encode([M.pool4(feats)])
             rows = model.decode_all(enc, [prefix], [enc.shape[0]]).values
             for k, token in enumerate(prefix):
                 step = model._next_logits(enc.values, first_token, token, table[k])
@@ -128,6 +128,16 @@ def test_greedy_decode_validates_inputs(small_model):
         small_model.greedy_decode(np.zeros((8, 80)), 999)
     with pytest.raises(ShapeMismatch):
         small_model.greedy_decode(np.zeros((8, 40)), M.TAG_F_ID)
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 80, 1), ()])
+def test_wrong_rank_input_is_a_shape_mismatch(small_model, shape):
+    """greedy_decode checks its features before pooling them, and encode its
+    rows, so input of the wrong rank never reaches numpy's indexing."""
+    with pytest.raises(ShapeMismatch):
+        small_model.greedy_decode(np.zeros(shape), M.TAG_F_ID)
+    with pytest.raises(ShapeMismatch):
+        small_model.encode([np.zeros(shape)])
 
 
 def test_target_forcing():
@@ -151,7 +161,7 @@ def test_discriminator_constant_input_pooling(small_model):
 
 def test_grl_blocks_encoder_gradient_at_lambda_zero(small_model):
     small_model.zero_grad()
-    enc = small_model.encode([np.random.default_rng(3).normal(size=(12, 80))])
+    enc = small_model.encode([M.pool4(np.random.default_rng(3).normal(size=(12, 80)))])
     loss = M.weighted_disc_loss(small_model.discriminate(enc, 0.0, [enc.shape[0]]),
                                 [SpeakerGender.F], M.ClassWeights(1.0, 1.0))
     ad.backward(loss)
@@ -165,7 +175,7 @@ def test_grl_flips_and_scales_encoder_gradient(small_model):
     grads = {}
     for lam in (0.5, 1.0):
         small_model.zero_grad()
-        enc = small_model.encode([feats])
+        enc = small_model.encode([M.pool4(feats)])
         loss = M.weighted_disc_loss(small_model.discriminate(enc, lam, [enc.shape[0]]),
                                     [SpeakerGender.M], M.ClassWeights(1.0, 1.0))
         ad.backward(loss)
@@ -253,7 +263,7 @@ def test_end_to_end_gradient_matches_finite_differences(small_model):
     def losses(m):
         tl_total, dl_total = ad.Tensor(0.0), ad.Tensor(0.0)
         for f, pre, tgt, g in zip(feats, prefixes, targets, genders):
-            enc = m.encode([f])
+            enc = m.encode([M.pool4(f)])
             rows = [enc.shape[0]]
             tl_total = ad.add(tl_total,
                               M.sequence_loss(m.decode_all(enc, [pre], rows), [tgt], 0.1))
@@ -309,8 +319,8 @@ def test_model_save_load_roundtrip(tmp_path, small_model):
     assert loaded.cfg == small_model.cfg
     assert loaded.vocab.tokens == small_model.vocab.tokens
     feats = np.random.default_rng(9).normal(size=(16, 80))
-    a = small_model.decode_all(small_model.encode([feats]), [[M.TAG_M_ID, 5]], [4])
-    b = loaded.decode_all(loaded.encode([feats]), [[M.TAG_M_ID, 5]], [4])
+    a = small_model.decode_all(small_model.encode([M.pool4(feats)]), [[M.TAG_M_ID, 5]], [4])
+    b = loaded.decode_all(loaded.encode([M.pool4(feats)]), [[M.TAG_M_ID, 5]], [4])
     assert np.array_equal(a.values, b.values)
     assert loaded.greedy_decode(feats, M.TAG_M_ID) == small_model.greedy_decode(feats, M.TAG_M_ID)
 
@@ -378,8 +388,9 @@ def test_batched_graph_equals_mean_of_utterance_graphs(small_model, B, use_grl):
 
     def update(feats, prefixes, targets, genders):
         small_model.zero_grad()
-        enc = small_model.encode(feats)
-        rows = M.pooled_frames(feats)
+        pooled = [M.pool4(f) for f in feats]
+        enc = small_model.encode(pooled)
+        rows = [len(p) for p in pooled]
         tl = M.sequence_loss(small_model.decode_all(enc, prefixes, rows), targets, 0.1)
         dl = M.weighted_disc_loss(small_model.discriminate(enc, lam, rows), genders,
                                   weights) if use_grl else None

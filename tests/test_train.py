@@ -40,6 +40,11 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigInvalid):
         TrainConfig(total_updates=100, average_last=20)
+    for kw, key in (({"average_last": 0}, "average_last"), ({"average_last": -3}, "average_last"),
+                    ({"checkpoint_interval": -5}, "checkpoint_interval"),
+                    ({"lr_peak": 0.0}, "lr_peak"), ({"lr_peak": -1.0}, "lr_peak")):
+        with pytest.raises(ConfigInvalid, match=f"^{key} must be"):
+            TrainConfig(**kw)
 
 
 def test_default_lambda_is_fixed_and_harder_from_init(tiny_corpus, tmp_path):
@@ -171,12 +176,13 @@ def test_perturbation_redrawn_each_epoch(tiny_corpus, monkeypatch):
 
 
 def test_manipulated_utterances_train_on_perturbed_features(monkeypatch):
-    """Every feature matrix the encoder sees is the log-mel of the waveform
+    """Every row matrix the encoder sees is the pooled log-mel of the waveform
     that utterance trains on: the returned one when apply_opposite
     manipulated it, the clean one otherwise."""
     from voxtag import train as train_mod
     from voxtag.audio import Waveform
     from voxtag.dsp import logmel_features
+    from voxtag.model import pool4
     corpus, _ = generate_corpus(SynthSpec(n_utterances=16, seed=9))
     n_val = 2  # the held-out head of a 16-utterance corpus, never perturbed
     manipulate = {id(u.waveform): u.id for u in corpus[n_val::2]}
@@ -192,17 +198,17 @@ def test_manipulated_utterances_train_on_perturbed_features(monkeypatch):
     seen = []
     encode = TranslationModel.encode
 
-    def recording_encode(self, features):
-        seen.extend(features)
-        return encode(self, features)
+    def recording_encode(self, pooled):
+        seen.extend(pooled)
+        return encode(self, pooled)
 
     monkeypatch.setattr(train_mod, "apply_opposite", fake)
     monkeypatch.setattr(TranslationModel, "encode", recording_encode)
     cfg = tiny_cfg(total_updates=12, batch_size=4, perturb=PerturbConfig(p=1.0))
     train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
 
-    expected = {u.id: logmel_features(u.waveform).frames for u in corpus}
-    expected.update({uid: logmel_features(w).frames for uid, w in returned.items()})
+    expected = {u.id: pool4(logmel_features(u.waveform).frames) for u in corpus}
+    expected.update({uid: pool4(logmel_features(w).frames) for uid, w in returned.items()})
     assert set(returned) == set(manipulate.values())
     used = set()
     for f in seen:
@@ -281,7 +287,7 @@ def test_chunked_val_loss_is_mean_of_utterance_losses(tiny_corpus, batch_size):
     for utt in tiny_corpus:
         targets = vocab.encode(utt.target_tokens) + [mdl.EOS_ID]
         tag = mdl.TAG_F_ID if utt.gender is SpeakerGender.F else mdl.TAG_M_ID
-        enc = model.encode([utt.features])
+        enc = model.encode([utt.pooled])
         loss = mdl.sequence_loss(model.decode_all(enc, [[tag] + targets[:-1]], [enc.shape[0]]),
                                  [targets], model.cfg.label_smoothing)
         per_utt.append(loss.values.item())
@@ -337,3 +343,51 @@ def test_perturbed_training_is_identical_with_warm_f0_contours(tmp_path):
     warm = run(corpus, "warm")
     fresh = run(generate_corpus(spec)[0], "fresh")
     assert cold == warm == fresh
+
+
+def _count_pooled(monkeypatch):
+    """Wrap model.pool4; return the list of the feature arrays it pools. The
+    list keeps each array alive, so no two entries can share an id."""
+    from voxtag import model as mdl
+    pooled, pool4 = [], mdl.pool4
+
+    def counting_pool4(features):
+        pooled.append(features)
+        return pool4(features)
+
+    monkeypatch.setattr(mdl, "pool4", counting_pool4)
+    return pooled
+
+
+def test_training_pools_each_utterance_once(monkeypatch):
+    """A 30-update run pools each utterance's log-mels exactly once, the
+    validation head's included, although every utterance is read in ten
+    epochs and the head in eleven validation passes."""
+    corpus, _ = generate_corpus(SynthSpec(n_utterances=24, seed=9))
+    pooled = _count_pooled(monkeypatch)
+    train_loop(corpus, ModelConfig(mode="multi_gender"), tiny_cfg(total_updates=30, batch_size=8))
+    assert sorted(map(id, pooled)) == sorted(id(u.features) for u in corpus)
+
+
+def test_perturbed_training_pools_each_manipulated_copy_once(monkeypatch):
+    """With perturbation each epoch's manipulated copy is a new utterance: it
+    is pooled once, and so is each utterance that is read unmanipulated."""
+    from voxtag import train as train_mod
+    corpus, _ = generate_corpus(SynthSpec(n_utterances=24, seed=9))
+    manipulated, clean = [], {id(u.waveform) for u in corpus[:2]}  # the validation head
+    apply_opposite = train_mod.apply_opposite
+
+    def recording_apply_opposite(w, gender, cfg, rng):
+        out, changed = apply_opposite(w, gender, cfg, rng)
+        if changed:
+            manipulated.append(out)
+        else:
+            clean.add(id(w))
+        return out, changed
+
+    monkeypatch.setattr(train_mod, "apply_opposite", recording_apply_opposite)
+    pooled = _count_pooled(monkeypatch)
+    cfg = tiny_cfg(total_updates=30, batch_size=8, perturb=PerturbConfig(p=0.5))
+    train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
+    assert len(manipulated) > 0
+    assert len(set(map(id, pooled))) == len(pooled) == len(clean) + len(manipulated)

@@ -21,5 +21,5 @@ for utt in corpus[:4]:
     print(f"\n{utt.id} (speaker {utt.gender.value}): "
           f"reference = {' '.join(utt.target_tokens)}")
     for tag, name in ((TAG_F_ID, "tag F"), (TAG_M_ID, "tag M")):
-        hyp = vocab.decode(model.greedy_decode(utt.features, tag, max_len=16))
+        hyp = vocab.decode(model.greedy_decode(utt.pooled, tag, max_len=16))
         print(f"  {name}: {' '.join(hyp)}")

@@ -271,8 +271,14 @@ class LambdaSchedule:
     fixed_lambda: Optional[float] = None
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.total_updates <= 0:
-            raise ValueError("gamma and total_updates must be positive")
+        # a NaN fails every comparison, so these reject it as well
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        if self.total_updates <= 0:
+            raise ValueError(f"total_updates must be positive, got {self.total_updates}")
+        if self.fixed_lambda is not None and not 0 <= self.fixed_lambda < math.inf:
+            raise ValueError(f"fixed_lambda must be finite and not negative, "
+                             f"got {self.fixed_lambda}")
 
 
 def lambda_at(schedule: LambdaSchedule, updates_done: int) -> float:

@@ -214,6 +214,18 @@ def logmel_features(w: Waveform) -> FeatureMatrix:
     return FeatureMatrix(apply_cmvn_(logmel))
 
 
+def harmonic_windows(n_bins, bin_hz, f0):
+    """Peak-search windows around the harmonics k*f0 below the top bin: an
+    index matrix (row k - 1 for harmonic k) and a mask of the positions inside
+    [max(1, c - half), min(n_bins, c + half + 1)) for centre bin c."""
+    half = max(2, int(0.4 * f0 / bin_hz))
+    centers = []
+    while (c := int(round((len(centers) + 1) * f0 / bin_hz))) < n_bins - 1:
+        centers.append(c)
+    idx = np.array(centers, dtype=int)[:, None] + np.arange(-half, half + 1)
+    return np.clip(idx, 0, n_bins - 1), (idx >= 1) & (idx < n_bins)
+
+
 def envelope_peak_hz(w: Waveform, f0):
     """Frequency of the spectral-envelope maximum of a signal with fundamental
     f0, within [ENVELOPE_LO_HZ, ENVELOPE_HI_HZ].
@@ -229,20 +241,17 @@ def envelope_peak_hz(w: Waveform, f0):
         x = np.pad(x, (0, n_fft - len(x)))
     spec = np.abs(np.fft.rfft(x[:n_fft] * np.hanning(n_fft)))
     freqs = np.fft.rfftfreq(n_fft, 1.0 / w.sample_rate)
-    bin_hz = freqs[1]
 
-    ks = np.arange(max(1, int(np.ceil(ENVELOPE_LO_HZ / f0))), int(ENVELOPE_HI_HZ / f0) + 1)
-    if len(ks) == 0:
+    idx, inside = harmonic_windows(len(spec), freqs[1], f0)
+    band = slice(max(1, int(np.ceil(ENVELOPE_LO_HZ / f0))) - 1, int(ENVELOPE_HI_HZ / f0))
+    idx, inside = idx[band], inside[band]
+    if len(idx) == 0:
         raise ValueError("no harmonic inside the search band")
-    amps, hzs = [], []
-    for k in ks:
-        center = int(round(k * f0 / bin_hz))
-        half = max(2, int(0.4 * f0 / bin_hz))
-        seg = spec[max(0, center - half):center + half + 1]
-        j = int(np.argmax(seg)) + max(0, center - half)
-        amps.append(max(spec[j], 1e-20))
-        hzs.append(freqs[j])
-    amps = np.log(np.array(amps))
+    # positions outside a window read -inf, so argmax returns the first
+    # maximum inside it
+    peaks = idx[np.arange(len(idx)), np.where(inside, spec[idx], -np.inf).argmax(axis=1)]
+    amps = np.log(np.maximum(spec[peaks], 1e-20))
+    hzs = freqs[peaks]
     i = int(np.argmax(amps))
     if 0 < i < len(amps) - 1:
         pos = _parabolic_peak(amps[None], np.array([i]))[0]

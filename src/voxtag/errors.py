@@ -90,10 +90,6 @@ class MissingHypothesis(VoxtagError):
     pass
 
 
-class WrongMode(VoxtagError):
-    pass
-
-
 class LengthMismatch(VoxtagError):
     pass
 

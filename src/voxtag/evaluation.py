@@ -7,8 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, WrongMode,
-                     tsv_records)
+from .errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, tsv_records
 from .model import start_token
 from .perturb import SpeakerGender
 
@@ -100,17 +99,17 @@ def tag_inversion_eval(model, corpus, entries):
 
     Returns four reports keyed 1F, 1M (tag matches the speaker) and
     1F-tagM, 1M-tagF (inverted tag). In the inverted buckets the tag defines
-    correctness, so scoring flips each entry's correct/wrong forms.
+    correctness, so scoring flips each entry's correct/wrong forms. Each
+    tag's first token is start_token's, so a gender_unaware model starts both
+    decodes at bos and its matched and inverted hypotheses are equal.
     """
-    if model.cfg.mode != "multi_gender":
-        raise WrongMode(f"tag inversion needs a multi_gender model, got {model.cfg.mode}")
     buckets = {"1F": [], "1M": [], "1F-tagM": [], "1M-tagF": []}
     hyps = {key: {} for key in buckets}
     matched_hyps = {}
     for utt, entry in zip(corpus, entries_for(corpus, entries)):
         for tag_gender in (SpeakerGender.F, SpeakerGender.M):
             tag = start_token(model.cfg.mode, tag_gender)
-            ids = model.greedy_decode(utt.features, tag, max_len=DECODE_MAX_LEN)
+            ids = model.greedy_decode(utt.pooled, tag, max_len=DECODE_MAX_LEN)
             tokens = model.vocab.decode(ids)
             matched = tag_gender is utt.gender
             if matched:

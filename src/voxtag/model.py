@@ -267,12 +267,13 @@ class TranslationModel:
         hid = np.where(hid > 0, hid, 0.0)
         return hid @ p["dec.out_w"].values + p["dec.out_b"].values
 
-    def greedy_decode(self, features, first_token, max_len=32):
-        """Greedy token ids after first_token for one utterance's (T, feature_dim)
-        log-mels, pooled here, up to eos or max_len steps. With no self-attention,
-        each step computes one new row off the autodiff tape, not the prefix."""
+    def greedy_decode(self, pooled, first_token, max_len=32):
+        """Greedy token ids after first_token for one utterance's pool4 rows,
+        the input encode takes, up to eos or max_len steps. With no
+        self-attention, each step computes one new row off the autodiff tape,
+        not the prefix."""
         self._check_prefix([first_token])
-        enc = self.encode([pool4(self._checked(features))]).values
+        enc = self.encode([pooled]).values
         positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
         out, token = [], first_token
         for k in range(max_len):

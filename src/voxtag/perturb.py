@@ -9,7 +9,8 @@ from typing import ClassVar
 import numpy as np
 
 from .audio import Waveform
-from .dsp import FRAME_BLOCK, RMS_GATE, estimate_f0_contour, frame_matrix, voiced_median
+from .dsp import (FRAME_BLOCK, RMS_GATE, estimate_f0_contour, frame_matrix, harmonic_windows,
+                  voiced_median)
 from .errors import AllUnvoiced, OutOfRangeFactor, TooShort, ZeroSourceMedian
 
 
@@ -143,21 +144,9 @@ def _psola(x, sr, contour, alpha):
     return out
 
 
-def _harmonic_windows(n_bins, bin_hz, f0):
-    """Peak-search windows around the harmonics k*f0 below the top bin: an
-    index matrix (one row per harmonic) and a mask of the positions inside
-    [max(1, c - half), min(n_bins, c + half + 1)) for centre bin c."""
-    half = max(2, int(0.4 * f0 / bin_hz))
-    centers = []
-    while (c := int(round((len(centers) + 1) * f0 / bin_hz))) < n_bins - 1:
-        centers.append(c)
-    idx = np.array(centers, dtype=int)[:, None] + np.arange(-half, half + 1)
-    return np.clip(idx, 0, n_bins - 1), (idx >= 1) & (idx < n_bins)
-
-
 def _harmonic_envelope(mag, bin_hz, windows):
     """Log-linear envelope through the harmonic peak amplitudes of each frame
-    (row) of mag, searching the harmonic windows of _harmonic_windows."""
+    (row) of mag, searching the harmonic windows of dsp.harmonic_windows."""
     n_bins = mag.shape[1]
     idx, inside = windows
     if len(idx) < 2:
@@ -191,7 +180,7 @@ def _formant_warp(x, scale, sr, f0):
     pad = n_fft
     xp = np.pad(x, (pad, pad))
     bin_hz = sr / n_fft
-    windows = _harmonic_windows(n_fft // 2 + 1, bin_hz, f0)
+    windows = harmonic_windows(n_fft // 2 + 1, bin_hz, f0)
     frames = frame_matrix(xp, n_fft, hop)
     warped = np.empty(frames.shape)
 

@@ -108,16 +108,12 @@ class Utterance:
     waveform: Waveform
 
     @functools.cached_property
-    def features(self):
-        """(T, 80) log-mels of the waveform, computed on first read. The
-        audio of an utterance is not changed after that: a new waveform makes
-        a new utterance, `dataclasses.replace(utt, waveform=w)`."""
-        return logmel_features(self.waveform).frames
-
-    @functools.cached_property
     def pooled(self):
-        """The encoder's input rows, model.pool4 of the features, cached like them."""
-        return model.pool4(self.features)
+        """The encoder's input rows, model.pool4 of the waveform's (T, 80)
+        log-mels, computed on first read. The audio of an utterance is not
+        changed after that: a new waveform makes a new utterance,
+        `dataclasses.replace(utt, waveform=w)`."""
+        return model.pool4(logmel_features(self.waveform).frames)
 
 
 BIGRAM_BRANCHING = 3

@@ -221,6 +221,28 @@ def test_lambda_schedule_fixed_override_and_range_check():
         ad.lambda_at(sched, -1)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"gamma": 0.0}, "gamma"),
+    ({"gamma": -1.0}, "gamma"),
+    ({"gamma": float("nan")}, "gamma"),
+    ({"gamma": float("inf")}, "gamma"),
+    ({"total_updates": 0}, "total_updates"),
+    ({"fixed_lambda": -1.0}, "fixed_lambda"),
+    ({"fixed_lambda": float("nan")}, "fixed_lambda"),
+    ({"fixed_lambda": float("inf")}, "fixed_lambda"),
+])
+def test_lambda_schedule_rejects_invalid_fields(kwargs, field):
+    """A schedule that lambda_at would turn into a negative or non-finite
+    lambda is rejected on construction, naming the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ad.LambdaSchedule(**{"total_updates": 10, **kwargs})
+
+
+def test_lambda_schedule_accepts_zero_and_positive_fixed_lambda():
+    for lam in (0.0, 0.5, 10.0):
+        assert ad.lambda_at(ad.LambdaSchedule(total_updates=10, fixed_lambda=lam), 3) == lam
+
+
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     params = {"enc.w": rng.normal(size=(3, 4)), "enc.b": rng.normal(size=4),

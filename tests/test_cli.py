@@ -45,6 +45,12 @@ def test_schedule_prints_checkpoint_steps(capsys):
     assert lambdas == sorted(lambdas)
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_schedule_rejects_invalid_gamma(capsys, gamma):
+    code, out, err = run(capsys, "schedule", "--gamma", gamma, "--total", "10", "--at", "3")
+    assert code == 1 and out == "" and "gamma must be" in err
+
+
 def test_help_exits_zero(capsys):
     for sub in ("synth-data", "perturb", "train", "average-ckpt",
                 "evaluate", "probe", "schedule", "class-weights"):
@@ -269,6 +275,27 @@ def test_average_ckpt(workspace, capsys):
     for name in avg:
         np.testing.assert_allclose(avg[name],
                                    np.mean([s[name] for s in states], axis=0))
+
+
+def test_evaluate_scores_a_gender_unaware_checkpoint(workspace, capsys):
+    """A gender_unaware model starts both decodes at bos and is scored through
+    the same four buckets as a multi_gender one."""
+    from voxtag import model as M
+    from voxtag.synthdata import build_vocabulary
+    path = workspace / "unaware.vxck"
+    M.save_model(M.TranslationModel(build_vocabulary(), M.ModelConfig(mode="gender_unaware"),
+                                    seed=3), path)
+    code, out, _ = run(capsys, "evaluate", "--model", str(path),
+                       "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--eval-tsv", str(workspace / "corpus" / "eval.tsv"),
+                       "--out", str(workspace / "unaware.json"))
+    assert code == 0
+    doc = json.loads((workspace / "unaware.json").read_text(encoding="utf-8"))
+    buckets = ("1F", "1M", "1F-tagM", "1M-tagF")
+    assert set(doc) == {*buckets, "bleu"}
+    for key in buckets:
+        assert set(doc[key]) == {"total_terms", "found", "correct", "accuracy", "coverage"}
+    assert [line.split(":")[0] for line in out.splitlines()[:4]] == list(buckets)
 
 
 def test_evaluate_model_header_keys(workspace, capsys):

@@ -3,12 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from voxtag.errors import (InvalidSpec, LengthMismatch, MalformedHeader,
-                           MissingHypothesis, WrongMode)
+from voxtag.errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis
 from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
                                read_eval_tsv, tag_inversion_eval,
                                write_eval_tsv)
-from voxtag.model import ModelConfig, TranslationModel, Vocabulary
+from voxtag.model import BOS_ID, ModelConfig, TranslationModel
+from voxtag.perturb import SpeakerGender
+from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 
 
 def entry(uid, pairs, reference=("x",)):
@@ -160,8 +161,26 @@ def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
         read_eval_tsv(path)
 
 
-def test_tag_inversion_requires_multi_gender():
-    vocab = Vocabulary(["amata", "amato"])
-    model = TranslationModel(vocab, ModelConfig(mode="gender_unaware"), seed=0)
-    with pytest.raises(WrongMode):
-        tag_inversion_eval(model, [], [])
+def test_tag_inversion_scores_a_gender_unaware_model():
+    """Both of a gender_unaware model's decodes start at bos, so each
+    utterance's matched and inverted hypotheses are equal, and an inverted
+    bucket finds the same terms as its matched one."""
+    corpus, entries = generate_corpus(SynthSpec(n_utterances=6, gender_split=0.5, seed=3))
+    assert {u.gender for u in corpus} == {SpeakerGender.F, SpeakerGender.M}
+    model = TranslationModel(build_vocabulary(), ModelConfig(mode="gender_unaware"), seed=0)
+    decodes = []
+    greedy_decode = model.greedy_decode
+
+    def recording_greedy_decode(pooled, first_token, max_len):
+        ids = greedy_decode(pooled, first_token, max_len=max_len)
+        decodes.append((first_token, ids))
+        return ids
+
+    model.greedy_decode = recording_greedy_decode
+    reports, matched = tag_inversion_eval(model, corpus, entries)
+    assert [tag for tag, _ in decodes] == [BOS_ID] * 2 * len(corpus)
+    assert all(decodes[2 * i][1] == decodes[2 * i + 1][1] for i in range(len(corpus)))
+    assert set(matched) == {u.id for u in corpus}
+    for same, inverted in (("1F", "1F-tagM"), ("1M", "1M-tagF")):
+        assert reports[same].total_terms == reports[inverted].total_terms > 0
+        assert reports[same].found == reports[inverted].found

@@ -99,7 +99,7 @@ def test_greedy_decode_matches_prefix_rerun(small_model, eos_model, max_len):
     for model in (small_model, eos_model):
         for f in feats:
             for first_token in (M.TAG_F_ID, M.TAG_M_ID, M.BOS_ID):
-                ids = model.greedy_decode(f, first_token, max_len=max_len)
+                ids = model.greedy_decode(M.pool4(f), first_token, max_len=max_len)
                 assert ids == _greedy_decode_rerun(model, f, first_token, max_len)
                 stopped_at_eos.add(len(ids) < max_len)
     assert stopped_at_eos == ({True, False} if max_len == 32 else {False})
@@ -113,7 +113,7 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
             feats = rng.normal(size=(29, 80))
             # The tokens greedy_decode's steps read: first_token and every
             # emitted token except a 32nd, which no step reads.
-            prefix = ([first_token] + model.greedy_decode(feats, first_token))[:32]
+            prefix = ([first_token] + model.greedy_decode(M.pool4(feats), first_token))[:32]
             enc = model.encode([M.pool4(feats)])
             rows = model.decode_all(enc, [prefix], [enc.shape[0]]).values
             for k, token in enumerate(prefix):
@@ -123,17 +123,17 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
 
 def test_greedy_decode_validates_inputs(small_model):
     with pytest.raises(UnknownToken):
-        small_model.greedy_decode(np.zeros((8, 80)), 7)
+        small_model.greedy_decode(M.pool4(np.zeros((8, 80))), 7)
     with pytest.raises(UnknownToken):
-        small_model.greedy_decode(np.zeros((8, 80)), 999)
+        small_model.greedy_decode(M.pool4(np.zeros((8, 80))), 999)
     with pytest.raises(ShapeMismatch):
-        small_model.greedy_decode(np.zeros((8, 40)), M.TAG_F_ID)
+        small_model.greedy_decode(M.pool4(np.zeros((8, 40))), M.TAG_F_ID)
 
 
 @pytest.mark.parametrize("shape", [(8,), (8, 80, 1), ()])
 def test_wrong_rank_input_is_a_shape_mismatch(small_model, shape):
-    """greedy_decode checks its features before pooling them, and encode its
-    rows, so input of the wrong rank never reaches numpy's indexing."""
+    """greedy_decode hands its rows to encode, which checks them, so input of
+    the wrong rank never reaches numpy's indexing."""
     with pytest.raises(ShapeMismatch):
         small_model.greedy_decode(np.zeros(shape), M.TAG_F_ID)
     with pytest.raises(ShapeMismatch):
@@ -322,7 +322,8 @@ def test_model_save_load_roundtrip(tmp_path, small_model):
     a = small_model.decode_all(small_model.encode([M.pool4(feats)]), [[M.TAG_M_ID, 5]], [4])
     b = loaded.decode_all(loaded.encode([M.pool4(feats)]), [[M.TAG_M_ID, 5]], [4])
     assert np.array_equal(a.values, b.values)
-    assert loaded.greedy_decode(feats, M.TAG_M_ID) == small_model.greedy_decode(feats, M.TAG_M_ID)
+    rows = M.pool4(feats)
+    assert loaded.greedy_decode(rows, M.TAG_M_ID) == small_model.greedy_decode(rows, M.TAG_M_ID)
 
 
 def test_load_model_header_that_does_not_fit_names_the_file(tmp_path, small_model):

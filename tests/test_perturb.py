@@ -3,14 +3,14 @@ import pytest
 
 from voxtag import perturb
 from voxtag.audio import Waveform, synth_harmonic
-from voxtag.dsp import RMS_GATE, envelope_peak_hz, estimate_f0_contour, voiced_median
+from voxtag.dsp import (RMS_GATE, envelope_peak_hz, estimate_f0_contour, harmonic_windows,
+                        voiced_median)
 from voxtag.errors import OutOfRangeFactor, ZeroSourceMedian
 from voxtag.perturb import (
     PerturbConfig,
     SpeakerGender,
     _formant_warp,
     _harmonic_envelope,
-    _harmonic_windows,
     apply_opposite,
     compute_alpha,
     pitch_formant_shift,
@@ -286,7 +286,7 @@ def test_harmonic_envelope_matches_per_frame_loop(f0):
     # the last row peaks at bin 0, outside every window
     mag = rng.integers(0, 3, size=(5, 513)).astype(float)
     mag[-1, 0] = 10.0
-    got = _harmonic_envelope(mag, bin_hz, _harmonic_windows(513, bin_hz, f0))
+    got = _harmonic_envelope(mag, bin_hz, harmonic_windows(513, bin_hz, f0))
     want = [_loop_harmonic_envelope(row, bin_hz, f0) for row in mag]
     assert np.array_equal(got, want)
 

@@ -8,6 +8,7 @@ import pytest
 from voxtag.audio import Waveform, synth_harmonic
 from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
 from voxtag.errors import InvalidSpec, MalformedHeader
+from voxtag.model import pool4
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import (GENDERED_STEMS, M_PEAKS, MAX_GENDERED, MAX_LEN, MIN_LEN,
                               NEUTRAL_TOKENS, SAMPLE_RATE, SynthSpec, build_vocabulary,
@@ -163,16 +164,16 @@ def test_read_manifest_names_file_and_line(tmp_path, corpus, corrupt, message):
         read_manifest(path)
 
 
-def test_features_are_logmels_of_waveform_computed_once():
+def test_pooled_is_pool4_of_logmels_computed_once():
     utt = generate_corpus(SynthSpec(n_utterances=1, seed=4))[0][0]
-    first = utt.features
-    assert utt.features is first
-    np.testing.assert_array_equal(first, logmel_features(utt.waveform).frames)
+    first = utt.pooled
+    assert utt.pooled is first
+    np.testing.assert_array_equal(first, pool4(logmel_features(utt.waveform).frames))
     w2 = Waveform(utt.waveform.samples[::-1].copy(), utt.waveform.sample_rate)
     other = replace(utt, waveform=w2)
-    np.testing.assert_array_equal(other.features, logmel_features(w2).frames)
-    assert not np.array_equal(other.features, first)
-    assert utt.features is first
+    np.testing.assert_array_equal(other.pooled, pool4(logmel_features(w2).frames))
+    assert not np.array_equal(other.pooled, first)
+    assert utt.pooled is first
 
 
 def _reference_synth_harmonic(f0, formant_peaks, duration, sample_rate=16000):

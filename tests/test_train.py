@@ -220,8 +220,9 @@ def test_manipulated_utterances_train_on_perturbed_features(monkeypatch):
 
 def test_perturbed_training_leaves_caller_corpus_clean():
     """Perturbation makes new utterances: the caller's keep their waveform
-    objects and their features stay the clean log-mels."""
+    objects and their encoder input stays the pooled clean log-mels."""
     from voxtag.dsp import logmel_features
+    from voxtag.model import pool4
     corpus, _ = generate_corpus(SynthSpec(n_utterances=16, seed=9))
     waveforms = [u.waveform for u in corpus]
     samples = [u.waveform.samples.copy() for u in corpus]
@@ -230,7 +231,7 @@ def test_perturbed_training_leaves_caller_corpus_clean():
     for utt, w, x in zip(corpus, waveforms, samples):
         assert utt.waveform is w
         np.testing.assert_array_equal(utt.waveform.samples, x)
-        np.testing.assert_array_equal(utt.features, logmel_features(w).frames)
+        np.testing.assert_array_equal(utt.pooled, pool4(logmel_features(w).frames))
 
 
 def test_probe_requires_both_classes(tiny_corpus):
@@ -346,14 +347,14 @@ def test_perturbed_training_is_identical_with_warm_f0_contours(tmp_path):
 
 
 def _count_pooled(monkeypatch):
-    """Wrap model.pool4; return the list of the feature arrays it pools. The
+    """Wrap model.pool4; return the list of the row arrays it returns. The
     list keeps each array alive, so no two entries can share an id."""
     from voxtag import model as mdl
     pooled, pool4 = [], mdl.pool4
 
     def counting_pool4(features):
-        pooled.append(features)
-        return pool4(features)
+        pooled.append(pool4(features))
+        return pooled[-1]
 
     monkeypatch.setattr(mdl, "pool4", counting_pool4)
     return pooled
@@ -366,7 +367,7 @@ def test_training_pools_each_utterance_once(monkeypatch):
     corpus, _ = generate_corpus(SynthSpec(n_utterances=24, seed=9))
     pooled = _count_pooled(monkeypatch)
     train_loop(corpus, ModelConfig(mode="multi_gender"), tiny_cfg(total_updates=30, batch_size=8))
-    assert sorted(map(id, pooled)) == sorted(id(u.features) for u in corpus)
+    assert sorted(map(id, pooled)) == sorted(id(u.pooled) for u in corpus)
 
 
 def test_perturbed_training_pools_each_manipulated_copy_once(monkeypatch):

@@ -72,8 +72,11 @@ def read_wav(path) -> Waveform:
         raise UnsupportedEncoding(f"{path}: {bits} bits/sample, expected 16")
     if sample_rate == 0:
         raise MalformedHeader(f"{path}: sample rate 0")
+    if len(pcm_bytes) % 2:
+        raise MalformedHeader(f"{path}: data chunk of {len(pcm_bytes)} bytes "
+                              "is not a whole number of 16-bit samples")
 
-    ints = np.frombuffer(pcm_bytes[: len(pcm_bytes) // 2 * 2], dtype="<i2")
+    ints = np.frombuffer(pcm_bytes, dtype="<i2")
     return Waveform(ints.astype(np.float64) / PCM_SCALE, sample_rate)
 
 

@@ -1,12 +1,11 @@
 """Command-line entry point exposing the pipeline as subcommands: corpus
-synthesis, perturbation, training, checkpoint averaging, evaluation, probing,
-and small calculators for schedules and class weights."""
+synthesis, perturbation, training, checkpoint averaging, evaluation and
+probing. Flags are the only settings; each sets the config field it names."""
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -15,64 +14,19 @@ from . import evaluation as ev
 from . import model as mdl
 from . import synthdata as sd
 from . import train as tr
-from .autodiff import LambdaSchedule, lambda_at
-from .errors import ConfigInvalid, VoxtagError
+from .errors import VoxtagError
 from .perturb import PerturbConfig, apply_opposite
 
-_CONFIG_SECTIONS = (mdl.ModelConfig, tr.TrainConfig, PerturbConfig, sd.SynthSpec)
-_KNOWN_KEYS = {f.name for cls in _CONFIG_SECTIONS for f in fields(cls)}
-# TrainConfig fields that hold objects, which a flat JSON value cannot express;
-# --use-grl and --with-perturb set them up instead.
-_OBJECT_KEYS = {"grl_schedule", "perturb"}
 
-
-def load_run_config(path):
-    """Flat JSON document whose keys mirror the config dataclasses; unknown
-    keys and keys of object-valued fields are rejected before any work starts."""
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"{path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
-    objects = sorted(set(cfg) & _OBJECT_KEYS)
-    if objects:
-        raise ConfigInvalid(f"cannot set {', '.join(objects)} from a config file: "
-                            "only --use-grl and --with-perturb configure them")
-    return cfg
-
-
-def _section_kwargs(cfg, cls, overrides):
-    """Config-file values for one dataclass, with the non-None overrides that
-    name one of its fields winning over the file. The overrides are a
-    command's parsed flags, vars(args): each flag's dest is its config key.
-    A value of the wrong type (an int may stand for a float; a bool is never
-    a number) or a required field that neither gives is a ConfigInvalid
-    naming the key."""
-    types = {f.name: f.type for f in fields(cls)}
-    kwargs = {k: v for k, v in cfg.items() if k in types}
-    kwargs.update({k: v for k, v in overrides.items()
-                   if k in types and v is not None})
-    for key, value in kwargs.items():
-        kind = types[key]
-        if isinstance(value, bool) != (kind is bool) or \
-                not isinstance(value, (int, float) if kind is float else kind):
-            raise ConfigInvalid(f"config key {key} must be of type {kind.__name__}, got {value!r}")
-    for f in fields(cls):
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigInvalid(f"missing {f.name}: give it as a flag or a config key")
-    return kwargs
+def _section_kwargs(cls, flags):
+    """The given flags that name a field of the dataclass cls. The flags are a
+    command's parsed arguments, vars(args): each flag's dest is its field."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in flags.items() if k in names and v is not None}
 
 
 def cmd_synth_data(args):
-    cfg = load_run_config(args.config)
-    spec = sd.SynthSpec(**_section_kwargs(cfg, sd.SynthSpec, vars(args)))
+    spec = sd.SynthSpec(**_section_kwargs(sd.SynthSpec, vars(args)))
     utterances, entries = sd.generate_corpus(spec)
     os.makedirs(args.out, exist_ok=True)
     manifest = sd.write_manifest(utterances, args.out)
@@ -82,8 +36,7 @@ def cmd_synth_data(args):
 
 
 def cmd_perturb(args):
-    cfg = load_run_config(args.config)
-    pcfg = PerturbConfig(**_section_kwargs(cfg, PerturbConfig, vars(args)))
+    pcfg = PerturbConfig(**_section_kwargs(PerturbConfig, vars(args)))
     utterances = sd.read_manifest(args.manifest)
     n_changed = 0
     for i, utt in enumerate(utterances):
@@ -98,11 +51,11 @@ def cmd_perturb(args):
 
 
 def cmd_train(args):
-    cfg, flags = load_run_config(args.config), vars(args)
-    model_cfg = mdl.ModelConfig(**_section_kwargs(cfg, mdl.ModelConfig, flags))
-    train_kwargs = _section_kwargs(cfg, tr.TrainConfig, flags)
+    flags = vars(args)
+    model_cfg = mdl.ModelConfig(**_section_kwargs(mdl.ModelConfig, flags))
+    train_kwargs = _section_kwargs(tr.TrainConfig, flags)
     if args.with_perturb:
-        train_kwargs["perturb"] = PerturbConfig(**_section_kwargs(cfg, PerturbConfig, flags))
+        train_kwargs["perturb"] = PerturbConfig(**_section_kwargs(PerturbConfig, flags))
     train_cfg = tr.TrainConfig(**train_kwargs)
     utterances = sd.read_manifest(args.manifest)
     init = ad.load_checkpoint(args.init) if args.init else None
@@ -151,23 +104,6 @@ def cmd_probe(args):
     return 0
 
 
-def cmd_schedule(args):
-    schedule = LambdaSchedule(gamma=args.gamma, total_updates=args.total)
-    if args.at is not None:
-        print(f"lambda={lambda_at(schedule, args.at):.6f}")
-        return 0
-    interval = max(1, args.total // 10)
-    for step in range(interval, args.total + 1, interval):
-        print(f"step={step} lambda={lambda_at(schedule, step):.6f}")
-    return 0
-
-
-def cmd_class_weights(args):
-    weights = mdl.compute_class_weights(args.f, args.m)
-    print(f"w_f={weights.w_f:.4f} w_m={weights.w_m:.4f}")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="voxtag")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,24 +111,22 @@ def build_parser():
     def add(name, func, **common):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
-        if common.get("config"):
-            p.add_argument("--config", default=None)
         if common.get("seed"):
             p.add_argument("--seed", type=int, default=None)
         if common.get("out"):
             p.add_argument("--out", required=True)
         return p
 
-    p = add("synth-data", cmd_synth_data, config=True, seed=True, out=True)
-    p.add_argument("--n-utterances", type=int, default=None)
+    p = add("synth-data", cmd_synth_data, seed=True, out=True)
+    p.add_argument("--n-utterances", type=int, required=True)
     p.add_argument("--gender-split", type=float, default=None)
     p.add_argument("--token-duration", type=float, default=None)
 
-    p = add("perturb", cmd_perturb, config=True, seed=True, out=True)
+    p = add("perturb", cmd_perturb, seed=True, out=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--p", type=float, default=None)
 
-    p = add("train", cmd_train, config=True, seed=True, out=True)
+    p = add("train", cmd_train, seed=True, out=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", default=None, choices=mdl.MODES)
     p.add_argument("--init", default=None)
@@ -214,15 +148,6 @@ def build_parser():
     p = add("probe", cmd_probe, seed=True)
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-
-    p = add("schedule", cmd_schedule)
-    p.add_argument("--gamma", type=float, default=10.0)
-    p.add_argument("--total", type=int, required=True)
-    p.add_argument("--at", type=int, default=None)
-
-    p = add("class-weights", cmd_class_weights)
-    p.add_argument("--f", type=float, required=True)
-    p.add_argument("--m", type=float, required=True)
     return parser
 
 
@@ -237,7 +162,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (VoxtagError, ValueError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, FileExistsError, json.JSONDecodeError) as exc:
+            NotADirectoryError, FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -224,7 +224,7 @@ def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float) -> Wave
     # warp by formant_scale/alpha for a net envelope scale of formant_scale
     warp = formant_scale / alpha
     if abs(warp - 1.0) > 1e-9:
-        f0_out = alpha * float(np.median(contour.frame_hz[contour.frame_hz > 0]))
+        f0_out = alpha * voiced_median(contour)
         y = _formant_warp(y, warp, w.sample_rate, f0_out)
     peak = np.max(np.abs(y))
     if peak > 1.0:

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .autodiff import LambdaSchedule, average_checkpoints, lambda_at
-from .errors import ConfigInvalid, DivergedLoss, SingleClassData
+from .errors import ConfigInvalid, DivergedLoss, EmptyList, SingleClassData
 from .perturb import PerturbConfig, SpeakerGender, apply_opposite
 
 # share of the corpus, taken from its head, held out for validation
@@ -166,6 +166,9 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     n_val = max(2, int(round(HOLDOUT_FRACTION * len(corpus))))
     n_val = min(n_val, max(len(corpus) - train_cfg.batch_size, 1))
     val_set, train_set = corpus[:n_val], corpus[n_val:]
+    if not train_set:
+        raise EmptyList(f"a corpus of {len(corpus)} utterance(s) holds {len(val_set)} out "
+                        "for validation and leaves none to train on")
 
     n_f = sum(u.gender is SpeakerGender.F for u in train_set)
     f_f = min(max(n_f / len(train_set), 1e-3), 1 - 1e-3)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -128,3 +129,17 @@ def test_rejects_chunk_running_past_end_of_file(tmp_path):
     cut_path.write_bytes(blob[:-6])
     with pytest.raises(MalformedHeader, match="data"):
         read_wav(cut_path)
+
+
+@pytest.mark.parametrize("pad", [b"", b"\x00"], ids=["unpadded", "padded"])
+def test_rejects_odd_sized_data_chunk(tmp_path, pad):
+    """A 16-bit data chunk of an odd byte count holds a partial sample; it
+    fails closed, with or without its RIFF pad byte, and is never truncated."""
+    path = tmp_path / "w.wav"
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 1000), 16000), path)
+    blob = path.read_bytes()
+    assert blob[36:40] == b"data"
+    odd = tmp_path / "odd.wav"
+    odd.write_bytes(blob[:40] + struct.pack("<I", 1999) + blob[44:-1] + pad)
+    with pytest.raises(MalformedHeader, match=f"^{re.escape(str(odd))}: data chunk of 1999 bytes"):
+        read_wav(odd)

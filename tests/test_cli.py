@@ -17,43 +17,8 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_class_weights_example(capsys):
-    code, out, _ = run(capsys, "class-weights", "--f", "0.3", "--m", "0.7")
-    assert code == 0
-    assert out.strip() == "w_f=1.6667 w_m=0.7143"
-
-
-def test_class_weights_validation(capsys):
-    code, _, err = run(capsys, "class-weights", "--f", "0.0", "--m", "1.0")
-    assert code == 1 and "error" in err
-
-
-def test_schedule_at_zero(capsys):
-    code, out, _ = run(capsys, "schedule", "--gamma", "10", "--total", "2000",
-                       "--at", "0")
-    assert code == 0
-    assert float(out.strip().split("=")[1]) == 0.0
-
-
-def test_schedule_prints_checkpoint_steps(capsys):
-    code, out, _ = run(capsys, "schedule", "--gamma", "10", "--total", "100")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 10
-    assert lines[0].startswith("step=10 ")
-    lambdas = [float(l.split("lambda=")[1]) for l in lines]
-    assert lambdas == sorted(lambdas)
-
-
-@pytest.mark.parametrize("gamma", ["nan", "inf"])
-def test_schedule_rejects_invalid_gamma(capsys, gamma):
-    code, out, err = run(capsys, "schedule", "--gamma", gamma, "--total", "10", "--at", "3")
-    assert code == 1 and out == "" and "gamma must be" in err
-
-
 def test_help_exits_zero(capsys):
-    for sub in ("synth-data", "perturb", "train", "average-ckpt",
-                "evaluate", "probe", "schedule", "class-weights"):
+    for sub in ("synth-data", "perturb", "train", "average-ckpt", "evaluate", "probe"):
         assert main([sub, "--help"]) == 0
         capsys.readouterr()
 
@@ -72,30 +37,34 @@ def test_unknown_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_readme_documents_every_config_key():
-    from voxtag import cli
+def test_readme_documents_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
-    listed = section.split("Config keys:", 1)[1].split("\n\n", 1)[0]
-    assert set(re.findall(r"`([a-z_]+)`", listed)) == cli._KNOWN_KEYS - cli._OBJECT_KEYS
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("synth-data", "perturb", "train"):
+        flags = {f for a in sub.choices[command]._actions for f in a.option_strings}
+        assert [f for f in sorted(flags - {"-h", "--help"}) if f"`{f}`" not in section] == [], command
 
 
-# Former fields. The first three were ModelConfig fields and the next six
-# PerturbConfig fields; they are constants now. TrainConfig's strategy is gone:
-# a run given an init checkpoint is a fine-tune.
-_FORMER_KEYS = ("decoder_layers", "label_smoothing", "disc_loss_weight",
-                "feminine_mean", "feminine_std", "masculine_mean", "masculine_std",
-                "formant_up", "formant_down", "strategy")
-
-
-def test_unknown_config_key(tmp_path, capsys):
-    for key in ("not_a_field", "holdout_fraction", "grl_schedule", "perturb", "sample_rate",
-                *_FORMER_KEYS):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({key: 1}))
-        code, _, err = run(capsys, "synth-data", "--config", str(cfg),
-                           "--out", str(tmp_path / "o"))
-        assert code == 1 and key in err
+@pytest.mark.parametrize("argv, message", [
+    (["synth-data", "--n-utterances", "2", "--config", "x.json"],
+     "unrecognized arguments: --config x.json"),
+    (["perturb", "--manifest", "m.tsv", "--config", "x.json"],
+     "unrecognized arguments: --config x.json"),
+    (["train", "--manifest", "m.tsv", "--config", "x.json"],
+     "unrecognized arguments: --config x.json"),
+    (["schedule", "--total", "2000", "--at", "0"], "invalid choice: 'schedule'"),
+    (["class-weights", "--f", "0.3", "--m", "0.7"], "invalid choice: 'class-weights'"),
+    (["synth-data", "--seed", "1"], "the following arguments are required: --n-utterances"),
+])
+def test_removed_option_or_missing_flag_is_usage_error(tmp_path, capsys, argv, message):
+    """Flags are the only settings: a config file, a calculator subcommand and
+    a run without --n-utterances are argparse usage errors, before any output."""
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 1 and out == ""
+    assert message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_strategy_flag_is_gone(tmp_path, capsys):
@@ -106,9 +75,9 @@ def test_strategy_flag_is_gone(tmp_path, capsys):
 
 
 def test_every_config_flag_is_a_config_key():
-    """The config commands pass vars(args) to _section_kwargs, which keeps
-    only the fields of a section: a flag whose dest is no field of a section
-    the command reads would be parsed and then silently ignored."""
+    """synth-data, perturb and train pass vars(args) to _section_kwargs, which
+    keeps only the fields of a section: a flag whose dest is no field of a
+    section the command reads would be parsed and then silently ignored."""
     from dataclasses import fields
 
     from voxtag import model as mdl
@@ -117,7 +86,7 @@ def test_every_config_flag_is_a_config_key():
     from voxtag.perturb import PerturbConfig
     sections = {"synth-data": (sd.SynthSpec,), "perturb": (PerturbConfig,),
                 "train": (mdl.ModelConfig, tr.TrainConfig, PerturbConfig)}
-    not_keys = {"config", "out", "manifest", "init", "with_perturb", "help"}
+    not_keys = {"out", "manifest", "init", "with_perturb", "help"}
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for command, classes in sections.items():
@@ -125,52 +94,6 @@ def test_every_config_flag_is_a_config_key():
         dests = {a.dest for a in sub.choices[command]._actions}
         assert dests - not_keys <= keys, command
         assert dests & keys, command
-
-
-@pytest.mark.parametrize("body, message", [
-    (b'{"seed": \xae1}', "'utf-8' codec can't decode byte 0xae"),
-    (b'{"seed": }', "Expecting value: line 1 column 10"),
-])
-def test_unreadable_config_names_the_file(tmp_path, capsys, body, message):
-    cfg = tmp_path / "bad.json"
-    cfg.write_bytes(body)
-    code, _, err = run(capsys, "synth-data", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert code == 1
-    assert err.startswith(f"error: {cfg}: {message}")
-
-
-@pytest.mark.parametrize("argv, body, message", [
-    (["synth-data"], {}, "missing n_utterances"),
-    (["synth-data"], {"seed": 1}, "missing n_utterances"),
-    (["synth-data"], {"n_utterances": "5"}, "config key n_utterances must be of type int, got '5'"),
-    (["synth-data"], {"n_utterances": 5.0}, "config key n_utterances must be of type int, got 5.0"),
-    (["synth-data"], {"n_utterances": True}, "config key n_utterances must be of type int, got True"),
-    (["synth-data", "--n-utterances", "2"], {"gender_split": False},
-     "config key gender_split must be of type float, got False"),
-    (["perturb", "--manifest", "m.tsv"], {"p": "x"}, "config key p must be of type float, got 'x'"),
-    (["train", "--manifest", "m.tsv"], {"mode": 1}, "config key mode must be of type str, got 1"),
-    (["train", "--manifest", "m.tsv"], {"use_grl": 1}, "config key use_grl must be of type bool, got 1"),
-    (["train", "--manifest", "m.tsv"], {"average_last": 0}, "average_last must be at least 1, got 0"),
-    (["train", "--manifest", "m.tsv"], {"average_last": -3}, "average_last must be at least 1, got -3"),
-    (["train", "--manifest", "m.tsv"], {"checkpoint_interval": -5},
-     "checkpoint_interval must be >= 0, got -5"),
-    (["train", "--manifest", "m.tsv"], {"lr_peak": 0.0}, "lr_peak must be positive, got 0.0"),
-    (["train", "--manifest", "m.tsv"], {"lr_peak": -1.0}, "lr_peak must be positive, got -1.0"),
-])
-def test_config_value_of_wrong_type_or_missing_is_invalid(tmp_path, capsys, argv, body, message):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(body))
-    code, _, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert code == 1
-    assert err.startswith(f"error: {message}")
-    assert not (tmp_path / "o").exists()
-
-
-def test_config_int_is_accepted_as_float():
-    from voxtag import cli
-    from voxtag.perturb import PerturbConfig
-    assert cli._section_kwargs({"p": 1, "seed": 3}, PerturbConfig, {}) == {"p": 1, "seed": 3}
-    assert cli._section_kwargs({"p": 0.5}, PerturbConfig, {"p": 1.0}) == {"p": 1.0}
 
 
 def test_synth_data_rejects_token_duration_without_a_sample(tmp_path, capsys):
@@ -193,15 +116,6 @@ def test_synth_data_outputs(workspace):
     assert os.path.exists(workspace / "corpus" / "eval.tsv")
     wavs = os.listdir(workspace / "corpus" / "wav")
     assert len(wavs) == 24
-
-
-def test_config_file_with_flag_override(workspace, capsys):
-    cfg = workspace / "synth.json"
-    cfg.write_text(json.dumps({"n_utterances": 5, "seed": 4}))
-    code, out, _ = run(capsys, "synth-data", "--config", str(cfg),
-                       "--n-utterances", "3", "--out", str(workspace / "ov"))
-    assert code == 0
-    assert "wrote 3 utterances" in out  # the flag wins over the file
 
 
 def test_perturb(workspace, capsys):
@@ -260,6 +174,24 @@ def test_train_evaluate_probe_deterministic(workspace, capsys):
     assert code == 0
     acc = float(out.strip().split("=")[1])
     assert 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_train_needs_an_utterance_beyond_the_holdout(workspace, tmp_path, capsys, n):
+    """The validation holdout takes at least one utterance: a manifest of 0
+    or 1 fails closed before metrics.jsonl is opened; one of 2 trains."""
+    lines = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    manifest = tmp_path / "small.tsv"
+    manifest.write_text("".join(line + "\n" for line in lines[:n]), encoding="utf-8")
+    code, _, err = run(capsys, "train", "--manifest", str(manifest), "--total-updates", "20",
+                       "--warmup-updates", "5", "--out", str(tmp_path / "o"))
+    if n < 2:
+        assert code == 1
+        assert err.startswith(f"error: a corpus of {n} utterance(s) holds {n} out for "
+                              "validation and leaves none to train on")
+        assert not (tmp_path / "o" / "metrics.jsonl").exists()
+    else:
+        assert code == 0 and (tmp_path / "o" / "model.vxck").exists()
 
 
 def test_average_ckpt(workspace, capsys):
@@ -466,7 +398,7 @@ def test_missing_file_is_validation_error(capsys):
     (["train", "--manifest", "{d}", "--out", "{o}"], "{d}"),
     (["train", "--manifest", "{m}", "--init", "{f}/x", "--out", "{o}"], "{f}/x"),
     (["average-ckpt", "{d}", "--out", "{o}/avg.vxck"], "{d}"),
-    (["synth-data", "--config", "{d}", "--out", "{o}"], "{d}"),
+    (["perturb", "--manifest", "{d}", "--out", "{o}"], "{d}"),
     (["synth-data", "--n-utterances", "2", "--out", "{f}"], "{f}"),
 ])
 def test_path_of_the_wrong_kind_is_validation_error(workspace, tmp_path, capsys, argv, path):

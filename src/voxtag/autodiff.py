@@ -21,7 +21,13 @@ class Tensor:
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        if not requires_grad:
+            # a plain loop: this runs once per node, and a generator costs more
+            for p in _parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
 
@@ -43,6 +49,8 @@ def _as_tensor(x):
 
 def _unbroadcast(g, shape):
     """Reduce gradient g back to `shape` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, dim in enumerate(shape):
@@ -88,6 +96,22 @@ def matmul(a, b):
         return ga, gb
 
     return Tensor(out_values, _parents=(a, b), _backward=backward)
+
+
+def linear(x, w, b):
+    """x @ w + b as one node: x is (n, d), w (d, h) and b (h,). The forward
+    and each gradient are bitwise those of add(matmul(x, w), b)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.values.shape[-1] != w.values.shape[0] or b.values.shape != w.values.shape[1:]:
+        raise ShapeMismatch(f"linear {x.shape} @ {w.shape} + {b.shape}")
+    out_values = x.values @ w.values + b.values
+
+    def backward(g):
+        return (g @ w.values.T if x.requires_grad else None,
+                x.values.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return Tensor(out_values, _parents=(x, w, b), _backward=backward)
 
 
 def relu(x):
@@ -239,17 +263,22 @@ def backward(loss):
         if processed:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
+        if not node._parents:
+            # a leaf is finished as soon as it is reached
+            order.append(node)
+            continue
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
+            if p.requires_grad and p not in seen:
                 stack.append((p, False))
 
-    grads = {id(loss): np.ones_like(loss.values)}
+    # tensors hash by identity, so nodes key the sets and dicts themselves
+    grads = {loss: np.ones_like(loss.values)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None:
             continue
         if node._backward is None or not node._parents:
@@ -261,7 +290,8 @@ def backward(loss):
             if not p.requires_grad:
                 continue
             # a fresh sum, never +=: pg may be a view of another node's arrays
-            grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
+            prev = grads.get(p)
+            grads[p] = pg if prev is None else prev + pg
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,16 @@ def cmd_train(args):
     train_cfg = tr.TrainConfig(**train_kwargs)
     utterances = sd.read_manifest(args.manifest)
     init = ad.load_checkpoint(args.init) if args.init else None
+    made_out = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
-    result = tr.train_loop(utterances, model_cfg, train_cfg, init=init,
-                           metrics_path=os.path.join(args.out, "metrics.jsonl"))
+    try:
+        result = tr.train_loop(utterances, model_cfg, train_cfg, init=init,
+                               metrics_path=os.path.join(args.out, "metrics.jsonl"))
+    except BaseException:
+        # a run that fails before writing anything leaves no directory behind
+        if made_out and not os.listdir(args.out):
+            os.rmdir(args.out)
+        raise
     for i, state in enumerate(result.checkpoints):
         step = (i + 1) * train_cfg.interval
         ad.save_checkpoint(state, os.path.join(args.out, f"ckpt_{step:06d}.vxck"))

@@ -52,7 +52,10 @@ class Vocabulary:
             raise UnknownToken(f"token {token!r} not in vocabulary") from None
 
     def encode(self, tokens):
-        return [self.id_of(t) for t in tokens]
+        try:
+            return [self._ids[t] for t in tokens]
+        except KeyError as exc:
+            raise UnknownToken(f"token {exc.args[0]!r} not in vocabulary") from None
 
     def decode(self, ids):
         out = []
@@ -211,20 +214,28 @@ class TranslationModel:
         stacked in order into one (sum of ceil(T/4), hidden_dim) Tensor."""
         x = ad.Tensor(np.concatenate([self._checked(rows) for rows in pooled]))
         p = self.params
-        h = ad.add(ad.matmul(x, p["enc.in_w"]), p["enc.in_b"])
+        h = ad.linear(x, p["enc.in_w"], p["enc.in_b"])
         for i in range(self.cfg.encoder_layers):
-            inner = ad.relu(ad.add(ad.matmul(h, p[f"enc.l{i}.w1"]), p[f"enc.l{i}.b1"]))
-            h = ad.add(h, ad.add(ad.matmul(inner, p[f"enc.l{i}.w2"]), p[f"enc.l{i}.b2"]))
+            inner = ad.relu(ad.linear(h, p[f"enc.l{i}.w1"], p[f"enc.l{i}.b1"]))
+            h = ad.add(h, ad.linear(inner, p[f"enc.l{i}.w2"], p[f"enc.l{i}.b2"]))
         return h
 
-    def _check_prefix(self, prefix):
-        if len(prefix) == 0:
+    def _checked_prefixes(self, prefix):
+        """A batch of prefixes (id lists) as (their lengths, their concatenated
+        ids, each one's first id). The ids are range-checked all at once, not
+        token by token; a batch with one bad prefix fails as that prefix alone
+        would."""
+        lengths = [len(pre) for pre in prefix]
+        if not all(lengths):
             raise EmptyPrefix("decoder prefix is empty")
-        for t in prefix:
-            if not 0 <= t < len(self.vocab):
-                raise UnknownToken(f"token id {t} out of range")
-        if prefix[0] not in (BOS_ID, TAG_F_ID, TAG_M_ID):
+        ids = np.concatenate([np.asarray(pre, dtype=np.int64) for pre in prefix])
+        if ids.min() < 0 or ids.max() >= len(self.vocab):
+            bad = (ids < 0) | (ids >= len(self.vocab))
+            raise UnknownToken(f"token id {ids[bad.argmax()]} out of range")
+        firsts = [pre[0] for pre in prefix]
+        if not set(firsts) <= {BOS_ID, TAG_F_ID, TAG_M_ID}:
             raise UnknownToken("prefix must start with bos or a gender tag")
+        return lengths, ids, firsts
 
     def decode_all(self, enc_out, prefix, frames):
         """Teacher-forced next-token logits for a batch of prefixes (id lists):
@@ -233,13 +244,10 @@ class TranslationModel:
         are stacked in order: (sum of L, V)."""
         if len(frames) != len(prefix) or sum(frames) != enc_out.shape[0]:
             raise ShapeMismatch("frames must count each prefix's rows of the encoder output")
-        for pre in prefix:
-            self._check_prefix(pre)
+        lengths, ids, firsts = self._checked_prefixes(prefix)
         p = self.params
-        lengths = [len(pre) for pre in prefix]
-        ids = np.concatenate([np.asarray(pre, dtype=np.int64) for pre in prefix])
         emb = ad.embedding(p["dec.emb"], ids)
-        tag = ad.embedding(p["dec.emb"], np.repeat([pre[0] for pre in prefix], lengths))
+        tag = ad.embedding(p["dec.emb"], np.repeat(firsts, lengths))
         table = sinusoidal_positions(max(lengths), self.cfg.hidden_dim)
         d_in = ad.add(ad.add(emb, tag), ad.Tensor(np.concatenate([table[:n] for n in lengths])))
         scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
@@ -247,9 +255,8 @@ class TranslationModel:
         if len(prefix) > 1:
             scores = ad.add(scores, ad.Tensor(_block_mask(lengths, frames)))
         ctx = ad.matmul(ad.softmax(scores, axis=-1), enc_out)
-        hid = ad.relu(ad.add(ad.matmul(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"]),
-                             p["dec.l0.b1"]))
-        return ad.add(ad.matmul(hid, p["dec.out_w"]), p["dec.out_b"])
+        hid = ad.relu(ad.linear(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"], p["dec.l0.b1"]))
+        return ad.linear(hid, p["dec.out_w"], p["dec.out_b"])
 
     def _next_logits(self, enc, tag, token, position):
         """Row k of decode_all, forward only on the parameter arrays: the
@@ -272,7 +279,7 @@ class TranslationModel:
         the input encode takes, up to eos or max_len steps. With no
         self-attention, each step computes one new row off the autodiff tape,
         not the prefix."""
-        self._check_prefix([first_token])
+        self._checked_prefixes([[first_token]])
         enc = self.encode([pooled]).values
         positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
         out, token = [], first_token
@@ -290,8 +297,8 @@ class TranslationModel:
         each row the mean over its utterance's rows."""
         p = self.params
         x = ad.grl_apply(enc_out, lam)
-        hid = ad.relu(ad.add(ad.matmul(x, p["disc.w1"]), p["disc.b1"]))
-        logits = ad.add(ad.matmul(hid, p["disc.w2"]), p["disc.b2"])
+        hid = ad.relu(ad.linear(x, p["disc.w1"], p["disc.b1"]))
+        logits = ad.linear(hid, p["disc.w2"], p["disc.b2"])
         return ad.matmul(ad.Tensor(pooling_matrix(frames)), logits)
 
 

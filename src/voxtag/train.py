@@ -82,7 +82,8 @@ def noam_lr(step: int, warmup: int, lr_peak: float) -> float:
 class Adam:
     def __init__(self, params, lr_scale=None):
         self.params = params
-        self.lr_scale = lr_scale or {}
+        # each parameter's lr multiplier, looked up by its name's first part
+        self.scale = {k: (lr_scale or {}).get(k.split(".")[0], 1.0) for k in params}
         self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
         self.t = 0
@@ -103,8 +104,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g ** 2
-            scale = self.lr_scale.get(name.split(".")[0], 1.0)
-            p.values = p.values - scale * lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            p.values = p.values - self.scale[name] * lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def _translation_loss(model, batch, vocab):
@@ -252,11 +252,12 @@ def probe_discriminator(model, held_out, seed=0) -> float:
     q = np.zeros((len(y_tr), 2))
     q[np.arange(len(y_tr)), y_tr] = 1.0 / len(y_tr)
     opt = Adam(params)
+    X, P = ad.Tensor(X_tr), ad.Tensor(P_tr)
     for _ in range(PROBE_STEPS):
         for t in params.values():
             t.zero_grad()
-        hid = ad.relu(ad.add(ad.matmul(ad.Tensor(X_tr), params["w1"]), params["b1"]))
-        logits = ad.matmul(ad.Tensor(P_tr), ad.add(ad.matmul(hid, params["w2"]), params["b2"]))
+        hid = ad.relu(ad.linear(X, params["w1"], params["b1"]))
+        logits = ad.matmul(P, ad.linear(hid, params["w2"], params["b2"]))
         ad.backward(ad.cross_entropy(logits, q))
         opt.step(PROBE_LR)
     hid = np.maximum(X_te @ params["w1"].values + params["b1"].values, 0.0)

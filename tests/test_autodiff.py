@@ -59,6 +59,51 @@ def test_matmul_gradients_match_finite_differences():
                b0.copy())
 
 
+def test_linear_gradients_match_finite_differences():
+    rng = np.random.default_rng(12)
+    x0, w0, b0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+    check_grad(lambda x: ad.sum_(ad.tanh(ad.linear(x, ad.Tensor(w0), ad.Tensor(b0)))), x0.copy())
+    check_grad(lambda w: ad.sum_(ad.tanh(ad.linear(ad.Tensor(x0), w, ad.Tensor(b0)))), w0.copy())
+    check_grad(lambda b: ad.sum_(ad.tanh(ad.linear(ad.Tensor(x0), ad.Tensor(w0), b))), b0.copy())
+
+
+@pytest.mark.parametrize("constant", [None, "x", "b"])
+def test_linear_is_bitwise_add_of_matmul(constant):
+    """One linear node gives the value and the gradients of add(matmul(x, w),
+    b) bit for bit; a constant operand gets no gradient from either."""
+    rng = np.random.default_rng(13)
+    arrays = {"x": rng.normal(size=(7, 6)), "w": rng.normal(size=(6, 5)), "b": rng.normal(size=(5,))}
+    g = rng.normal(size=(7, 5))
+
+    def run(op):
+        t = {k: ad.Tensor(v, requires_grad=k != constant) for k, v in arrays.items()}
+        out = op(t["x"], t["w"], t["b"])
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        return out.values, {k: v.grad for k, v in t.items()}
+
+    fused, fused_grads = run(ad.linear)
+    composed, composed_grads = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    assert fused.tobytes() == composed.tobytes()
+    for name in arrays:
+        if name == constant:
+            assert fused_grads[name] is None and composed_grads[name] is None
+        else:
+            assert fused_grads[name].tobytes() == composed_grads[name].tobytes(), name
+
+    x, w, b = (ad.Tensor(arrays[k], requires_grad=k != constant) for k in "xwb")
+    parts = ad.linear(x, w, b)._backward(g)
+    assert [p is None for p in parts] == [k == constant for k in "xwb"]
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((3, 4), (5, 2), (2,)),
+    ((3, 4), (4, 2), (3,)),
+])
+def test_linear_rejects_width_mismatch(x_shape, w_shape, b_shape):
+    with pytest.raises(ShapeMismatch):
+        ad.linear(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+
 @pytest.mark.parametrize("op", [ad.matmul, ad.add, ad.mul])
 @pytest.mark.parametrize("const_first", [True, False])
 def test_constant_operand_gets_no_gradient(op, const_first):

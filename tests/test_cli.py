@@ -194,6 +194,26 @@ def test_train_needs_an_utterance_beyond_the_holdout(workspace, tmp_path, capsys
         assert code == 0 and (tmp_path / "o" / "model.vxck").exists()
 
 
+@pytest.mark.parametrize("existed", [False, True])
+def test_failed_train_leaves_out_as_it_found_it(workspace, tmp_path, capsys, existed):
+    """A run that fails before training removes the --out it made, and leaves
+    an --out that already existed, empty or not, untouched."""
+    line = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()[0]
+    manifest = tmp_path / "one.tsv"
+    manifest.write_text(line + "\n", encoding="utf-8")
+    for out, files in ((tmp_path / "empty", {}), (tmp_path / "full", {"notes.txt": b"kept\n"})):
+        if existed:
+            out.mkdir()
+            for name, data in files.items():
+                (out / name).write_bytes(data)
+        code, _, err = run(capsys, "train", "--manifest", str(manifest), "--out", str(out))
+        assert code == 1 and "leaves none to train on" in err
+        if existed:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+        else:
+            assert not out.exists()
+
+
 def test_average_ckpt(workspace, capsys):
     import glob
     import numpy as np

@@ -34,6 +34,9 @@ def test_vocabulary_reserved_ids():
     assert vocab.decode([5, 6]) == ["casa", "rotto"]
     with pytest.raises(UnknownToken):
         vocab.id_of("missing")
+    assert vocab.encode(["rotta", "casa"]) == [7, 5]
+    with pytest.raises(UnknownToken, match="^token 'missing' not in vocabulary$"):
+        vocab.encode(["casa", "missing", "other"])
 
 
 def test_encode_output_length(small_model):
@@ -65,6 +68,21 @@ def test_decode_all_prefix_validation(small_model):
         small_model.decode_all(enc, [[M.BOS_ID, 999]], [enc.shape[0]])
     with pytest.raises(UnknownToken):
         small_model.decode_all(enc, [[7, 8]], [enc.shape[0]])
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ([], EmptyPrefix, "decoder prefix is empty"),
+    ([M.TAG_M_ID, 6, 999, -1], UnknownToken, "token id 999 out of range"),
+    ([M.BOS_ID, -1, 6], UnknownToken, "token id -1 out of range"),
+    ([7, 8], UnknownToken, "prefix must start with bos or a gender tag"),
+])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_decode_all_names_the_one_bad_prefix_of_a_batch(small_model, bad, error, message, where):
+    prefixes = [[M.TAG_F_ID, 6, 7], [M.BOS_ID], [M.TAG_M_ID, 8]]
+    prefixes[where] = bad
+    enc = small_model.encode([M.pool4(np.zeros((8, 80)))] * 3)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        small_model.decode_all(enc, prefixes, [2, 2, 2])
 
 
 def _greedy_decode_rerun(model, features, first_token, max_len):
@@ -409,3 +427,37 @@ def test_batched_graph_equals_mean_of_utterance_graphs(small_model, B, use_grl):
     for name, g in batched[1].items():
         expected = sum(s[1].get(name, 0.0) for s in singles) / B
         np.testing.assert_allclose(g, expected, rtol=1e-9, atol=0, err_msg=name)
+
+
+def test_fused_linear_update_is_bitwise_the_composed_one(small_model, monkeypatch):
+    """One GRL update with every affine layer a linear node gives the loss and
+    every parameter gradient byte for byte of the same update built from
+    add(matmul): the encoder output feeds three consumers, so a change in the
+    order in which backward sums their gradients shows here."""
+    rng = np.random.default_rng(12)
+    pooled = [M.pool4(rng.normal(size=(T, 80))) for T in (9, 21, 14)]
+    targets = [[6, 7, M.EOS_ID], [8, 9, 10, 6, M.EOS_ID], [7, M.EOS_ID, M.PAD_ID]]
+    genders = [SpeakerGender.F, SpeakerGender.M, SpeakerGender.F]
+    prefixes = [[M.TAG_F_ID if g is SpeakerGender.F else M.TAG_M_ID] + t[:-1]
+                for g, t in zip(genders, targets)]
+    weights = M.compute_class_weights(0.4, 0.6)
+
+    def update():
+        small_model.zero_grad()
+        enc = small_model.encode(pooled)
+        rows = [len(p) for p in pooled]
+        tl = M.sequence_loss(small_model.decode_all(enc, prefixes, rows), targets, 0.1)
+        dl = M.weighted_disc_loss(small_model.discriminate(enc, 0.5, rows), genders, weights)
+        loss = M.combined_loss(tl, dl, small_model.cfg)
+        ad.backward(loss)
+        grads = {k: t.grad.tobytes() for k, t in small_model.params.items()}
+        small_model.zero_grad()
+        return loss.values.tobytes(), grads
+
+    fused = update()
+    monkeypatch.setattr(ad, "linear", lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    composed = update()
+    assert fused[0] == composed[0]
+    assert fused[1].keys() == composed[1].keys()
+    for name in fused[1]:
+        assert fused[1][name] == composed[1][name], name

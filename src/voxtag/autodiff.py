@@ -156,6 +156,55 @@ def softmax(x, axis=-1):
     return Tensor(y, _parents=(x,), _backward=backward)
 
 
+def _rows_of_blocks(lengths):
+    """(B, max length) mask of the rows that zero-padded blocks of these
+    lengths hold, in the order their rows are stacked."""
+    return np.arange(max(lengths)) < np.asarray(lengths)[:, None]
+
+
+def _pad(rows, valid):
+    out = np.zeros(valid.shape + rows.shape[1:])
+    out[valid] = rows
+    return out
+
+
+def attention(q, kv, q_lengths, kv_lengths, scale):
+    """Block-diagonal single-head attention as one node. Utterance b owns
+    q_lengths[b] rows of q (sum of L, h) and kv_lengths[b] rows of kv (sum of
+    F, h); its rows of the result are softmax(q_b @ kv_b.T * scale) @ kv_b,
+    stacked in order: (sum of L, h). The blocks run as one batched product
+    over zero-padded (B, max L, h) and (B, max F, h) arrays whose padded
+    columns are masked with -inf, so every block needs at least one kv row."""
+    q, kv = _as_tensor(q), _as_tensor(kv)
+    if (len(q_lengths) != len(kv_lengths) or q.values.shape[1] != kv.values.shape[1]
+            or sum(q_lengths) != q.values.shape[0] or sum(kv_lengths) != kv.values.shape[0]):
+        raise ShapeMismatch(f"attention {q.shape} over {kv.shape} with blocks "
+                            f"{list(q_lengths)} and {list(kv_lengths)}")
+    if not q_lengths or min(q_lengths) < 0 or min(kv_lengths) < 1:
+        raise ShapeMismatch("attention needs at least one block and a kv row in each")
+    q_rows, kv_rows = _rows_of_blocks(q_lengths), _rows_of_blocks(kv_lengths)
+    Q, K = _pad(q.values, q_rows), _pad(kv.values, kv_rows)
+    A = Q @ K.transpose(0, 2, 1)
+    A *= scale
+    np.copyto(A, -np.inf, where=~kv_rows[:, None, :])
+    A -= A.max(axis=-1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        G = _pad(g, q_rows)
+        dS = G @ K.transpose(0, 2, 1)
+        dS -= (dS * A).sum(axis=-1, keepdims=True)
+        dS *= A
+        dS *= scale
+        dq = (dS @ K)[q_rows] if q.requires_grad else None
+        dkv = (A.transpose(0, 2, 1) @ G + dS.transpose(0, 2, 1) @ Q)[kv_rows] \
+            if kv.requires_grad else None
+        return dq, dkv
+
+    return Tensor((A @ K)[q_rows], _parents=(q, kv), _backward=backward)
+
+
 def cross_entropy(logits, q):
     """-sum(q * log_softmax(logits, axis=-1)) for constant soft targets q of
     the logits' shape. Weights, masks and normalisers are folded into q."""

@@ -139,17 +139,6 @@ def pooling_matrix(frames):
     return P
 
 
-def _block_mask(rows, cols):
-    """Additive attention mask for a batch: 0 where utterance u's rows meet its
-    own columns, -1e30 elsewhere. After softmax's row-max shift the exp of a
-    masked score underflows to exactly 0.0, as -inf would give; the finite
-    value stays so that softmax outputs, and the checkpoints trained through
-    them, remain bitwise equal."""
-    r = np.repeat(np.arange(len(rows)), rows)
-    c = np.repeat(np.arange(len(cols)), cols)
-    return np.where(r[:, None] == c[None, :], 0.0, -1e30)
-
-
 class TranslationModel:
     """Holds parameters and the forward graph for one configuration."""
 
@@ -206,6 +195,9 @@ class TranslationModel:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.cfg.feature_dim:
             raise ShapeMismatch(f"expected (T, {self.cfg.feature_dim}) features")
+        if not len(rows):
+            # decode_all attends each prefix to its own rows, so it needs one
+            raise ShapeMismatch("an utterance has no encoder rows")
         return rows
 
     def encode(self, pooled):
@@ -250,11 +242,7 @@ class TranslationModel:
         tag = ad.embedding(p["dec.emb"], np.repeat(firsts, lengths))
         table = sinusoidal_positions(max(lengths), self.cfg.hidden_dim)
         d_in = ad.add(ad.add(emb, tag), ad.Tensor(np.concatenate([table[:n] for n in lengths])))
-        scale = 1.0 / np.sqrt(self.cfg.hidden_dim)
-        scores = ad.mul(ad.matmul(d_in, ad.transpose(enc_out)), scale)
-        if len(prefix) > 1:
-            scores = ad.add(scores, ad.Tensor(_block_mask(lengths, frames)))
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), enc_out)
+        ctx = ad.attention(d_in, enc_out, lengths, frames, 1.0 / np.sqrt(self.cfg.hidden_dim))
         hid = ad.relu(ad.linear(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"], p["dec.l0.b1"]))
         return ad.linear(hid, p["dec.out_w"], p["dec.out_b"])
 

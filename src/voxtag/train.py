@@ -2,6 +2,7 @@
 and the post-hoc gender probe on frozen encoders."""
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -86,25 +87,35 @@ class Adam:
         self.scale = {k: (lr_scale or {}).get(k.split(".")[0], 1.0) for k in params}
         self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
+        # one scratch array per parameter for the step's temporaries
+        self._buf = {k: np.empty_like(t.values) for k, t in params.items()}
         self.t = 0
 
     def step(self, lr):
-        """One update of every parameter that has a gradient. The moments are
-        updated in place; each parameter gets a fresh values array, so arrays
-        handed to load_state_dict are never written."""
+        """One update of every parameter that has a gradient. Both bias
+        corrections fold into two scalars, a step size lr * sqrt(c2) / c1 and
+        a denominator floor eps * sqrt(c2), where c1 = 1 - b1^t and c2 =
+        1 - b2^t (Kingma & Ba, 2015, section 2). The moments are updated in
+        place; each parameter gets a fresh values array, so arrays handed to
+        load_state_dict are never written."""
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        root_c2 = math.sqrt(1 - b2 ** self.t)
+        step_size, eps_hat = lr * root_c2 / (1 - b1 ** self.t), ADAM_EPS * root_c2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            m, v = self.m[name], self.v[name]
+            m, v, buf = self.m[name], self.v[name], self._buf[name]
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=buf)
             v *= b2
-            v += (1 - b2) * g ** 2
-            p.values = p.values - self.scale[name] * lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            v += np.multiply(1 - b2, np.square(g, out=buf), out=buf)
+            np.sqrt(v, out=buf)
+            buf += eps_hat
+            np.divide(m, buf, out=buf)
+            buf *= self.scale[name] * step_size
+            p.values = p.values - buf
 
 
 def _translation_loss(model, batch, vocab):

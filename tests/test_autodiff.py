@@ -1,3 +1,6 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,96 @@ def test_linear_is_bitwise_add_of_matmul(constant):
 def test_linear_rejects_width_mismatch(x_shape, w_shape, b_shape):
     with pytest.raises(ShapeMismatch):
         ad.linear(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+
+Q_LENGTHS, KV_LENGTHS = [3, 7, 1, 5, 9, 2, 6, 4], [5, 2, 8, 1, 6, 9, 3, 7]
+
+
+def _block_mask(rows, cols):
+    """Additive mask of the dense reference: 0 where block u's rows meet its
+    own columns, -1e30 elsewhere."""
+    r = np.repeat(np.arange(len(rows)), rows)
+    c = np.repeat(np.arange(len(cols)), cols)
+    return np.where(r[:, None] == c[None, :], 0.0, -1e30)
+
+
+def _dense_attention(q, kv, q_lengths, kv_lengths, scale):
+    """Reference attention: the dense graph over every (row, column) pair with
+    cross-block scores masked, as the model's decoder once built it."""
+    scores = ad.mul(ad.matmul(q, ad.transpose(kv)), scale)
+    if len(q_lengths) > 1:
+        scores = ad.add(scores, ad.Tensor(_block_mask(q_lengths, kv_lengths)))
+    return ad.matmul(ad.softmax(scores, axis=-1), kv)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("wrt", ["q", "kv"])
+def test_attention_gradients_match_finite_differences(B, wrt):
+    rng = np.random.default_rng(14 + B)
+    q_len, kv_len = Q_LENGTHS[:B], KV_LENGTHS[:B]
+    arrays = {"q": rng.normal(size=(sum(q_len), 4)), "kv": rng.normal(size=(sum(kv_len), 4))}
+    w = ad.Tensor(rng.normal(size=(sum(q_len), 4)))
+
+    def build(x):
+        operands = {k: x if k == wrt else ad.Tensor(v) for k, v in arrays.items()}
+        return ad.sum_(ad.mul(ad.attention(operands["q"], operands["kv"], q_len, kv_len, 0.7), w))
+
+    check_grad(build, arrays[wrt].copy())
+
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_attention_matches_dense_masked_graph(B):
+    """One attention node gives the value and both gradients of the dense
+    masked graph to rtol 1e-12: they differ only in sums that skip the
+    other blocks' zeros. A constant operand gets no gradient."""
+    rng = np.random.default_rng(15)
+    q_len, kv_len = Q_LENGTHS[:B], KV_LENGTHS[:B]
+    q0, kv0 = rng.normal(size=(sum(q_len), 16)), rng.normal(size=(sum(kv_len), 16))
+    g = rng.normal(size=(sum(q_len), 16))
+
+    def run(op):
+        q, kv = ad.Tensor(q0, requires_grad=True), ad.Tensor(kv0, requires_grad=True)
+        out = op(q, kv, q_len, kv_len, 0.25)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        return out.values, q.grad, kv.grad
+
+    for fused, dense in zip(run(ad.attention), run(_dense_attention)):
+        np.testing.assert_allclose(fused, dense, rtol=1e-12, atol=0)
+
+    for constant in ("q", "kv"):
+        q = ad.Tensor(q0, requires_grad=constant != "q")
+        kv = ad.Tensor(kv0, requires_grad=constant != "kv")
+        parts = ad.attention(q, kv, q_len, kv_len, 0.25)._backward(g)
+        assert [p is None for p in parts] == [constant == "q", constant == "kv"]
+
+
+def test_attention_blocks_are_isolated():
+    """Changing one block's kv rows leaves every other block's rows of the
+    result bit for bit as they were."""
+    rng = np.random.default_rng(16)
+    q_len, kv_len = Q_LENGTHS[:4], KV_LENGTHS[:4]
+    q, kv = rng.normal(size=(sum(q_len), 8)), rng.normal(size=(sum(kv_len), 8))
+    before = ad.attention(q, kv, q_len, kv_len, 0.5).values
+    q_start, kv_start = np.cumsum([0] + q_len), np.cumsum([0] + kv_len)
+    for j in range(4):
+        changed = kv.copy()
+        changed[kv_start[j]:kv_start[j + 1]] = rng.normal(size=(kv_len[j], 8))
+        after = ad.attention(q, changed, q_len, kv_len, 0.5).values
+        for i in range(4):
+            rows = slice(q_start[i], q_start[i + 1])
+            same = after[rows].tobytes() == before[rows].tobytes()
+            assert same == (i != j), (i, j)
+
+
+@pytest.mark.parametrize("q_len, kv_len", [
+    ([2, 1], [3, 0]),
+    ([2, 1], [3]),
+    ([2, 2], [3, 1]),
+    ([], []),
+])
+def test_attention_rejects_blocks_that_do_not_fit(q_len, kv_len):
+    with pytest.raises(ShapeMismatch):
+        ad.attention(np.zeros((3, 4)), np.zeros((3, 4)), q_len, kv_len, 1.0)
 
 
 @pytest.mark.parametrize("op", [ad.matmul, ad.add, ad.mul])
@@ -358,3 +451,15 @@ def test_average_checkpoints_keeps_parameter_order():
     a = {n: np.full(2, float(i)) for i, n in enumerate(names)}
     b = {n: a[n] + 2.0 for n in reversed(names)}
     assert list(ad.average_checkpoints([a, b])) == names
+
+
+def test_readme_names_every_op():
+    """The README's autodiff bullet lists every op: each public function of
+    voxtag.autodiff that records a backward rule on the tape."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("- **autodiff**", 1)[1].split("\n- **", 1)[0]
+    ops = [name for name, f in inspect.getmembers(ad, inspect.isfunction)
+           if f.__module__ == ad.__name__ and not name.startswith("_")
+           and "_backward=backward" in inspect.getsource(f)]
+    assert "attention" in ops and "backward" not in ops
+    assert [name for name in ops if f"`{name}`" not in bullet] == []

@@ -148,6 +148,20 @@ def test_greedy_decode_validates_inputs(small_model):
         small_model.greedy_decode(M.pool4(np.zeros((8, 40))), M.TAG_F_ID)
 
 
+def test_an_utterance_with_no_encoder_rows_fails_closed(small_model):
+    """An utterance with no rows gives its prefix nothing to attend to, so
+    encode, decode_all and greedy_decode raise ShapeMismatch rather than
+    lend it the batch's other rows or fail inside numpy."""
+    empty = np.zeros((0, 80))
+    with pytest.raises(ShapeMismatch, match="^an utterance has no encoder rows$"):
+        small_model.encode([M.pool4(np.ones((8, 80))), empty])
+    with pytest.raises(ShapeMismatch, match="^an utterance has no encoder rows$"):
+        small_model.greedy_decode(empty, M.TAG_F_ID)
+    enc = small_model.encode([M.pool4(np.ones((12, 80)))])
+    with pytest.raises(ShapeMismatch, match="^attention needs .* a kv row in each$"):
+        small_model.decode_all(enc, [[M.TAG_F_ID, 5], [M.TAG_M_ID, 6]], [3, 0])
+
+
 @pytest.mark.parametrize("shape", [(8,), (8, 80, 1), ()])
 def test_wrong_rank_input_is_a_shape_mismatch(small_model, shape):
     """greedy_decode hands its rows to encode, which checks them, so input of

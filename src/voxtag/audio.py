@@ -8,6 +8,9 @@ import numpy as np
 from .errors import InvalidF0, MalformedHeader, UnsupportedEncoding
 
 PCM_SCALE = 32768.0
+# the lowest sample rate read_wav accepts: twice dsp.F0_MAX, so that the
+# pitch tracker's 500 Hz ceiling lies below Nyquist
+MIN_SAMPLE_RATE = 1000
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,9 @@ def read_wav(path) -> Waveform:
         raise UnsupportedEncoding(f"{path}: {bits} bits/sample, expected 16")
     if sample_rate == 0:
         raise MalformedHeader(f"{path}: sample rate 0")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise UnsupportedEncoding(f"{path}: sample rate {sample_rate} Hz, "
+                                  f"expected at least {MIN_SAMPLE_RATE}")
     if len(pcm_bytes) % 2:
         raise MalformedHeader(f"{path}: data chunk of {len(pcm_bytes)} bytes "
                               "is not a whole number of 16-bit samples")

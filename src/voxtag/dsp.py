@@ -15,10 +15,6 @@ RMS_GATE = 1e-4
 N_MELS = 80
 MEL_LO_HZ = 20.0  # the lower edge of the lowest mel filter
 LOG_FLOOR = 1e-10
-# frames per batched pass in the f0 tracker and the formant warp: large enough
-# to amortise per-call overhead, small enough that the per-block spectra stay
-# a few hundred kB
-FRAME_BLOCK = 16
 # the band envelope_peak_hz searches for the spectral-envelope maximum
 ENVELOPE_LO_HZ, ENVELOPE_HI_HZ = 200.0, 4000.0
 
@@ -90,7 +86,7 @@ def _normalized_autocorrelation(frames, n_fft, lags):
     """r(tau) of each frame at the given lags, via FFT, normalized by the
     energies of the overlapping parts frame[:-tau] and frame[tau:]."""
     spec = np.fft.rfft(frames, n_fft, axis=1)
-    spec *= np.conj(spec)  # in place: the block's largest array
+    spec *= np.conj(spec)  # in place: the largest array of the pass
     raw = np.fft.irfft(spec, axis=1)[:, lags]
     sq = np.cumsum(frames ** 2, axis=1)
     sq = np.concatenate((np.zeros((len(sq), 1)), sq), axis=1)
@@ -105,8 +101,8 @@ def estimate_f0_contour(w: Waveform) -> F0Contour:
     frames two F0_MIN periods long and 10 ms apart.
 
     Frames with peak correlation below the voicing threshold or RMS below
-    the gate are marked unvoiced (0.0). Frames are processed FRAME_BLOCK at a
-    time, each step one 2-D array operation over the block.
+    the gate are marked unvoiced (0.0). Each step is one 2-D array operation
+    over all of the waveform's frames, so working memory grows with duration.
 
     The contour is computed once per waveform and kept on it; later calls
     return that object.
@@ -129,12 +125,9 @@ def estimate_f0_contour(w: Waveform) -> F0Contour:
     lags = np.arange(lag_min, lag_max + 1)
     keep = max(4, lag_min // 2)
     cut = int(1200.0 * frame_len / sr)
-    for b0 in range(0, len(frames), FRAME_BLOCK):
-        block = frames[b0:b0 + FRAME_BLOCK]
-        block = block - block.mean(axis=1, keepdims=True)
-        loud = np.sqrt(np.mean(block ** 2, axis=1)) >= RMS_GATE
-        if not loud.any():
-            continue
+    block = frames - frames.mean(axis=1, keepdims=True)
+    loud = np.sqrt(np.mean(block ** 2, axis=1)) >= RMS_GATE
+    if loud.any():
         r = _normalized_autocorrelation(_whiten(block[loud], keep, cut), n_fft, lags)
         rmax = r.max(axis=1)
         # a periodic signal correlates at every multiple of its period, and an
@@ -145,7 +138,7 @@ def estimate_f0_contour(w: Waveform) -> F0Contour:
         best = np.where(strong.any(axis=1), strong.argmax(axis=1) + 1, r.argmax(axis=1))
         f0 = np.clip(sr / (lag_min + _parabolic_peak(r, best)), F0_MIN, F0_MAX)
         voiced = rmax >= VOICING_THRESHOLD
-        out[b0 + np.flatnonzero(loud)[voiced]] = f0[voiced]
+        out[np.flatnonzero(loud)[voiced]] = f0[voiced]
 
     contour = F0Contour(out, hop=hop, frame_len=frame_len)
     object.__setattr__(w, "_f0", contour)
@@ -189,7 +182,8 @@ def mel_filterbank(sample_rate, n_fft):
 
 
 def apply_cmvn_(frames):
-    """Per-utterance, per-coefficient standardization (in place on a copy)."""
+    """Per-utterance, per-coefficient standardization; returns a new array and
+    leaves frames unchanged."""
     mean = frames.mean(axis=0)
     std = frames.std(axis=0)
     std = np.where(std < 1e-8, 1.0, std)
@@ -219,10 +213,11 @@ def harmonic_windows(n_bins, bin_hz, f0):
     index matrix (row k - 1 for harmonic k) and a mask of the positions inside
     [max(1, c - half), min(n_bins, c + half + 1)) for centre bin c."""
     half = max(2, int(0.4 * f0 / bin_hz))
-    centers = []
-    while (c := int(round((len(centers) + 1) * f0 / bin_hz))) < n_bins - 1:
-        centers.append(c)
-    idx = np.array(centers, dtype=int)[:, None] + np.arange(-half, half + 1)
+    # harmonic k_max lies past the top bin, and the centres never decrease, so
+    # the centres below the top bin are a prefix of harmonics 1..k_max
+    k_max = int((n_bins - 1) * bin_hz / f0) + 1
+    centers = np.round(np.arange(1, k_max + 1) * f0 / bin_hz).astype(int)
+    idx = centers[centers < n_bins - 1][:, None] + np.arange(-half, half + 1)
     return np.clip(idx, 0, n_bins - 1), (idx >= 1) & (idx < n_bins)
 
 
@@ -235,6 +230,8 @@ def envelope_peak_hz(w: Waveform, f0):
     the strongest harmonic. f0 is given rather than tracked: single-formant
     signals are nearly pure tones and can defeat the tracker.
     """
+    if not 0 < f0 < np.inf:
+        raise ValueError(f"f0 must be finite and positive, got {f0}")
     n_fft = 1 << int(np.ceil(np.log2(max(4096, 8 * w.sample_rate / f0))))
     x = w.samples
     if len(x) < n_fft:

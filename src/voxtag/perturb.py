@@ -9,8 +9,7 @@ from typing import ClassVar
 import numpy as np
 
 from .audio import Waveform
-from .dsp import (FRAME_BLOCK, RMS_GATE, estimate_f0_contour, frame_matrix, harmonic_windows,
-                  voiced_median)
+from .dsp import RMS_GATE, estimate_f0_contour, frame_matrix, harmonic_windows, voiced_median
 from .errors import AllUnvoiced, OutOfRangeFactor, TooShort, ZeroSourceMedian
 
 
@@ -181,17 +180,13 @@ def _formant_warp(x, scale, sr, f0):
     xp = np.pad(x, (pad, pad))
     bin_hz = sr / n_fft
     windows = harmonic_windows(n_fft // 2 + 1, bin_hz, f0)
-    frames = frame_matrix(xp, n_fft, hop)
-    warped = np.empty(frames.shape)
-
-    for b0 in range(0, len(frames), FRAME_BLOCK):
-        block = frames[b0:b0 + FRAME_BLOCK] * window
-        spec = np.fft.rfft(block, axis=1)
-        # frames below the gate pass through unchanged
-        loud = np.sqrt(np.mean(block ** 2, axis=1)) >= RMS_GATE
-        if loud.any():
-            spec[loud] *= _warp_gain(np.abs(spec[loud]), scale, bin_hz, windows)
-        np.multiply(np.fft.irfft(spec, n_fft, axis=1), window, out=warped[b0:b0 + FRAME_BLOCK])
+    frames = frame_matrix(xp, n_fft, hop) * window
+    spec = np.fft.rfft(frames, axis=1)
+    # frames below the gate pass through unchanged
+    loud = np.sqrt(np.mean(frames ** 2, axis=1)) >= RMS_GATE
+    if loud.any():
+        spec[loud] *= _warp_gain(np.abs(spec[loud]), scale, bin_hz, windows)
+    warped = np.fft.irfft(spec, n_fft, axis=1) * window
 
     # frame f covers output quarters f..f+3 (a quarter is one hop). Adding
     # phase q = 3, 2, 1, 0 adds frame b-3 first and frame b last into quarter

@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from voxtag.audio import PCM_SCALE, Waveform, read_wav, synth_harmonic, write_wav
-from voxtag.dsp import estimate_f0_contour, voiced_median
+from voxtag.audio import MIN_SAMPLE_RATE, PCM_SCALE, Waveform, read_wav, synth_harmonic, write_wav
+from voxtag.dsp import F0_MAX, estimate_f0_contour, voiced_median
 from voxtag.errors import InvalidF0, MalformedHeader, UnsupportedEncoding
 
 
@@ -113,6 +113,24 @@ def test_rejects_zero_sample_rate(tmp_path):
     path.write_bytes(_wav_bytes(sample_rate=0))
     with pytest.raises(MalformedHeader, match="sample rate"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("rate", [10, 40, 150, 999])
+def test_rejects_sample_rate_below_floor(tmp_path, rate):
+    """Below twice F0_MAX the tracker's 500 Hz ceiling lies past Nyquist."""
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(sample_rate=rate))
+    with pytest.raises(UnsupportedEncoding,
+                       match=f"sample rate {rate} Hz, expected at least 1000"):
+        read_wav(path)
+
+
+def test_loads_sample_rate_at_floor(tmp_path):
+    assert MIN_SAMPLE_RATE == 2 * F0_MAX
+    path = tmp_path / "rate.wav"
+    path.write_bytes(_wav_bytes(sample_rate=MIN_SAMPLE_RATE))
+    w = read_wav(path)
+    assert w.sample_rate == MIN_SAMPLE_RATE and len(w) == 4
 
 
 def test_rejects_chunk_running_past_end_of_file(tmp_path):

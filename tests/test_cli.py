@@ -407,6 +407,26 @@ def test_evaluate_rejects_utterances_missing_from_eval_tsv(workspace, capsys):
     assert lines[4].split("\t")[0] in err and ", ..." in err
 
 
+@pytest.mark.parametrize("command", ["perturb", "probe"])
+def test_wav_below_the_sample_rate_floor_is_validation_error(tmp_path, capsys, command):
+    """A 40 Hz WAV fails closed naming the file, before any DSP runs on it."""
+    from voxtag import model as M
+    low = tmp_path / "low.wav"
+    write_wav(Waveform(0.5 * np.sin(np.arange(20)), 40), low)
+    manifest = tmp_path / "low.tsv"
+    manifest.write_text(f"u0\t{low}\tM\ta b c\ta b c\n", encoding="utf-8")
+    if command == "perturb":
+        argv = ["perturb", "--manifest", str(manifest), "--p", "1", "--out", str(tmp_path / "o")]
+    else:
+        model = tmp_path / "m.vxck"
+        M.save_model(M.TranslationModel(M.Vocabulary([]),
+                                        M.ModelConfig(hidden_dim=8, disc_hidden=8)), model)
+        argv = ["probe", "--model", str(model), "--manifest", str(manifest)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and str(low) in err and "sample rate 40 Hz" in err
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "perturb", "--manifest", "/no/such.tsv",
                        "--out", "/tmp/x")

@@ -10,7 +10,9 @@ from voxtag.dsp import (
     F0Contour,
     _parabolic_peak,
     apply_cmvn_,
+    envelope_peak_hz,
     estimate_f0_contour,
+    harmonic_windows,
     logmel_features,
     mel_filterbank,
     voiced_median,
@@ -187,7 +189,7 @@ def _f0_reference_cases():
     for f0 in (90.0, 120.0, 150.0, 200.0, 250.0, 300.0):
         peaks = [(650.0, 8.0), (950.0, 5.0)] if f0 < 180 else [(800.0, 8.0), (1150.0, 5.0)]
         cases.append((f"voice {f0:.0f} Hz", synth_harmonic(f0, peaks, 0.4).samples))
-    for n_frames in (1, 16, 17, 33):  # block edges
+    for n_frames in (1, 16, 17, 33):  # one frame, and counts around 16 and 32
         cases.append((f"{n_frames} frames", voice[:640 + (n_frames - 1) * 160]))
     cases = [(name, Waveform(x, sr)) for name, x in cases]
     # other rates: at 11025 Hz a frame is 441 samples (odd) and the hop 110,
@@ -219,8 +221,47 @@ def test_f0_contour_matches_per_frame_loop(case):
     got = estimate_f0_contour(w).frame_hz
     want = _loop_f0_contour(w)
     assert got.shape == want.shape
-    assert np.array_equal(got > 0, want > 0)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    assert np.array_equal(got, want)
+
+
+def _loop_harmonic_windows(n_bins, bin_hz, f0):
+    """harmonic_windows with its centres found by a loop, kept as the
+    reference."""
+    half = max(2, int(0.4 * f0 / bin_hz))
+    centers = []
+    while (c := int(round((len(centers) + 1) * f0 / bin_hz))) < n_bins - 1:
+        centers.append(c)
+    idx = np.array(centers, dtype=int)[:, None] + np.arange(-half, half + 1)
+    return np.clip(idx, 0, n_bins - 1), (idx >= 1) & (idx < n_bins)
+
+
+@pytest.mark.parametrize("n_bins, bin_hz", [(513, 16000 / 1024), (257, 11025 / 512),
+                                            (1025, 16000 / 2048), (9, 31.25)])
+def test_harmonic_windows_matches_centre_loop(n_bins, bin_hz):
+    top_hz = (n_bins - 1) * bin_hz
+    # below one bin, exact multiples of bin_hz (rounding ties at the halves),
+    # arbitrary values, and one past the top bin (no window)
+    f0s = [0.3 * bin_hz, bin_hz, 1.5 * bin_hz, 2.5 * bin_hz, 4 * bin_hz, 7.5 * bin_hz,
+           57.3, 123.456, 333.3, top_hz / 3, top_hz, top_hz + bin_hz]
+    for f0 in f0s:
+        got = harmonic_windows(n_bins, bin_hz, f0)
+        want = _loop_harmonic_windows(n_bins, bin_hz, f0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype, f0
+            assert np.array_equal(g, w), f0
+    assert harmonic_windows(n_bins, bin_hz, top_hz + bin_hz)[0].shape[0] == 0
+
+
+def test_harmonic_windows_of_negative_f0_is_empty():
+    idx, inside = harmonic_windows(513, 15.625, -100.0)
+    assert idx.shape[0] == 0 and inside.shape[0] == 0
+
+
+@pytest.mark.parametrize("f0", [0.0, -100.0, np.nan, np.inf])
+def test_envelope_peak_rejects_f0_not_finite_and_positive(f0):
+    w = synth_harmonic(150.0, [(700.0, 5.0)], 0.3)
+    with pytest.raises(ValueError, match=f"f0 must be finite and positive, got {f0}"):
+        envelope_peak_hz(w, f0)
 
 
 def test_mel_filterbank_cached_read_only():

@@ -271,8 +271,8 @@ def _warp_reference_cases():
         peaks = M_PEAKS if f0 < 180 else F_PEAKS
         x = synth_harmonic(f0, peaks, 0.3).samples
         cases.append((f"voice {f0:.0f} Hz", x, 0.8 if f0 < 180 else 1.25, f0))
-    # block edges: (len + 1024) // 256 + 1 frames, the last one overlapping
-    # the signal's final 100 samples
+    # frame counts around 16 and 32: (len + 1024) // 256 + 1 frames, the last
+    # one overlapping the signal's final 100 samples
     for n_frames in (16, 17, 33):
         cases.append((f"{n_frames} frames", voice[:(n_frames - 1) * 256 - 924], 1.2, 150.0))
     return cases

@@ -1,7 +1,7 @@
 """Pitch tracking, voiced statistics and log-mel feature extraction."""
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,10 @@ class F0Contour:
     frame_hz: np.ndarray
     hop: int
     frame_len: int
+    # filled on first use, since frame_hz never changes: voiced_median's
+    # value, and perturb's pitch marks as ((n_samples, sample_rate), marks)
+    _median: object = field(default=None, init=False, repr=False, compare=False)
+    _marks: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frame_hz = np.array(self.frame_hz, dtype=np.float64)
@@ -146,11 +150,13 @@ def estimate_f0_contour(w: Waveform) -> F0Contour:
 
 
 def voiced_median(c: F0Contour) -> float:
-    """Median f0 over voiced frames only."""
-    voiced = c.voiced
-    if len(voiced) == 0:
-        raise AllUnvoiced("no voiced frame in contour")
-    return float(np.median(voiced))
+    """Median f0 over voiced frames only, computed once per contour."""
+    if c._median is None:
+        voiced = c.voiced
+        if len(voiced) == 0:
+            raise AllUnvoiced("no voiced frame in contour")
+        object.__setattr__(c, "_median", float(np.median(voiced)))
+    return c._median
 
 
 def hz_to_mel(hz):
@@ -159,6 +165,15 @@ def hz_to_mel(hz):
 
 def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def hann(n):
+    """np.hanning(n). Every frame and PSOLA grain is windowed by one, so
+    windows are cached; a cached window is shared, so it is read-only."""
+    window = np.hanning(n)
+    window.setflags(write=False)
+    return window
 
 
 @functools.lru_cache(maxsize=16)
@@ -200,7 +215,7 @@ def logmel_features(w: Waveform) -> FeatureMatrix:
     if len(x) < frame_len:
         raise TooShort(f"waveform of {len(x)} samples shorter than one 25 ms frame")
 
-    frames = frame_matrix(x, frame_len, hop) * np.hanning(frame_len)
+    frames = frame_matrix(x, frame_len, hop) * hann(frame_len)
     spec = np.abs(np.fft.rfft(frames, n=frame_len, axis=1)) ** 2
     fb = mel_filterbank(sr, frame_len)
     mel = spec @ fb.T
@@ -236,7 +251,7 @@ def envelope_peak_hz(w: Waveform, f0):
     x = w.samples
     if len(x) < n_fft:
         x = np.pad(x, (0, n_fft - len(x)))
-    spec = np.abs(np.fft.rfft(x[:n_fft] * np.hanning(n_fft)))
+    spec = np.abs(np.fft.rfft(x[:n_fft] * hann(n_fft)))
     freqs = np.fft.rfftfreq(n_fft, 1.0 / w.sample_rate)
 
     idx, inside = harmonic_windows(len(spec), freqs[1], f0)

@@ -9,7 +9,8 @@ from typing import ClassVar
 import numpy as np
 
 from .audio import Waveform
-from .dsp import RMS_GATE, estimate_f0_contour, frame_matrix, harmonic_windows, voiced_median
+from .dsp import (RMS_GATE, estimate_f0_contour, frame_matrix, hann, harmonic_windows,
+                  voiced_median)
 from .errors import AllUnvoiced, OutOfRangeFactor, TooShort, ZeroSourceMedian
 
 
@@ -58,16 +59,26 @@ def compute_alpha(source_median: float, target_median: float) -> float:
     return target_median / source_median
 
 
-def _pitch_marks(x, sr, contour):
-    """Place one mark per pitch period inside voiced regions."""
+def _voiced_frames(contour):
+    """Centre sample and f0 of each voiced frame: the knots of the f0 track."""
     frame_hz = contour.frame_hz
     centers = contour.hop * np.arange(len(frame_hz)) + contour.frame_len // 2
     voiced = frame_hz > 0
-    if not voiced.any():
+    return centers[voiced], frame_hz[voiced]
+
+
+def _pitch_marks(x, sr, contour):
+    """Place one mark per pitch period inside voiced regions.
+
+    The marks read only len(x), sr and the contour, never the samples, so they
+    are computed once per contour and kept on it, read-only."""
+    key = (len(x), sr)
+    if contour._marks is not None and contour._marks[0] == key:
+        return contour._marks[1]
+    if not (contour.frame_hz > 0).any():
         raise AllUnvoiced("no voiced frame, cannot place pitch marks")
-    # per-sample period via interpolation over voiced frames
-    f0_track = np.interp(np.arange(len(x)), centers[voiced], frame_hz[voiced])
-    period = sr / f0_track
+    # per-sample f0 via interpolation over voiced frames
+    f0_track = np.interp(np.arange(len(x)), *_voiced_frames(contour))
 
     # integrate the f0 track: a mark per unit of accumulated phase. Marks are
     # then spaced exactly one local period apart, which is all overlap-add
@@ -78,7 +89,10 @@ def _pitch_marks(x, sr, contour):
     marks = marks[marks < len(x)]
     if len(marks) == 0:
         raise AllUnvoiced("waveform shorter than one pitch period")
-    return marks.astype(int), period
+    marks = marks.astype(int)
+    marks.setflags(write=False)
+    object.__setattr__(contour, "_marks", (key, marks))
+    return marks
 
 
 def _psola(x, sr, contour, alpha):
@@ -90,13 +104,18 @@ def _psola(x, sr, contour, alpha):
     phase-coherent, which direct PSOLA loses at ratios far from 1.
     """
     n = len(x)
-    marks, period = _pitch_marks(x, sr, contour)
+    marks = _pitch_marks(x, sr, contour)
 
     # resample: y1[i] = x[alpha * i]; pitch and formants scale by alpha
     n1 = max(4, int(np.floor((n - 1) / alpha)) + 1)
     y1 = np.interp(alpha * np.arange(n1), np.arange(n), x)
     marks1 = np.round(marks / alpha).astype(int)
     gamma = n / n1
+    # the grain at mark m advances by the source period at sample m * alpha,
+    # over alpha. np.interp computes each position on its own, so evaluating
+    # it at these positions only gives the values of a per-sample track
+    at = np.minimum(np.round(marks1 * alpha), n - 1)
+    steps = (sr / np.interp(at, *_voiced_frames(contour)) / alpha).tolist()
 
     # grain positions are a scalar recurrence; each grain centred at output
     # sample s copies the resampled signal around the mark m nearest s / gamma
@@ -110,7 +129,7 @@ def _psola(x, sr, contour, alpha):
         if j == len(mark_list) or (j > 0 and t - mark_list[j - 1] <= mark_list[j] - t):
             j -= 1  # on a tie the lower mark, as argmin would take
         m = mark_list[j]
-        step = period.item(min(round(m * alpha), n - 1)) / alpha
+        step = steps[j]
         p = max(2, round(step))
         lo_off = min(p, m, s)
         hi_off = min(p, n1 - m, n - s)
@@ -127,9 +146,9 @@ def _psola(x, sr, contour, alpha):
     # samples further on
     shift = np.repeat(s - lo_off - (np.cumsum(length) - length), length)
     idx = np.arange(len(shift)) + shift
-    # grain windows: one np.hanning(2p + 1) per half-length p, laid end to end
+    # grain windows: one hann(2p + 1) per half-length p, laid end to end
     half = sorted(set(p.tolist()))
-    table = np.concatenate([np.hanning(2 * q + 1) for q in half])
+    table = np.concatenate([hann(2 * q + 1) for q in half])
     table_start = np.cumsum([0] + [2 * q + 1 for q in half])[np.searchsorted(half, p)]
     win = table[idx + np.repeat(table_start + p - s, length)]
     out = np.bincount(idx, win * y1[idx + np.repeat(m - s, length)], n)
@@ -159,14 +178,24 @@ def _harmonic_envelope(mag, bin_hz, windows):
     return np.exp([np.interp(freqs, hz, amp) for hz, amp in zip(hz_pts, log_amp)])
 
 
+def _stretch_rows(env, scale):
+    """Each row of env read at bin b / scale, as np.interp(bins / scale, bins,
+    row) would read it. On the unit bin grid the knot left of a position is its
+    floor and the slope is the next bin's difference, so one gather does every
+    row; positions at or past the last bin read the last bin."""
+    n_bins = env.shape[1]
+    at = np.arange(n_bins) / scale
+    j = np.minimum(np.floor(at), n_bins - 2).astype(int)
+    out = (env[:, j + 1] - env[:, j]) * (at - j) + env[:, j]
+    out[:, at >= n_bins - 1] = env[:, -1:]
+    return out
+
+
 def _warp_gain(mag, scale, bin_hz, windows):
     """Per-bin gain that moves each frame's harmonic envelope from f to
     f*scale, clipped to [1e-3, 1e3]."""
-    bins = np.arange(mag.shape[1])
     env = _harmonic_envelope(mag, bin_hz, windows)
-    at = bins / scale
-    warped = np.array([np.interp(at, bins, e) for e in env])
-    return np.clip(warped / np.maximum(env, 1e-12), 1e-3, 1e3)
+    return np.clip(_stretch_rows(env, scale) / np.maximum(env, 1e-12), 1e-3, 1e3)
 
 
 def _formant_warp(x, scale, sr, f0):
@@ -175,7 +204,7 @@ def _formant_warp(x, scale, sr, f0):
     median fundamental, used to sample the envelope at harmonic peaks."""
     n_fft = 1024
     hop = n_fft // 4
-    window = np.hanning(n_fft)
+    window = hann(n_fft)
     pad = n_fft
     xp = np.pad(x, (pad, pad))
     bin_hz = sr / n_fft

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voxtag.audio import MIN_SAMPLE_RATE, PCM_SCALE, Waveform, read_wav, synth_harmonic, write_wav
-from voxtag.dsp import F0_MAX, estimate_f0_contour, voiced_median
+from voxtag.dsp import estimate_f0_contour, voiced_median
 from voxtag.errors import InvalidF0, MalformedHeader, UnsupportedEncoding
 
 
@@ -115,22 +115,31 @@ def test_rejects_zero_sample_rate(tmp_path):
         read_wav(path)
 
 
-@pytest.mark.parametrize("rate", [10, 40, 150, 999])
+@pytest.mark.parametrize("rate", [10, 40, 150, 999, 1000, 2000, 3999])
 def test_rejects_sample_rate_below_floor(tmp_path, rate):
-    """Below twice F0_MAX the tracker's 500 Hz ceiling lies past Nyquist."""
+    """Below 4000 Hz the tracker reads many harmonic voices an octave off;
+    3999 Hz is just below the floor."""
     path = tmp_path / "rate.wav"
     path.write_bytes(_wav_bytes(sample_rate=rate))
     with pytest.raises(UnsupportedEncoding,
-                       match=f"sample rate {rate} Hz, expected at least 1000"):
+                       match=f"sample rate {rate} Hz, expected at least 4000"):
         read_wav(path)
 
 
 def test_loads_sample_rate_at_floor(tmp_path):
-    assert MIN_SAMPLE_RATE == 2 * F0_MAX
+    assert MIN_SAMPLE_RATE == 4000
     path = tmp_path / "rate.wav"
     path.write_bytes(_wav_bytes(sample_rate=MIN_SAMPLE_RATE))
     w = read_wav(path)
     assert w.sample_rate == MIN_SAMPLE_RATE and len(w) == 4
+
+
+@pytest.mark.parametrize("f0", [100.0, 150.0, 250.0, 400.0])
+def test_tracker_reads_f0_at_floor(f0):
+    """At the floor the tracker reads a voice with one formant at 2 f0 within
+    0.5 Hz; at 3900 Hz it reads the 250 Hz one as 499.5 Hz."""
+    w = synth_harmonic(f0, [(2 * f0, 8.0)], 0.7, sample_rate=MIN_SAMPLE_RATE)
+    assert abs(voiced_median(estimate_f0_contour(w)) - f0) <= 0.5
 
 
 def test_rejects_chunk_running_past_end_of_file(tmp_path):

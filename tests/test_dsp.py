@@ -12,6 +12,7 @@ from voxtag.dsp import (
     apply_cmvn_,
     envelope_peak_hz,
     estimate_f0_contour,
+    hann,
     harmonic_windows,
     logmel_features,
     mel_filterbank,
@@ -64,6 +65,12 @@ def test_voiced_median_hand_cases():
     assert voiced_median(c) == 120.0
     assert voiced_median(F0Contour(np.array([0.0, 0, 250]), 160, 640)) == 250.0
     assert voiced_median(F0Contour(np.array([100.0, 200.0]), 160, 640)) == 150.0
+
+
+def test_voiced_median_computed_once_per_contour():
+    c = F0Contour(np.array([100.0, 0, 130, 140]), hop=160, frame_len=640)
+    first = voiced_median(c)
+    assert first == 130.0 and voiced_median(c) is first
 
 
 def test_voiced_median_all_unvoiced():
@@ -274,3 +281,12 @@ def test_mel_filterbank_cached_read_only():
     warm = logmel_features(w).frames
     mel_filterbank.cache_clear()
     assert np.array_equal(logmel_features(w).frames, warm)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 400, 1024])
+def test_hann_cached_read_only(n):
+    window = hann(n)
+    assert hann(n) is window
+    assert np.array_equal(window, np.hanning(n))
+    with pytest.raises(ValueError):
+        window[0] = 1.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voxtag import perturb
 from voxtag.audio import Waveform, synth_harmonic
@@ -11,6 +13,7 @@ from voxtag.perturb import (
     SpeakerGender,
     _formant_warp,
     _harmonic_envelope,
+    _stretch_rows,
     apply_opposite,
     compute_alpha,
     pitch_formant_shift,
@@ -197,7 +200,11 @@ def _loop_psola(x, sr, contour, alpha):
     """The grain-by-grain overlap-add that the one-pass version replaced, kept as
     the reference."""
     n = len(x)
-    marks, period = perturb._pitch_marks(x, sr, contour)
+    marks = perturb._pitch_marks(x, sr, contour)
+    # the per-sample period over voiced frames, as the grain loop read it
+    centers = contour.hop * np.arange(len(contour.frame_hz)) + contour.frame_len // 2
+    voiced = contour.frame_hz > 0
+    period = sr / np.interp(np.arange(n), centers[voiced], contour.frame_hz[voiced])
     n1 = max(4, int(np.floor((n - 1) / alpha)) + 1)
     y1 = np.interp(alpha * np.arange(n1), np.arange(n), x)
     marks1 = np.round(marks / alpha).astype(int)
@@ -329,3 +336,63 @@ def test_apply_opposite_tracks_source_once(monkeypatch):
         want = pitch_formant_shift(w, alpha, cfg.formant_up)
         assert np.array_equal(out.samples, want.samples)
     assert seen == {True, False}
+
+
+def test_shifts_with_kept_pitch_marks_match_fresh_waveforms():
+    """Repeated shifts of one waveform, which reuse the marks and median kept
+    on its contour, equal the same shifts of fresh copies bit for bit. The
+    contour keeps no array longer than its marks, so the memo costs at most
+    one mark array per waveform."""
+    w = synth_harmonic(130.0, M_PEAKS, 0.4)
+    for alpha in (0.6, 1.6, 1.0, 0.6):
+        for scale in (1.2, 0.8):
+            fresh = Waveform(w.samples.copy(), w.sample_rate)
+            assert np.array_equal(pitch_formant_shift(w, alpha, scale).samples,
+                                  pitch_formant_shift(fresh, alpha, scale).samples)
+    contour = estimate_f0_contour(w)
+    marks = perturb._pitch_marks(w.samples, w.sample_rate, contour)
+    assert contour._marks == ((len(w), w.sample_rate), marks)
+    with pytest.raises(ValueError):
+        marks[0] = 0
+    kept = [v for v in vars(contour).values() if v is not contour.frame_hz]
+    kept += [part for v in kept if isinstance(v, tuple) for part in v]
+    assert all(v.size <= len(marks) for v in kept if isinstance(v, np.ndarray))
+
+
+def test_pitch_marks_kept_per_length_and_rate():
+    """A call with another length or rate recomputes the marks and keeps the
+    new ones; each equals what a fresh contour gives."""
+    x = synth_harmonic(150.0, M_PEAKS, 0.3).samples
+    contour = estimate_f0_contour(Waveform(x, 16000))
+    first = perturb._pitch_marks(x, 16000, contour)
+    assert perturb._pitch_marks(x, 16000, contour) is first
+    for n, sr in ((len(x) - 100, 16000), (len(x), 8000)):
+        got = perturb._pitch_marks(x[:n], sr, contour)
+        fresh = estimate_f0_contour(Waveform(x, 16000))
+        assert np.array_equal(got, perturb._pitch_marks(x[:n], sr, fresh))
+        assert contour._marks[0] == (n, sr)
+
+
+@st.composite
+def _envelopes_and_scales(draw):
+    n_bins = draw(st.integers(2, 600))
+    env = np.exp(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        -28.0, 7.0, (draw(st.integers(1, 4)), n_bins)))
+    # besides any scale, those that put the last bin, or a bin at the last
+    # bin's position, exactly on a knot
+    k = draw(st.integers(max(1, -(-(n_bins - 1) // 8)), 8 * (n_bins - 1)))
+    scale = draw(st.one_of(st.floats(0.125, 8.0), st.sampled_from([0.125, 0.5, 1.0, 2.0, 8.0]),
+                           st.just((n_bins - 1) / k), st.just(k / (n_bins - 1))))
+    return env, min(max(scale, 0.125), 8.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelopes_and_scales())
+@example((np.exp(np.random.default_rng(0).uniform(-28.0, 7.0, (3, 513))), 1.0))
+@example((np.exp(np.random.default_rng(1).uniform(-28.0, 7.0, (3, 513))), 2.0))
+@example((np.exp(np.random.default_rng(2).uniform(-28.0, 7.0, (3, 513))), 0.125))
+def test_stretch_rows_matches_per_row_interp(case):
+    env, scale = case
+    bins = np.arange(env.shape[1])
+    want = np.array([np.interp(bins / scale, bins, row) for row in env])
+    assert np.array_equal(_stretch_rows(env, scale), want)

@@ -3,6 +3,7 @@ with a gradient reversal layer and its lambda schedule."""
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -11,6 +12,25 @@ import numpy as np
 from .errors import EmptyList, MalformedHeader, NonFinite, NonScalarLoss, OutOfRangeStep, ShapeMismatch
 
 CHECKPOINT_MAGIC = b"VXCK"
+
+# False inside no_grad(): new nodes record no parents and no backward rule
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Forward only: within the block, a new Tensor records no parents and no
+    backward rule, so no tape keeps an intermediate alive and nothing is
+    differentiated through it. A leaf made with requires_grad=True keeps the
+    flag. Blocks nest, and each restores the mode it found, also on an
+    exception. The mode is process-wide, like the rest of this
+    single-threaded engine."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -21,7 +41,9 @@ class Tensor:
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        if not requires_grad:
+        if not _recording:
+            _parents, _backward = (), None
+        elif not requires_grad:
             # a plain loop: this runs once per node, and a generator costs more
             for p in _parents:
                 if p.requires_grad:
@@ -104,7 +126,9 @@ def linear(x, w, b):
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.values.shape[-1] != w.values.shape[0] or b.values.shape != w.values.shape[1:]:
         raise ShapeMismatch(f"linear {x.shape} @ {w.shape} + {b.shape}")
-    out_values = x.values @ w.values + b.values
+    # x @ w is a fresh array, so b is added in place, with no second temporary
+    out_values = x.values @ w.values
+    out_values += b.values
 
     def backward(g):
         return (g @ w.values.T if x.requires_grad else None,
@@ -115,13 +139,15 @@ def linear(x, w, b):
 
 
 def relu(x):
+    """max(x, 0). The value is bitwise np.where(x > 0, x, 0.0), -0.0 and
+    subnormals included, except that a NaN stays NaN."""
     x = _as_tensor(x)
     mask = x.values > 0
 
     def backward(g):
         return (g * mask,)
 
-    return Tensor(np.where(mask, x.values, 0.0), _parents=(x,), _backward=backward)
+    return Tensor(np.maximum(x.values, 0.0), _parents=(x,), _backward=backward)
 
 
 def tanh(x):

@@ -1,6 +1,6 @@
 """Command-line entry point exposing the pipeline as subcommands: corpus
-synthesis, perturbation, training, checkpoint averaging, evaluation and
-probing. Flags are the only settings; each sets the config field it names."""
+synthesis, perturbation, training, evaluation and probing. Flags are the only
+settings; each sets the config field it names."""
 
 import argparse
 import os
@@ -80,13 +80,6 @@ def cmd_train(args):
     return 0
 
 
-def cmd_average_ckpt(args):
-    states = [ad.load_checkpoint(p) for p in args.inputs]
-    ad.save_checkpoint(ad.average_checkpoints(states), args.out)
-    print(f"averaged {len(states)} checkpoints into {args.out}")
-    return 0
-
-
 def cmd_evaluate(args):
     model = mdl.load_model(args.model)
     utterances = sd.read_manifest(args.manifest)
@@ -143,9 +136,6 @@ def build_parser():
     p.add_argument("--warmup-updates", type=int, default=None)
     p.add_argument("--total-updates", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-
-    p = add("average-ckpt", cmd_average_ckpt, out=True)
-    p.add_argument("inputs", nargs="+")
 
     p = add("evaluate", cmd_evaluate, out=True)
     p.add_argument("--model", required=True)

@@ -259,16 +259,17 @@ class TranslationModel:
         e = np.exp(scores - scores.max())
         ctx = (e / e.sum()) @ enc
         hid = np.concatenate([ctx, d_in]) @ p["dec.l0.w1"].values + p["dec.l0.b1"].values
-        hid = np.where(hid > 0, hid, 0.0)
+        hid = np.maximum(hid, 0.0)
         return hid @ p["dec.out_w"].values + p["dec.out_b"].values
 
     def greedy_decode(self, pooled, first_token, max_len=32):
         """Greedy token ids after first_token for one utterance's pool4 rows,
         the input encode takes, up to eos or max_len steps. With no
         self-attention, each step computes one new row off the autodiff tape,
-        not the prefix."""
+        not the prefix. The encode runs under no_grad and keeps no tape."""
         self._checked_prefixes([[first_token]])
-        enc = self.encode([pooled]).values
+        with ad.no_grad():
+            enc = self.encode([pooled]).values
         positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
         out, token = [], first_token
         for k in range(max_len):

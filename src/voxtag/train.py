@@ -145,12 +145,13 @@ def _backward_batch(model, batch, vocab, lam, weights):
 
 
 def _val_loss(model, utterances, vocab, batch_size):
-    """Mean per-utterance translation loss, one graph per chunk of batch_size."""
+    """Mean per-utterance translation loss, forward only (no_grad), one
+    forward per chunk of batch_size."""
     total = 0.0
-    for lo in range(0, len(utterances), batch_size):
-        chunk = utterances[lo:lo + batch_size]
-        # keep only the value, so each chunk's graph is freed before the next
-        total += _translation_loss(model, chunk, vocab)[2].values.item() * len(chunk)
+    with ad.no_grad():
+        for lo in range(0, len(utterances), batch_size):
+            chunk = utterances[lo:lo + batch_size]
+            total += _translation_loss(model, chunk, vocab)[2].values.item() * len(chunk)
     return total / max(len(utterances), 1)
 
 
@@ -244,10 +245,14 @@ def probe_discriminator(model, held_out, seed=0) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        encs = [model.encode([utt.pooled]).values for utt in split]
+        # one forward per split: the encoder is row-wise, so its stacked rows
+        # equal per-utterance encodes bit for bit (for utterances of two rows
+        # or more; numpy multiplies a single row as a matrix-vector product)
+        pooled = [utt.pooled for utt in split]
+        with ad.no_grad():
+            X = model.encode(pooled).values
         labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
-        P = mdl.pooling_matrix([len(enc) for enc in encs])
-        return np.concatenate(encs, axis=0), P, np.array(labels)
+        return X, mdl.pooling_matrix([len(rows) for rows in pooled]), np.array(labels)
 
     X_tr, P_tr, y_tr = encoded(train_set)
     X_te, P_te, y_te = encoded(test_set)

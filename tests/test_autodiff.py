@@ -107,6 +107,110 @@ def test_linear_rejects_width_mismatch(x_shape, w_shape, b_shape):
         ad.linear(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
 
 
+# signed zeros, subnormals, normals and infinities of both signs
+RELU_EDGES = np.array([-0.0, 0.0, 5e-324, -5e-324, 3e-310, -3e-310, 2.2250738585072014e-308,
+                       -2.2250738585072014e-308, 1.5, -1.5, 1e308, -1e308, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("layout", ["edges", "odd", "block", "transposed"])
+def test_relu_value_is_bitwise_where(layout):
+    """relu(x) is np.where(x > 0, x, 0.0) bit for bit: -0.0 comes out as
+    +0.0, and subnormals pass or vanish by sign, in contiguous arrays of
+    every length and in strided views."""
+    rng = np.random.default_rng(14)
+    x = {"edges": RELU_EDGES,
+         "odd": np.resize(RELU_EDGES, 37) * rng.choice([1.0, -1.0], 37),
+         "block": rng.normal(size=(1070, 64)),
+         "transposed": rng.normal(size=(64, 33)).T}[layout]
+    if layout in ("block", "transposed"):
+        x[::5, ::3] = -0.0
+        x[1::7, 2::5] = 0.0
+        x[2::11, ::7] = rng.choice([5e-324, -5e-324, 3e-310, -3e-310], x[2::11, ::7].shape)
+    out = ad.relu(x).values
+    assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert not np.signbit(out).any()
+
+
+def test_relu_gradient_is_the_masked_upstream_gradient():
+    rng = np.random.default_rng(15)
+    x0 = np.resize(RELU_EDGES, (6, 7)) * rng.choice([1.0, -1.0], (6, 7))
+    x0[:, ::2] = rng.normal(size=(6, 4))
+    g = rng.normal(size=(6, 7))
+    x = ad.Tensor(x0, requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.relu(x), g)))
+    assert x.grad.tobytes() == (g * (x0 > 0)).tobytes()
+
+
+def test_relu_passes_nan_through():
+    """A NaN input comes out as NaN (np.maximum), where np.where(x > 0, x,
+    0.0) would turn it into 0.0; its gradient is still masked to 0.0."""
+    x = ad.Tensor(np.array([np.nan, 1.0, -1.0]), requires_grad=True)
+    y = ad.relu(x)
+    assert np.isnan(y.values[0]) and y.values[1:].tolist() == [1.0, 0.0]
+    ad.backward(ad.sum_(ad.mul(y, np.array([0.0, 1.0, 1.0]))))
+    assert x.grad.tolist() == [0.0, 1.0, 0.0]
+
+
+def _small_graph(x, w, b):
+    return ad.sum_(ad.mul(ad.relu(ad.linear(x, w, b)), ad.tanh(ad.linear(x, w, b))))
+
+
+def _records(t):
+    """Whether t is a taped node: it records parents and a backward rule."""
+    return bool(t._parents) and t._backward is not None
+
+
+def test_no_grad_records_no_parents():
+    """Inside no_grad every op's output is a bare value: no parents, no
+    backward rule, no gradient flag. backward over it reaches no parameter."""
+    rng = np.random.default_rng(16)
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=3), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(5, 4)))
+    with ad.no_grad():
+        h = ad.linear(x, w, b)
+        outs = [h, ad.relu(h), ad.add(h, b), ad.matmul(x, w), ad.concat([h, h], axis=1),
+                ad.attention(h, h, [2, 3], [4, 1], 0.5), ad.cross_entropy(h, np.ones(h.shape)),
+                ad.embedding(w, [0, 3]), ad.grl_apply(h, 0.5), _small_graph(x, w, b)]
+    for out in outs:
+        assert out._parents == () and out._backward is None and not out.requires_grad
+    loss = outs[-1]
+    taped = _small_graph(x, w, b)
+    assert loss.values.tobytes() == taped.values.tobytes()
+    ad.backward(loss)
+    assert w.grad is None and b.grad is None
+    ad.backward(taped)
+    assert w.grad is not None and b.grad is not None
+
+
+def test_no_grad_restores_recording_on_exit_error_and_nesting():
+    w = ad.Tensor(np.ones(2), requires_grad=True)
+    with ad.no_grad():
+        assert not _records(ad.add(w, w))
+    assert _records(ad.add(w, w))
+    with pytest.raises(KeyError):
+        with ad.no_grad():
+            raise KeyError("inside")
+    assert _records(ad.add(w, w))
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not _records(ad.add(w, w))
+        assert not _records(ad.add(w, w))
+        with pytest.raises(ValueError):
+            with ad.no_grad():
+                raise ValueError("nested")
+        assert not _records(ad.add(w, w))
+    assert _records(ad.add(w, w))
+
+
+def test_leaf_made_under_no_grad_keeps_its_gradient():
+    with ad.no_grad():
+        p = ad.Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    assert p.requires_grad
+    ad.backward(ad.sum_(ad.mul(p, p)))
+    assert p.grad.tolist() == [3.0, -4.0]
+
+
 Q_LENGTHS, KV_LENGTHS = [3, 7, 1, 5, 9, 2, 6, 4], [5, 2, 8, 1, 6, 9, 3, 7]
 
 

@@ -18,7 +18,7 @@ def run(capsys, *argv):
 
 
 def test_help_exits_zero(capsys):
-    for sub in ("synth-data", "perturb", "train", "average-ckpt", "evaluate", "probe"):
+    for sub in ("synth-data", "perturb", "train", "evaluate", "probe"):
         assert main([sub, "--help"]) == 0
         capsys.readouterr()
 
@@ -57,10 +57,12 @@ def test_readme_documents_every_flag():
     (["schedule", "--total", "2000", "--at", "0"], "invalid choice: 'schedule'"),
     (["class-weights", "--f", "0.3", "--m", "0.7"], "invalid choice: 'class-weights'"),
     (["synth-data", "--seed", "1"], "the following arguments are required: --n-utterances"),
+    (["average-ckpt", "run/ckpt_000200.vxck"], "invalid choice: 'average-ckpt'"),
 ])
 def test_removed_option_or_missing_flag_is_usage_error(tmp_path, capsys, argv, message):
-    """Flags are the only settings: a config file, a calculator subcommand and
-    a run without --n-utterances are argparse usage errors, before any output."""
+    """Flags are the only settings: a config file, a removed subcommand and a
+    run without --n-utterances are argparse usage errors, before any output.
+    train writes the averaged model itself, so average-ckpt is gone."""
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
     assert code == 1 and out == ""
     assert message in err
@@ -212,21 +214,6 @@ def test_failed_train_leaves_out_as_it_found_it(workspace, tmp_path, capsys, exi
             assert {p.name: p.read_bytes() for p in out.iterdir()} == files
         else:
             assert not out.exists()
-
-
-def test_average_ckpt(workspace, capsys):
-    import glob
-    import numpy as np
-    from voxtag import autodiff as ad
-    ckpts = sorted(glob.glob(str(workspace / "r1" / "ckpt_*.vxck")))
-    out = str(workspace / "avg.vxck")
-    assert main(["average-ckpt", *ckpts, "--out", out]) == 0
-    capsys.readouterr()
-    avg = ad.load_checkpoint(out)
-    states = [ad.load_checkpoint(p) for p in ckpts]
-    for name in avg:
-        np.testing.assert_allclose(avg[name],
-                                   np.mean([s[name] for s in states], axis=0))
 
 
 def test_evaluate_scores_a_gender_unaware_checkpoint(workspace, capsys):
@@ -381,14 +368,15 @@ def test_non_utf8_text_input_names_file_and_line(workspace, capsys):
         assert code == 1 and f"{named}:3: byte 0xae is not UTF-8" in err, (argv, err)
 
 
-def test_average_ckpt_rejects_truncated_input(workspace, capsys):
-    import numpy as np
+def test_train_init_rejects_truncated_checkpoint(workspace, tmp_path, capsys):
     from voxtag import autodiff as ad
-    path = workspace / "cut.vxck"
+    path = tmp_path / "cut.vxck"
     ad.save_checkpoint({"w": np.ones((4, 4))}, path)
     path.write_bytes(path.read_bytes()[:30])
-    code, _, err = run(capsys, "average-ckpt", str(path), "--out", str(workspace / "o.vxck"))
-    assert code == 1 and "truncated" in err
+    code, _, err = run(capsys, "train", "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--init", str(path), "--out", str(tmp_path / "o"))
+    assert code == 1 and f"{path}: truncated" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_rejects_utterances_missing_from_eval_tsv(workspace, capsys):
@@ -437,7 +425,8 @@ def test_missing_file_is_validation_error(capsys):
     (["train", "--manifest", "{m}", "--init", "{d}", "--out", "{o}"], "{d}"),
     (["train", "--manifest", "{d}", "--out", "{o}"], "{d}"),
     (["train", "--manifest", "{m}", "--init", "{f}/x", "--out", "{o}"], "{f}/x"),
-    (["average-ckpt", "{d}", "--out", "{o}/avg.vxck"], "{d}"),
+    (["evaluate", "--model", "{w}", "--manifest", "{m}", "--eval-tsv", "{d}",
+      "--out", "{o}/report.json"], "{d}"),
     (["perturb", "--manifest", "{d}", "--out", "{o}"], "{d}"),
     (["synth-data", "--n-utterances", "2", "--out", "{f}"], "{f}"),
 ])
@@ -446,8 +435,11 @@ def test_path_of_the_wrong_kind_is_validation_error(workspace, tmp_path, capsys,
     needed, fails closed like a missing file and names the path."""
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("x")
+    from voxtag import model as M
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 tmp_path / "m.vxck")
     names = {"m": workspace / "corpus" / "manifest.tsv", "d": tmp_path / "adir",
-             "f": tmp_path / "afile", "o": tmp_path / "out"}
+             "f": tmp_path / "afile", "o": tmp_path / "out", "w": tmp_path / "m.vxck"}
     code, _, err = run(capsys, *(a.format(**names) for a in argv))
     assert code == 1
     assert err.startswith("error: ") and path.format(**names) in err

@@ -139,6 +139,69 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
                 np.testing.assert_allclose(step, rows[k], rtol=1e-12, atol=0)
 
 
+@pytest.fixture(scope="module")
+def residual_model(small_model):
+    """small_model's twin with non-zero residual branches: a fresh model's
+    enc.l*.w2 are zeros, which would hide any row coupling in encode."""
+    twin = M.TranslationModel(small_model.vocab, small_model.cfg, seed=0)
+    rng = np.random.default_rng(21)
+    for i in range(twin.cfg.encoder_layers):
+        twin.params[f"enc.l{i}.w2"].values = rng.normal(scale=0.3, size=(16, 16))
+    return twin
+
+
+def test_batched_encode_equals_utterance_encodes_bitwise(residual_model):
+    """The encoder is row-wise: each utterance's block of a batch's encode
+    equals its own encode bit for bit, for utterances of two rows or more.
+    The probe encodes each split in one call on the strength of this. numpy
+    multiplies a one-row input as a matrix-vector product, so a one-row
+    utterance agrees to rounding only."""
+    from voxtag.synthdata import SynthSpec, generate_corpus
+    rng = np.random.default_rng(22)
+    corpus = generate_corpus(SynthSpec(n_utterances=6, seed=3))[0]
+    pooled = [u.pooled for u in corpus] + [M.pool4(rng.normal(size=(T, 80)))
+                                           for T in (5, 8, 13, 63, 160, 9)]
+    with ad.no_grad():
+        batch = residual_model.encode(pooled).values
+        singles = [residual_model.encode([p]).values for p in pooled]
+    starts = np.cumsum([0] + [len(p) for p in pooled])
+    for lo, single in zip(starts, singles):
+        assert batch[lo:lo + len(single)].tobytes() == single.tobytes()
+    one_row = [M.pool4(rng.normal(size=(4, 80)))]
+    with ad.no_grad():
+        batch = residual_model.encode(one_row + pooled[:2]).values
+        single = residual_model.encode(one_row).values
+    np.testing.assert_allclose(batch[:1], single, rtol=1e-12, atol=0)
+
+
+def test_greedy_decode_encodes_off_the_tape_bitwise(small_model, eos_model, monkeypatch):
+    """greedy_decode's encode records no tape, and its values, and so the
+    decoded ids, are bitwise those of the taped encode."""
+    import contextlib
+    rng = np.random.default_rng(23)
+    pooled = [M.pool4(rng.normal(size=(T, 80))) for T in (6, 21, 47)]
+    encodes = []
+    encode = M.TranslationModel.encode
+
+    def spy(self, batch):
+        out = encode(self, batch)
+        encodes.append(out)
+        return out
+
+    monkeypatch.setattr(M.TranslationModel, "encode", spy)
+    off_tape = [m.greedy_decode(p, t) for m in (small_model, eos_model) for p in pooled
+                for t in (M.TAG_F_ID, M.BOS_ID)]
+    assert encodes and all(e._parents == () for e in encodes)
+    values = [e.values.tobytes() for e in encodes]
+    encodes.clear()
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    taped = [m.greedy_decode(p, t) for m in (small_model, eos_model) for p in pooled
+             for t in (M.TAG_F_ID, M.BOS_ID)]
+    assert all(e._parents for e in encodes)
+    assert [e.values.tobytes() for e in encodes] == values
+    assert off_tape == taped
+
+
 def test_greedy_decode_validates_inputs(small_model):
     with pytest.raises(UnknownToken):
         small_model.greedy_decode(M.pool4(np.zeros((8, 80))), 7)

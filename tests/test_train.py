@@ -310,6 +310,52 @@ def test_chunked_val_loss_is_mean_of_utterance_losses(tiny_corpus, batch_size):
     assert chunked == pytest.approx(np.mean(per_utt), rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+def test_val_loss_runs_off_the_tape_bitwise(tiny_corpus, batch_size, monkeypatch):
+    """_val_loss builds no tape, and its value is bitwise that of the taped
+    forward it replaced."""
+    import contextlib
+
+    from voxtag import autodiff as ad
+    from voxtag import train as train_mod
+    vocab = build_vocabulary()
+    model = TranslationModel(vocab, ModelConfig(mode="multi_gender"), seed=4)
+    losses = []
+    translation_loss = train_mod._translation_loss
+
+    def spy(*args):
+        out = translation_loss(*args)
+        losses.append(out[2])
+        return out
+
+    monkeypatch.setattr(train_mod, "_translation_loss", spy)
+    off_tape = train_mod._val_loss(model, tiny_corpus, vocab, batch_size)
+    assert losses and all(loss._parents == () for loss in losses)
+    losses.clear()
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    taped = train_mod._val_loss(model, tiny_corpus, vocab, batch_size)
+    assert all(loss._parents for loss in losses)
+    assert float(off_tape).hex() == float(taped).hex()
+
+
+def test_probe_encodes_each_split_once_off_the_tape(tiny_corpus, monkeypatch):
+    from voxtag import model as mdl
+    encodes = []
+    encode = mdl.TranslationModel.encode
+
+    def spy(self, batch):
+        out = encode(self, batch)
+        encodes.append((len(batch), out))
+        return out
+
+    monkeypatch.setattr(mdl.TranslationModel, "encode", spy)
+    model = TranslationModel(build_vocabulary(), ModelConfig(), seed=0)
+    accuracy = probe_discriminator(model, tiny_corpus)
+    assert 0.0 <= accuracy <= 1.0
+    assert [n for n, _ in encodes] == [len(tiny_corpus[0::2]), len(tiny_corpus[1::2])]
+    assert all(out._parents == () for _, out in encodes)
+
+
 def test_perturbed_training_survives_unvoiced_utterance():
     """An utterance with no voiced frame cannot be pitch-shifted; it trains on
     its clean features instead of aborting the run."""

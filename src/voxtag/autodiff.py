@@ -1,6 +1,8 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays,
 with a gradient reversal layer and its lambda schedule."""
 
+import heapq
+import itertools
 import math
 import struct
 from contextlib import contextmanager
@@ -15,6 +17,8 @@ CHECKPOINT_MAGIC = b"VXCK"
 
 # False inside no_grad(): new nodes record no parents and no backward rule
 _recording = True
+# numbers every node as it is made, so a node's number exceeds its parents'
+_creation = itertools.count()
 
 
 @contextmanager
@@ -34,13 +38,15 @@ def no_grad():
 
 
 class Tensor:
-    """A node of the dynamic tape: values, accumulated grad, backward rule."""
+    """A node of the dynamic tape: values, accumulated grad, backward rule,
+    and its creation number."""
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
+        self._seq = next(_creation)
         if not _recording:
             _parents, _backward = (), None
         elif not requires_grad:
@@ -324,39 +330,20 @@ def grl_apply(x, lam):
 
 
 def backward(loss):
-    """Reverse-topological gradient propagation from a scalar loss. Parents
-    that do not require a gradient get none. Each gradient is checked once,
-    where it reaches a leaf, and a non-finite one raises NonFinite."""
+    """Reverse-mode sweep from a scalar loss. A node is made after its
+    parents, so taking the pending nodes newest first reaches each one after
+    all of its consumers, with its gradient complete. Parents that do not
+    require a gradient get none. Each gradient is checked once, where it
+    reaches a leaf, and a non-finite one raises NonFinite."""
     if loss.values.size != 1:
         raise NonScalarLoss(f"loss has shape {loss.shape}")
-
-    order = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        if not node._parents:
-            # a leaf is finished as soon as it is reached
-            order.append(node)
-            continue
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and p not in seen:
-                stack.append((p, False))
-
-    # tensors hash by identity, so nodes key the sets and dicts themselves
+    # tensors hash by identity; the heap holds (-number, node), numbers are unique
     grads = {loss: np.ones_like(loss.values)}
-    for node in reversed(order):
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        if node._backward is None or not node._parents:
+    pending = [(-loss._seq, loss)]
+    while pending:
+        node = heapq.heappop(pending)[1]
+        g = grads.pop(node)
+        if not node._parents:
             if not np.isfinite(g).all():
                 raise NonFinite("non-finite gradient reached a leaf")
             node.accumulate(g)
@@ -366,7 +353,11 @@ def backward(loss):
                 continue
             # a fresh sum, never +=: pg may be a view of another node's arrays
             prev = grads.get(p)
-            grads[p] = pg if prev is None else prev + pg
+            if prev is None:
+                heapq.heappush(pending, (-p._seq, p))
+                grads[p] = pg
+            else:
+                grads[p] = prev + pg
 
 
 @dataclass(frozen=True)

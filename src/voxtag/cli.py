@@ -14,7 +14,7 @@ from . import evaluation as ev
 from . import model as mdl
 from . import synthdata as sd
 from . import train as tr
-from .errors import VoxtagError
+from .errors import UnknownToken, VoxtagError
 from .perturb import PerturbConfig, apply_opposite
 
 
@@ -58,11 +58,21 @@ def cmd_train(args):
         train_kwargs["perturb"] = PerturbConfig(**_section_kwargs(PerturbConfig, flags))
     train_cfg = tr.TrainConfig(**train_kwargs)
     utterances = sd.read_manifest(args.manifest)
-    init = ad.load_checkpoint(args.init) if args.init else None
+    init = vocab = None
+    if args.init:
+        # a fine-tune keeps the init's token ids, so it trains in its vocabulary
+        base = mdl.load_model(args.init)
+        init, vocab = base.state_dict(), base.vocab
+        known = set(vocab.tokens)
+        for utt in utterances:
+            for t in utt.target_tokens:
+                if t not in known:
+                    raise UnknownToken(f"{args.manifest}: utterance {utt.id} uses token {t!r}, "
+                                       f"which the vocabulary of {args.init} lacks")
     made_out = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
     try:
-        result = tr.train_loop(utterances, model_cfg, train_cfg, init=init,
+        result = tr.train_loop(utterances, model_cfg, train_cfg, init=init, vocab=vocab,
                                metrics_path=os.path.join(args.out, "metrics.jsonl"))
     except BaseException:
         # a run that fails before writing anything leaves no directory behind

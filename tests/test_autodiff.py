@@ -446,6 +446,181 @@ def test_backward_rejects_non_scalar():
         ad.backward(ad.mul(x, x))
 
 
+def _backward_reference(loss):
+    """The depth-first backward that the creation-order sweep replaced, kept
+    as the reference: a post-order search builds a topological order of the
+    nodes that need a gradient, then a second pass runs their rules in
+    reverse."""
+    if loss.values.size != 1:
+        raise NonScalarLoss(f"loss has shape {loss.shape}")
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        if not node._parents:
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and p not in seen:
+                stack.append((p, False))
+    grads = {loss: np.ones_like(loss.values)}
+    for node in reversed(order):
+        g = grads.pop(node, None)
+        if g is None:
+            continue
+        if node._backward is None or not node._parents:
+            if not np.isfinite(g).all():
+                raise NonFinite("non-finite gradient reached a leaf")
+            node.accumulate(g)
+            continue
+        for p, pg in zip(node._parents, node._backward(g)):
+            if not p.requires_grad:
+                continue
+            prev = grads.get(p)
+            grads[p] = pg if prev is None else prev + pg
+
+
+def _grl_update_graph():
+    """The graph of one gradient-reversal training update: a batch of 8
+    utterances of ragged lengths, translation and discriminator losses."""
+    from types import SimpleNamespace
+
+    from voxtag import model as M
+    from voxtag import train as tr
+    from voxtag.perturb import SpeakerGender
+
+    rng = np.random.default_rng(31)
+    words = [f"w{i}" for i in range(12)]
+    vocab = M.Vocabulary(words)
+    model = M.TranslationModel(vocab, M.ModelConfig(), seed=3)
+    batch = [SimpleNamespace(
+        pooled=rng.normal(size=(int(rng.integers(2, 9)), 80)),
+        target_tokens=list(rng.choice(words, size=int(rng.integers(1, 6)))),
+        gender=SpeakerGender.F if i % 3 else SpeakerGender.M) for i in range(8)]
+    enc, frames, t_loss = tr._translation_loss(model, batch, vocab)
+    d_loss = M.weighted_disc_loss(model.discriminate(enc, 0.5, frames),
+                                  [u.gender for u in batch], M.compute_class_weights(0.6, 0.4))
+    return M.combined_loss(t_loss, d_loss, model.cfg), list(model.params.values())
+
+
+def _probe_graph():
+    """The post-hoc probe's graph over 40 utterances of 2 to 5 rows."""
+    from voxtag import model as M
+
+    rng = np.random.default_rng(32)
+    frames = list(rng.integers(2, 6, size=40))
+    X, P = ad.Tensor(rng.normal(size=(sum(frames), 64))), ad.Tensor(M.pooling_matrix(frames))
+    params = [ad.Tensor(rng.normal(scale=0.125, size=(64, 32)), requires_grad=True),
+              ad.Tensor(rng.normal(scale=0.1, size=32), requires_grad=True),
+              ad.Tensor(rng.normal(scale=0.18, size=(32, 2)), requires_grad=True),
+              ad.Tensor(rng.normal(scale=0.1, size=2), requires_grad=True)]
+    hid = ad.relu(ad.linear(X, params[0], params[1]))
+    logits = ad.matmul(P, ad.linear(hid, params[2], params[3]))
+    q = np.zeros((40, 2))
+    q[np.arange(40), rng.integers(0, 2, size=40)] = 1 / 40
+    return ad.cross_entropy(logits, q), params
+
+
+def _fan_in_graph():
+    """An inner node that feeds four consumers and a leaf that feeds three,
+    over small integers, so every gradient sum is exact."""
+    rng = np.random.default_rng(33)
+    x = ad.Tensor(rng.integers(-4, 5, size=(3, 4)), requires_grad=True)
+    w = ad.Tensor(rng.integers(-3, 4, size=(4, 4)), requires_grad=True)
+    h = ad.matmul(x, w)
+    uses = [ad.mul(h, 2.0), ad.add(h, x), ad.matmul(h, w), ad.mul(h, x)]
+    total = uses[0]
+    for u in uses[1:]:
+        total = ad.add(total, u)
+    return ad.sum_(ad.mul(total, rng.integers(-2, 3, size=(3, 4)))), [x, w]
+
+
+def _graph_nodes(loss):
+    """Every node reachable from loss, and each node's consumers."""
+    nodes, consumers, stack = {loss}, {}, [loss]
+    while stack:
+        node = stack.pop()
+        for p in node._parents:
+            consumers.setdefault(p, []).append(node)
+            if p not in nodes:
+                nodes.add(p)
+                stack.append(p)
+    return nodes, consumers
+
+
+@pytest.mark.parametrize("graph", [_grl_update_graph, _probe_graph, _fan_in_graph])
+def test_backward_matches_depth_first_reference_bitwise(graph):
+    loss, leaves = graph()
+    _backward_reference(loss)
+    expected = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.zero_grad()
+    ad.backward(loss)
+    for leaf, want in zip(leaves, expected):
+        assert leaf.grad.dtype == want.dtype and leaf.grad.tobytes() == want.tobytes()
+
+
+def test_fan_in_graph_feeds_three_and_four_consumers():
+    _, consumers = _graph_nodes(_fan_in_graph()[0])
+    assert sorted(len(c) for c in consumers.values())[-2:] == [3, 4]
+
+
+@pytest.mark.parametrize("graph", [_grl_update_graph, _probe_graph, _fan_in_graph])
+def test_backward_runs_each_rule_once_after_all_its_consumers(graph):
+    loss, _ = graph()
+    nodes, consumers = _graph_nodes(loss)
+    ran = []
+
+    def recording(node):
+        rule = node._backward
+
+        def run(g):
+            ran.append(node)
+            return rule(g)
+        return run
+
+    for node in nodes:
+        if node._parents:
+            node._backward = recording(node)
+    ad.backward(loss)
+    position = {node: i for i, node in enumerate(ran)}
+    assert len(position) == len(ran)
+    inner = {n for n in nodes if n._parents and n.requires_grad}
+    assert set(ran) == inner
+    for node in ran:
+        assert all(position[c] < position[node] for c in consumers.get(node, ()))
+
+
+def test_backward_skips_rules_whose_inputs_need_no_gradient():
+    x = ad.Tensor(np.arange(3.0), requires_grad=True)
+    c = ad.tanh(ad.mul(np.ones(3), 2.0))
+
+    def never(g):
+        raise AssertionError("a rule ran for inputs that need no gradient")
+
+    for node in (c, c._parents[0]):
+        node._backward = never
+    ad.backward(ad.sum_(ad.mul(x, c)))
+    assert np.array_equal(x.grad, c.values)
+
+
+def test_backward_finishes_a_long_chain():
+    x = ad.Tensor(np.ones(2), requires_grad=True)
+    y = x
+    for _ in range(10_000):
+        y = ad.add(y, 1.0)
+    ad.backward(ad.sum_(y))
+    assert np.array_equal(x.grad, np.ones(2))
+
+
 def test_lambda_schedule_endpoints_and_midpoint():
     sched = ad.LambdaSchedule(gamma=10.0, total_updates=1000)
     assert ad.lambda_at(sched, 0) == 0.0

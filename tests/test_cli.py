@@ -369,13 +369,58 @@ def test_non_utf8_text_input_names_file_and_line(workspace, capsys):
 
 
 def test_train_init_rejects_truncated_checkpoint(workspace, tmp_path, capsys):
-    from voxtag import autodiff as ad
+    """An init is a saved model: a valid header next to a checkpoint cut
+    short fails closed, naming the checkpoint."""
+    from voxtag import model as M
     path = tmp_path / "cut.vxck"
-    ad.save_checkpoint({"w": np.ones((4, 4))}, path)
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 path)
     path.write_bytes(path.read_bytes()[:30])
     code, _, err = run(capsys, "train", "--manifest", str(workspace / "corpus" / "manifest.tsv"),
                        "--init", str(path), "--out", str(tmp_path / "o"))
     assert code == 1 and f"{path}: truncated" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _target_tokens(manifest):
+    return sorted({t for line in manifest.read_text(encoding="utf-8").splitlines()
+                   for t in line.split("\t")[4].split()})
+
+
+def test_train_init_fine_tunes_in_the_init_vocabulary(workspace, tmp_path, capsys):
+    """A fine-tune keeps the init's token ids: a run from an init whose
+    vocabulary orders the manifest's tokens differently writes a model in the
+    init's vocabulary, not one rebuilt from the manifest."""
+    from voxtag import model as M
+    manifest = workspace / "corpus" / "manifest.tsv"
+    tokens = _target_tokens(manifest)[::-1]
+    init = tmp_path / "init.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary(tokens), M.ModelConfig(), seed=1), init)
+    code, _, err = run(capsys, "train", "--manifest", str(manifest), "--init", str(init),
+                       "--total-updates", "8", "--warmup-updates", "2",
+                       "--out", str(tmp_path / "ft"))
+    assert code == 0, err
+    assert M.load_model(tmp_path / "ft" / "model.vxck").vocab.tokens[5:] == tokens
+
+
+def test_train_init_rejects_token_missing_from_its_vocabulary(workspace, tmp_path, capsys):
+    from voxtag import model as M
+    manifest = workspace / "corpus" / "manifest.tsv"
+    tokens = _target_tokens(manifest)
+    init = tmp_path / "init.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary(tokens[1:]), M.ModelConfig(), seed=1), init)
+    code, _, err = run(capsys, "train", "--manifest", str(manifest), "--init", str(init),
+                       "--out", str(tmp_path / "ft"))
+    assert code == 1
+    assert err.startswith(f"error: {manifest}: utterance ")
+    assert f"uses token {tokens[0]!r}, which the vocabulary of {init} lacks" in err
+    assert not (tmp_path / "ft").exists()
+
+
+def test_train_rejects_infinite_lr_peak(workspace, tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--lr-peak", "inf", "--out", str(tmp_path / "o"))
+    assert code == 1 and err == "error: lr_peak must be finite and positive, got inf\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -42,7 +42,8 @@ def test_config_validation():
         TrainConfig(total_updates=100, average_last=20)
     for kw, key in (({"average_last": 0}, "average_last"), ({"average_last": -3}, "average_last"),
                     ({"checkpoint_interval": -5}, "checkpoint_interval"),
-                    ({"lr_peak": 0.0}, "lr_peak"), ({"lr_peak": -1.0}, "lr_peak")):
+                    ({"lr_peak": 0.0}, "lr_peak"), ({"lr_peak": -1.0}, "lr_peak"),
+                    ({"lr_peak": float("inf")}, "lr_peak"), ({"lr_peak": float("nan")}, "lr_peak")):
         with pytest.raises(ConfigInvalid, match=f"^{key} must be"):
             TrainConfig(**kw)
 

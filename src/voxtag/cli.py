@@ -9,7 +9,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import evaluation as ev
 from . import model as mdl
 from . import synthdata as sd
@@ -60,9 +59,11 @@ def cmd_train(args):
     utterances = sd.read_manifest(args.manifest)
     init = vocab = None
     if args.init:
-        # a fine-tune keeps the init's token ids, so it trains in its vocabulary
+        # a fine-tune keeps the init's token ids and shape, so it trains in its
+        # vocabulary and config; only the mode comes from --mode
         base = mdl.load_model(args.init)
         init, vocab = base.state_dict(), base.vocab
+        model_cfg = replace(base.cfg, mode=model_cfg.mode)
         known = set(vocab.tokens)
         for utt in utterances:
             for t in utt.target_tokens:
@@ -79,9 +80,6 @@ def cmd_train(args):
         if made_out and not os.listdir(args.out):
             os.rmdir(args.out)
         raise
-    for i, state in enumerate(result.checkpoints):
-        step = (i + 1) * train_cfg.interval
-        ad.save_checkpoint(state, os.path.join(args.out, f"ckpt_{step:06d}.vxck"))
     mdl.save_model(result.averaged_model(train_cfg.average_last),
                    os.path.join(args.out, "model.vxck"))
     final_val = result.val_losses[-1][1]

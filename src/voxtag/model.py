@@ -45,12 +45,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    def id_of(self, token):
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise UnknownToken(f"token {token!r} not in vocabulary") from None
-
     def encode(self, tokens):
         try:
             return [self._ids[t] for t in tokens]

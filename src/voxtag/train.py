@@ -1,6 +1,7 @@
 """Training loops, Noam learning-rate schedule, Adam, checkpoint averaging,
 and the post-hoc gender probe on frozen encoders."""
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -54,6 +55,8 @@ class TrainConfig:
             raise ConfigInvalid(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
         if self.average_last < 1:
             raise ConfigInvalid(f"average_last must be at least 1, got {self.average_last}")
+        if self.grl_schedule is not None and not self.use_grl:
+            raise ConfigInvalid("grl_schedule is set but use_grl is False")
         if self.average_last > self.total_updates // self.interval:
             raise ConfigInvalid("average_last exceeds the number of saved checkpoints")
 
@@ -161,7 +164,8 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     """Adam + Noam training over utterances; returns the trained model and all
     interval checkpoints. With use_grl the discriminator loss joins the total
     through the gradient reversal layer at lambda_at(current step); without a
-    grl_schedule lambda is fixed at 0.5, or at 10.0 for a fine-tune from init."""
+    grl_schedule lambda is fixed at 0.5, or at 10.0 for a fine-tune from init.
+    With perturb, each example is perturbed as its batch is drawn."""
     if vocab is None:
         tokens = sorted({t for u in corpus for t in u.target_tokens})
         vocab = mdl.Vocabulary(tokens)
@@ -193,46 +197,41 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     initial_val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
     val_losses = [(0, initial_val)]
     checkpoints = []
-    metrics = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    batches_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
 
-    step = 0
-    epoch = 0
-    try:
-        while step < train_cfg.total_updates:
-            order = rng.permutation(len(train_set))
-            examples = list(train_set)
-            if train_cfg.perturb is not None:
-                for i, utt in enumerate(train_set):
+    with open(metrics_path, "w", encoding="utf-8") if metrics_path \
+            else contextlib.nullcontext() as metrics:
+        for step in range(1, train_cfg.total_updates + 1):
+            epoch, k = divmod(step - 1, batches_per_epoch)
+            if k == 0:
+                order = rng.permutation(len(train_set))
+            batch = []
+            for i in order[k * train_cfg.batch_size:(k + 1) * train_cfg.batch_size]:
+                utt = train_set[i]
+                if train_cfg.perturb is not None:
+                    # one generator per (epoch, index): the order of draws changes no output
                     sub = np.random.default_rng([train_cfg.seed, 7919, epoch, i])
                     w, manipulated = apply_opposite(utt.waveform, utt.gender,
                                                     train_cfg.perturb, sub)
                     if manipulated:
-                        examples[i] = replace(utt, waveform=w)
-            epoch += 1
-            for lo in range(0, len(order), train_cfg.batch_size):
-                if step >= train_cfg.total_updates:
-                    break
-                batch = [examples[i] for i in order[lo:lo + train_cfg.batch_size]]
-                step += 1
-                lam = lambda_at(schedule, min(step, schedule.total_updates)) \
-                    if train_cfg.use_grl else None
-                model.zero_grad()
-                t_loss, d_loss = _backward_batch(model, batch, vocab, lam, weights)
-                lr = noam_lr(step, train_cfg.warmup_updates, train_cfg.lr_peak)
-                opt.step(lr)
-                if metrics:
-                    metrics.write(json.dumps({
-                        "step": step, "lr": lr, "translation_loss": t_loss,
-                        "disc_loss": d_loss, "lambda": lam}) + "\n")
-                if step % train_cfg.interval == 0:
-                    checkpoints.append(model.state_dict())
-                    val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
-                    val_losses.append((step, val))
-                    if not np.isfinite(val) or val > 10.0 * initial_val:
-                        raise DivergedLoss(f"validation loss {val} at step {step}")
-    finally:
-        if metrics:
-            metrics.close()
+                        utt = replace(utt, waveform=w)
+                batch.append(utt)
+            lam = lambda_at(schedule, min(step, schedule.total_updates)) \
+                if train_cfg.use_grl else None
+            model.zero_grad()
+            t_loss, d_loss = _backward_batch(model, batch, vocab, lam, weights)
+            lr = noam_lr(step, train_cfg.warmup_updates, train_cfg.lr_peak)
+            opt.step(lr)
+            if metrics:
+                metrics.write(json.dumps({
+                    "step": step, "lr": lr, "translation_loss": t_loss,
+                    "disc_loss": d_loss, "lambda": lam}) + "\n")
+            if step % train_cfg.interval == 0:
+                checkpoints.append(model.state_dict())
+                val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
+                val_losses.append((step, val))
+                if not np.isfinite(val) or val > 10.0 * initial_val:
+                    raise DivergedLoss(f"validation loss {val} at step {step}")
     return TrainResult(model=model, checkpoints=checkpoints, val_losses=val_losses)
 
 

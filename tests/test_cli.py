@@ -153,6 +153,8 @@ def test_train_evaluate_probe_deterministic(workspace, capsys):
     assert main(argv + ["--out", str(workspace / "r1")]) == 0
     assert main(argv + ["--out", str(workspace / "r2")]) == 0
     capsys.readouterr()
+    assert sorted(os.listdir(workspace / "r1")) == ["metrics.jsonl", "model.vxck",
+                                                     "model.vxck.meta"]
     ck1 = (workspace / "r1" / "model.vxck").read_bytes()
     ck2 = (workspace / "r2" / "model.vxck").read_bytes()
     assert ck1 == ck2
@@ -401,6 +403,36 @@ def test_train_init_fine_tunes_in_the_init_vocabulary(workspace, tmp_path, capsy
                        "--out", str(tmp_path / "ft"))
     assert code == 0, err
     assert M.load_model(tmp_path / "ft" / "model.vxck").vocab.tokens[5:] == tokens
+
+
+def test_train_init_fine_tunes_in_the_init_shape(workspace, tmp_path, capsys):
+    """A fine-tune takes its shape from the init's header, not from the
+    defaults of the flags it was not given."""
+    from voxtag import model as M
+    manifest = workspace / "corpus" / "manifest.tsv"
+    init = tmp_path / "small.vxck"
+    cfg = M.ModelConfig(hidden_dim=16, disc_hidden=16)
+    M.save_model(M.TranslationModel(M.Vocabulary(_target_tokens(manifest)), cfg, seed=1), init)
+    code, _, err = run(capsys, "train", "--manifest", str(manifest), "--init", str(init),
+                       "--total-updates", "8", "--warmup-updates", "2",
+                       "--out", str(tmp_path / "ft"))
+    assert code == 0, err
+    assert M.load_model(tmp_path / "ft" / "model.vxck").cfg == cfg
+
+
+def test_train_init_takes_its_mode_from_the_flag(workspace, tmp_path, capsys):
+    """Without --mode a fine-tune of a gender_unaware init is multi_gender,
+    the paper's fine-tuning arm."""
+    from voxtag import model as M
+    manifest = workspace / "corpus" / "manifest.tsv"
+    init = tmp_path / "base.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary(_target_tokens(manifest)),
+                                    M.ModelConfig(mode="gender_unaware"), seed=1), init)
+    code, _, err = run(capsys, "train", "--manifest", str(manifest), "--init", str(init),
+                       "--total-updates", "8", "--warmup-updates", "2",
+                       "--out", str(tmp_path / "ft"))
+    assert code == 0, err
+    assert "mode=multi_gender\n" in (tmp_path / "ft" / "model.vxck.meta").read_text()
 
 
 def test_train_init_rejects_token_missing_from_its_vocabulary(workspace, tmp_path, capsys):

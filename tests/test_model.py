@@ -25,15 +25,11 @@ def small_model():
 
 def test_vocabulary_reserved_ids():
     vocab = M.Vocabulary(["casa", "rotto", "rotta"])
-    assert vocab.id_of("<pad>") == 0
-    assert vocab.id_of("<bos>") == 1
-    assert vocab.id_of("<eos>") == 2
-    assert vocab.id_of("<tag_F>") == 3
-    assert vocab.id_of("<tag_M>") == 4
-    assert vocab.id_of("casa") == 5
+    assert vocab.encode(["<pad>", "<bos>", "<eos>", "<tag_F>", "<tag_M>", "casa"]) == \
+        [0, 1, 2, 3, 4, 5]
     assert vocab.decode([5, 6]) == ["casa", "rotto"]
     with pytest.raises(UnknownToken):
-        vocab.id_of("missing")
+        vocab.encode(["missing"])
     assert vocab.encode(["rotta", "casa"]) == [7, 5]
     with pytest.raises(UnknownToken, match="^token 'missing' not in vocabulary$"):
         vocab.encode(["casa", "missing", "other"])

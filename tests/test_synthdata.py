@@ -29,7 +29,7 @@ def test_grammar_size_and_forms():
     assert gendered_form("amat", SpeakerGender.M) == "amato"
     assert "amata" in tokens and "amato" in tokens
     vocab = build_vocabulary()
-    assert vocab.id_of("il") >= 5  # after the reserved ids
+    assert vocab.encode(["il"])[0] >= 5  # after the reserved ids
 
 
 def test_spec_validation():

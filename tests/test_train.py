@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from voxtag.autodiff import LambdaSchedule
 from voxtag.errors import ConfigInvalid, DivergedLoss, SingleClassData
 from voxtag.model import ModelConfig, TranslationModel
 from voxtag.perturb import PerturbConfig, SpeakerGender
@@ -46,6 +47,8 @@ def test_config_validation():
                     ({"lr_peak": float("inf")}, "lr_peak"), ({"lr_peak": float("nan")}, "lr_peak")):
         with pytest.raises(ConfigInvalid, match=f"^{key} must be"):
             TrainConfig(**kw)
+    with pytest.raises(ConfigInvalid, match="^grl_schedule is set but use_grl is False$"):
+        TrainConfig(grl_schedule=LambdaSchedule(total_updates=2000, fixed_lambda=0.5))
 
 
 def test_default_lambda_is_fixed_and_harder_from_init(tiny_corpus, tmp_path):
@@ -174,6 +177,40 @@ def test_perturbation_redrawn_each_epoch(tiny_corpus, monkeypatch):
     first = calls[:n_train]
     second = calls[n_train:2 * n_train]
     assert first != second  # fresh draws, not replayed ones
+
+
+def test_perturbation_runs_once_per_trained_example_on_its_own_generator(tiny_corpus,
+                                                                        monkeypatch):
+    """14 training utterances at batch 4 make 4 batches an epoch; 10 updates
+    end two batches into the third epoch. apply_opposite runs once for each
+    example a batch trains on, in batch order, and never for the rest of that
+    partial epoch; each call draws from default_rng([seed, 7919, epoch, i]),
+    where i is the example's index in the training set."""
+    from voxtag import train as train_mod
+    calls, batches = [], []
+
+    def spy(w, gender, cfg, rng):
+        calls.append((id(w), rng.bit_generator.state))
+        return w, False
+
+    backward_batch = train_mod._backward_batch
+
+    def recording_backward_batch(model, batch, *args):
+        batches.append([id(u.waveform) for u in batch])
+        return backward_batch(model, batch, *args)
+
+    monkeypatch.setattr(train_mod, "apply_opposite", spy)
+    monkeypatch.setattr(train_mod, "_backward_batch", recording_backward_batch)
+    seed, n_val = 5, 2
+    cfg = tiny_cfg(total_updates=10, batch_size=4, average_last=1, seed=seed,
+                   perturb=PerturbConfig(p=0.5))
+    train_loop(tiny_corpus, ModelConfig(), cfg)
+    assert [len(b) for b in batches] == [4, 4, 4, 2] * 2 + [4, 4]
+    assert [w for w, _ in calls] == [w for b in batches for w in b]
+    index = {id(u.waveform): i for i, u in enumerate(tiny_corpus[n_val:])}
+    expected = [np.random.default_rng([seed, 7919, k // 4, index[w]]).bit_generator.state
+                for k, batch in enumerate(batches) for w in batch]
+    assert [state for _, state in calls] == expected
 
 
 def test_manipulated_utterances_train_on_perturbed_features(monkeypatch):

@@ -5,7 +5,6 @@ import heapq
 import itertools
 import math
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,20 +20,25 @@ _recording = True
 _creation = itertools.count()
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Forward only: within the block, a new Tensor records no parents and no
     backward rule, so no tape keeps an intermediate alive and nothing is
     differentiated through it. A leaf made with requires_grad=True keeps the
     flag. Blocks nest, and each restores the mode it found, also on an
     exception. The mode is process-wide, like the rest of this
-    single-threaded engine."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
+    single-threaded engine. It is a class because that is cheaper to enter
+    than a generator-based context manager, and every greedy decode enters
+    one block."""
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self):
+        global _recording
+        self._previous, _recording = _recording, False
+
+    def __exit__(self, *exc_info):
+        global _recording
+        _recording = self._previous
 
 
 class Tensor:
@@ -148,12 +152,16 @@ def relu(x):
     """max(x, 0). The value is bitwise np.where(x > 0, x, 0.0), -0.0 and
     subnormals included, except that a NaN stays NaN."""
     x = _as_tensor(x)
+    out_values = np.maximum(x.values, 0.0)
+    if not _recording:
+        # no backward rule is kept, so its mask is not built
+        return Tensor(out_values)
     mask = x.values > 0
 
     def backward(g):
         return (g * mask,)
 
-    return Tensor(np.maximum(x.values, 0.0), _parents=(x,), _backward=backward)
+    return Tensor(out_values, _parents=(x,), _backward=backward)
 
 
 def tanh(x):

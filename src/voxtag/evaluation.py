@@ -28,9 +28,16 @@ class GenderEvalEntry:
     def __post_init__(self):
         if not self.term_pairs:
             raise InvalidSpec(f"{self.id}: no annotated term pairs")
+        # gender_accuracy matches whole whitespace-split tokens, lowercased,
+        # so a pair equal up to case, or an empty or spaced form, can never
+        # be scored right
         for correct, wrong in self.term_pairs:
-            if correct == wrong:
+            if correct.lower() == wrong.lower():
                 raise InvalidSpec(f"{self.id}: degenerate pair {correct!r}")
+            for form in (correct, wrong):
+                if form.split() != [form]:
+                    raise InvalidSpec(f"{self.id}: form {form!r} of pair "
+                                      f"{correct + '|' + wrong!r} is empty or holds whitespace")
 
     def swapped(self):
         """The same entry scored from the opposite gender's point of view."""
@@ -101,16 +108,21 @@ def tag_inversion_eval(model, corpus, entries):
     1F-tagM, 1M-tagF (inverted tag). In the inverted buckets the tag defines
     correctness, so scoring flips each entry's correct/wrong forms. Each
     tag's first token is start_token's, so a gender_unaware model starts both
-    decodes at bos and its matched and inverted hypotheses are equal.
+    at bos: it is decoded once per utterance, and its matched and inverted
+    hypotheses are that one decode. A multi_gender model is decoded under
+    tag F, then tag M.
     """
     buckets = {"1F": [], "1M": [], "1F-tagM": [], "1M-tagF": []}
     hyps = {key: {} for key in buckets}
     matched_hyps = {}
     for utt, entry in zip(corpus, entries_for(corpus, entries)):
+        decoded = {}
         for tag_gender in (SpeakerGender.F, SpeakerGender.M):
             tag = start_token(model.cfg.mode, tag_gender)
-            ids = model.greedy_decode(utt.pooled, tag, max_len=DECODE_MAX_LEN)
-            tokens = model.vocab.decode(ids)
+            if tag not in decoded:
+                ids = model.greedy_decode(utt.pooled, tag, max_len=DECODE_MAX_LEN)
+                decoded[tag] = model.vocab.decode(ids)
+            tokens = decoded[tag]
             matched = tag_gender is utt.gender
             if matched:
                 key = "1F" if utt.gender is SpeakerGender.F else "1M"

@@ -240,21 +240,45 @@ class TranslationModel:
         hid = ad.relu(ad.linear(ad.concat([ctx, d_in], axis=1), p["dec.l0.w1"], p["dec.l0.b1"]))
         return ad.linear(hid, p["dec.out_w"], p["dec.out_b"])
 
-    def _next_logits(self, enc, tag, token, position):
-        """Row k of decode_all, forward only on the parameter arrays: the
-        next-token logits after token k, given the tag, position k's row of
-        the sinusoidal table and the encoder rows. The operations run in
-        decode_all's order, so the row differs from decode_all's at most by
-        the rounding of a one-row product against a multi-row one."""
+    def _greedy_step(self, enc, tag):
+        """One greedy decode's step function, forward only on the parameter
+        arrays: step(token, position) is row k of decode_all, the next-token
+        logits after token k, given position k's row of the sinusoidal table
+        and the encoder rows enc. What no step changes (the tag's embedding
+        row, enc.T, the scale and the decoder arrays) is read here once. Each
+        step writes its context and its decoder input into the two halves of
+        one (2h,) row and runs the rest in place, in decode_all's order, so
+        the row differs from decode_all's at most by the rounding of a
+        one-row product against a multi-row one."""
         p = self.params
+        h = self.cfg.hidden_dim
         emb = p["dec.emb"].values
-        d_in = (emb[token] + emb[tag]) + position
-        scores = (d_in @ enc.T) * (1.0 / np.sqrt(self.cfg.hidden_dim))
-        e = np.exp(scores - scores.max())
-        ctx = (e / e.sum()) @ enc
-        hid = np.concatenate([ctx, d_in]) @ p["dec.l0.w1"].values + p["dec.l0.b1"].values
-        hid = np.maximum(hid, 0.0)
-        return hid @ p["dec.out_w"].values + p["dec.out_b"].values
+        tag_row = emb[tag]
+        enc_t = enc.T
+        scale = 1.0 / np.sqrt(h)
+        w1, b1 = p["dec.l0.w1"].values, p["dec.l0.b1"].values
+        out_w, out_b = p["dec.out_w"].values, p["dec.out_b"].values
+        hid_in = np.empty(2 * h)
+        ctx, d_in = hid_in[:h], hid_in[h:]
+        # the reductions ndarray.max and ndarray.sum run, minus their wrapper
+        row_max, row_sum = np.maximum.reduce, np.add.reduce
+
+        def step(token, position):
+            np.add(emb[token] + tag_row, position, out=d_in)
+            scores = d_in @ enc_t
+            scores *= scale
+            scores -= row_max(scores)
+            e = np.exp(scores, out=scores)
+            e /= row_sum(e)
+            np.matmul(e, enc, out=ctx)
+            hid = hid_in @ w1
+            hid += b1
+            np.maximum(hid, 0.0, out=hid)
+            logits = hid @ out_w
+            logits += out_b
+            return logits
+
+        return step
 
     def greedy_decode(self, pooled, first_token, max_len=32):
         """Greedy token ids after first_token for one utterance's pool4 rows,
@@ -264,11 +288,11 @@ class TranslationModel:
         self._checked_prefixes([[first_token]])
         with ad.no_grad():
             enc = self.encode([pooled]).values
-        positions = sinusoidal_positions(max_len, self.cfg.hidden_dim)
+        step = self._greedy_step(enc, first_token)
         out, token = [], first_token
-        for k in range(max_len):
+        for position in sinusoidal_positions(max_len, self.cfg.hidden_dim):
             # Softmax is monotonic, so the argmax of the logits is the token.
-            token = int(np.argmax(self._next_logits(enc, first_token, token, positions[k])))
+            token = int(step(token, position).argmax())
             if token == EOS_ID:
                 break
             out.append(token)

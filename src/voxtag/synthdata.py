@@ -11,7 +11,7 @@ import numpy as np
 
 from .audio import Waveform, harmonic_rows, read_wav, write_wav
 from .dsp import logmel_features
-from .errors import InvalidSpec, MalformedHeader, tsv_records
+from .errors import InvalidSpec, MalformedHeader, TooShort, tsv_records
 from .evaluation import GenderEvalEntry
 from . import model
 from .perturb import PerturbConfig, SpeakerGender, sample_target_median
@@ -112,8 +112,13 @@ class Utterance:
         """The encoder's input rows, model.pool4 of the waveform's (T, 80)
         log-mels, computed on first read. The audio of an utterance is not
         changed after that: a new waveform makes a new utterance,
-        `dataclasses.replace(utt, waveform=w)`."""
-        return model.pool4(logmel_features(self.waveform).frames)
+        `dataclasses.replace(utt, waveform=w)`. A waveform too short for one
+        frame raises TooShort naming the utterance."""
+        try:
+            frames = logmel_features(self.waveform).frames
+        except TooShort as exc:
+            raise TooShort(f"{self.id}: {exc}") from None
+        return model.pool4(frames)
 
 
 BIGRAM_BRANCHING = 3

@@ -57,8 +57,10 @@ class TrainConfig:
             raise ConfigInvalid(f"average_last must be at least 1, got {self.average_last}")
         if self.grl_schedule is not None and not self.use_grl:
             raise ConfigInvalid("grl_schedule is set but use_grl is False")
-        if self.average_last > self.total_updates // self.interval:
-            raise ConfigInvalid("average_last exceeds the number of saved checkpoints")
+        saved = self.total_updates // self.interval
+        if self.average_last > saved:
+            raise ConfigInvalid(f"average_last {self.average_last} exceeds the {saved} checkpoints "
+                                f"saved, one every {self.interval} of {self.total_updates} updates")
 
     @property
     def interval(self):

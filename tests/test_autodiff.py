@@ -203,6 +203,19 @@ def test_no_grad_restores_recording_on_exit_error_and_nesting():
     assert _records(ad.add(w, w))
 
 
+def test_relu_under_no_grad_is_a_parentless_tensor_of_the_taped_values():
+    """Under no_grad relu keeps no backward rule and builds no mask; its
+    values, signed zeros and NaN included, are bitwise the taped ones."""
+    x = ad.Tensor(np.array([[-1.5, -0.0, 0.0, 2.0], [np.nan, 5e-324, -5e-324, 3.0]]),
+                  requires_grad=True)
+    taped = ad.relu(x)
+    with ad.no_grad():
+        bare = ad.relu(x)
+    assert type(bare) is ad.Tensor and _records(taped)
+    assert bare._parents == () and bare._backward is None and not bare.requires_grad
+    assert bare.values.tobytes() == taped.values.tobytes()
+
+
 def test_leaf_made_under_no_grad_keeps_its_gradient():
     with ad.no_grad():
         p = ad.Tensor(np.array([1.5, -2.0]), requires_grad=True)

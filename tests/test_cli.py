@@ -492,6 +492,35 @@ def test_wav_below_the_sample_rate_floor_is_validation_error(tmp_path, capsys, c
     assert err.startswith("error: ") and str(low) in err and "sample rate 40 Hz" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_wav_shorter_than_a_frame_names_its_utterance(workspace, tmp_path, capsys, command):
+    """A WAV shorter than one 25 ms frame fails closed naming the utterance
+    whose features could not be computed."""
+    from voxtag import model as M
+    short = tmp_path / "short.wav"
+    write_wav(Waveform(0.1 * np.sin(np.arange(100)), 16000), short)
+    line = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()[0]
+    tokens = line.split("\t")[4]
+    manifest = tmp_path / "short.tsv"
+    manifest.write_text(f"tiny_utt\t{short}\tF\t{tokens}\t{tokens}\n{line}\n", encoding="utf-8")
+    if command == "evaluate":
+        eval_line = (workspace / "corpus" / "eval.tsv").read_text(encoding="utf-8").splitlines()[0]
+        eval_tsv = tmp_path / "eval.tsv"
+        eval_tsv.write_text(f"tiny_utt\tamata\tamato\tamata|amato\n{eval_line}\n",
+                            encoding="utf-8")
+        model = tmp_path / "m.vxck"
+        M.save_model(M.TranslationModel(M.Vocabulary([]),
+                                        M.ModelConfig(hidden_dim=8, disc_hidden=8)), model)
+        argv = ["evaluate", "--model", str(model), "--manifest", str(manifest),
+                "--eval-tsv", str(eval_tsv), "--out", str(tmp_path / "report.json")]
+    else:
+        argv = ["train", "--manifest", str(manifest), "--total-updates", "20",
+                "--warmup-updates", "5", "--out", str(tmp_path / "o")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: tiny_utt: waveform of 100 samples shorter than one 25 ms frame")
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "perturb", "--manifest", "/no/such.tsv",
                        "--out", "/tmp/x")

@@ -7,7 +7,7 @@ from voxtag.errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingH
 from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
                                read_eval_tsv, tag_inversion_eval,
                                write_eval_tsv)
-from voxtag.model import BOS_ID, ModelConfig, TranslationModel
+from voxtag.model import BOS_ID, TAG_F_ID, TAG_M_ID, ModelConfig, TranslationModel
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 
@@ -152,6 +152,8 @@ def test_eval_tsv_roundtrip(tmp_path):
     ("u1\tstanca\tstanco\tstanca|stanco\textra", "5 fields, expected 4"),
     ("u1\tamata\tamato\tamata|amato;amata|amata", "u1: degenerate pair 'amata'"),
     ("u1\tamata\tamato\t|", "u1: degenerate pair ''"),
+    ("u1\tamata\tamato\tAmata|amata", "u1: degenerate pair 'Amata'"),
+    ("u\tamata\tamato\tamata|", "u: form '' of pair 'amata|' is empty or holds whitespace"),
     ("u0\tstanca\tstanco\tstanca|stanco", "duplicate utterance id 'u0' (first on line 1)"),
 ])
 def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
@@ -162,9 +164,9 @@ def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
 
 
 def test_tag_inversion_scores_a_gender_unaware_model():
-    """Both of a gender_unaware model's decodes start at bos, so each
-    utterance's matched and inverted hypotheses are equal, and an inverted
-    bucket finds the same terms as its matched one."""
+    """Both of a gender_unaware model's tags start at bos, so each utterance
+    is decoded once, its matched and inverted hypotheses are that decode, and
+    an inverted bucket finds the same terms as its matched one."""
     corpus, entries = generate_corpus(SynthSpec(n_utterances=6, gender_split=0.5, seed=3))
     assert {u.gender for u in corpus} == {SpeakerGender.F, SpeakerGender.M}
     model = TranslationModel(build_vocabulary(), ModelConfig(mode="gender_unaware"), seed=0)
@@ -178,9 +180,29 @@ def test_tag_inversion_scores_a_gender_unaware_model():
 
     model.greedy_decode = recording_greedy_decode
     reports, matched = tag_inversion_eval(model, corpus, entries)
-    assert [tag for tag, _ in decodes] == [BOS_ID] * 2 * len(corpus)
-    assert all(decodes[2 * i][1] == decodes[2 * i + 1][1] for i in range(len(corpus)))
-    assert set(matched) == {u.id for u in corpus}
+    assert [tag for tag, _ in decodes] == [BOS_ID] * len(corpus)
+    assert matched == {u.id: model.vocab.decode(ids) for u, (_, ids) in zip(corpus, decodes)}
     for same, inverted in (("1F", "1F-tagM"), ("1M", "1M-tagF")):
         assert reports[same].total_terms == reports[inverted].total_terms > 0
         assert reports[same].found == reports[inverted].found
+
+
+def test_tag_inversion_decodes_a_multi_gender_model_under_f_then_m():
+    """A multi_gender model's tags differ, so each utterance is decoded
+    twice, under tag F and then tag M, and the matched hypothesis is the
+    decode under the speaker's own tag."""
+    corpus, entries = generate_corpus(SynthSpec(n_utterances=6, gender_split=0.5, seed=3))
+    model = TranslationModel(build_vocabulary(), ModelConfig(mode="multi_gender"), seed=0)
+    decodes = []
+    greedy_decode = model.greedy_decode
+
+    def recording_greedy_decode(pooled, first_token, max_len):
+        ids = greedy_decode(pooled, first_token, max_len=max_len)
+        decodes.append((first_token, ids))
+        return ids
+
+    model.greedy_decode = recording_greedy_decode
+    _, matched = tag_inversion_eval(model, corpus, entries)
+    assert [tag for tag, _ in decodes] == [TAG_F_ID, TAG_M_ID] * len(corpus)
+    own = [decodes[2 * i + (u.gender is SpeakerGender.M)][1] for i, u in enumerate(corpus)]
+    assert matched == {u.id: model.vocab.decode(ids) for u, ids in zip(corpus, own)}

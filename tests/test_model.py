@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,9 +131,66 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
             prefix = ([first_token] + model.greedy_decode(M.pool4(feats), first_token))[:32]
             enc = model.encode([M.pool4(feats)])
             rows = model.decode_all(enc, [prefix], [enc.shape[0]]).values
+            step = model._greedy_step(enc.values, first_token)
             for k, token in enumerate(prefix):
-                step = model._next_logits(enc.values, first_token, token, table[k])
-                np.testing.assert_allclose(step, rows[k], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(step(token, table[k]), rows[k], rtol=1e-12, atol=0)
+
+
+def _next_logits_reference(model, enc, tag, token, position):
+    """The greedy step as it was written before _greedy_step: every call
+    re-reads the parameter arrays, the tag row and the scale, and builds the
+    hidden input with np.concatenate. _greedy_step must match it bit for
+    bit."""
+    p = model.params
+    emb = p["dec.emb"].values
+    d_in = (emb[token] + emb[tag]) + position
+    scores = (d_in @ enc.T) * (1.0 / np.sqrt(model.cfg.hidden_dim))
+    e = np.exp(scores - scores.max())
+    ctx = (e / e.sum()) @ enc
+    hid = np.concatenate([ctx, d_in]) @ p["dec.l0.w1"].values + p["dec.l0.b1"].values
+    hid = np.maximum(hid, 0.0)
+    return hid @ p["dec.out_w"].values + p["dec.out_b"].values
+
+
+@pytest.fixture(scope="module")
+def bench_model():
+    """The trained checkpoint the benchmark's evaluate workload decodes with.
+    It is only read."""
+    return M.load_model(Path(__file__).resolve().parents[1] / "bench" / "model" / "model.vxck")
+
+
+def test_greedy_step_equals_the_reference_step_bitwise(small_model, eos_model, bench_model):
+    """Each step's logits, and so each decode's ids, are byte for byte those
+    of the reference step, for random and trained weights, under every first
+    token, at several positions. A hidden_dim of 12 makes the attention scale
+    inexact, so the order of the scale's product is pinned too: at 16 and 64
+    it is a power of two, and any order rounds alike."""
+    from voxtag.synthdata import SynthSpec, generate_corpus
+    rng = np.random.default_rng(24)
+    corpus = generate_corpus(SynthSpec(n_utterances=4, gender_split=0.5, seed=4242))[0]
+    odd_model = M.TranslationModel(small_model.vocab, M.ModelConfig(hidden_dim=12, disc_hidden=8),
+                                   seed=1)
+    for model in (small_model, eos_model, odd_model, bench_model):
+        pooled = [u.pooled for u in corpus] + [M.pool4(rng.normal(size=(T, 80))) for T in (5, 31)]
+        table = M.sinusoidal_positions(32, model.cfg.hidden_dim)
+        tokens = [M.BOS_ID, M.EOS_ID, M.TAG_F_ID, M.TAG_M_ID, len(model.vocab) - 1]
+        for rows in pooled:
+            with ad.no_grad():
+                enc = model.encode([rows]).values
+            for first_token in (M.TAG_F_ID, M.TAG_M_ID, M.BOS_ID):
+                step = model._greedy_step(enc, first_token)
+                for k in (0, 1, 7, 19, 31):
+                    for token in tokens:
+                        want = _next_logits_reference(model, enc, first_token, token, table[k])
+                        assert step(token, table[k]).tobytes() == want.tobytes()
+                reference, token = [], first_token
+                for k in range(32):
+                    token = int(np.argmax(
+                        _next_logits_reference(model, enc, first_token, token, table[k])))
+                    if token == M.EOS_ID:
+                        break
+                    reference.append(token)
+                assert model.greedy_decode(rows, first_token) == reference
 
 
 @pytest.fixture(scope="module")

@@ -47,6 +47,12 @@ def test_config_validation():
                     ({"lr_peak": float("inf")}, "lr_peak"), ({"lr_peak": float("nan")}, "lr_peak")):
         with pytest.raises(ConfigInvalid, match=f"^{key} must be"):
             TrainConfig(**kw)
+    with pytest.raises(ConfigInvalid, match="^average_last 7 exceeds the 4 checkpoints saved, "
+                                            "one every 1 of 4 updates$"):
+        TrainConfig(total_updates=4, warmup_updates=2)
+    with pytest.raises(ConfigInvalid, match="^average_last 3 exceeds the 2 checkpoints saved, "
+                                            "one every 40 of 100 updates$"):
+        TrainConfig(total_updates=100, warmup_updates=10, checkpoint_interval=40, average_last=3)
     with pytest.raises(ConfigInvalid, match="^grl_schedule is set but use_grl is False$"):
         TrainConfig(grl_schedule=LambdaSchedule(total_updates=2000, fixed_lambda=0.5))
 

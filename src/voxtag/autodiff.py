@@ -152,16 +152,13 @@ def relu(x):
     """max(x, 0). The value is bitwise np.where(x > 0, x, 0.0), -0.0 and
     subnormals included, except that a NaN stays NaN."""
     x = _as_tensor(x)
-    out_values = np.maximum(x.values, 0.0)
-    if not _recording:
-        # no backward rule is kept, so its mask is not built
-        return Tensor(out_values)
-    mask = x.values > 0
 
+    # the mask is built in backward, so a block that records nothing never
+    # builds it; x is a parent, so its values are alive until then
     def backward(g):
-        return (g * mask,)
+        return (g * (x.values > 0),)
 
-    return Tensor(out_values, _parents=(x,), _backward=backward)
+    return Tensor(np.maximum(x.values, 0.0), _parents=(x,), _backward=backward)
 
 
 def tanh(x):

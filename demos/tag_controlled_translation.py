@@ -3,6 +3,7 @@ the gender tag, not the voice, decides the gendered endings it produces."""
 
 import numpy as np
 
+from voxtag.autodiff import no_grad
 from voxtag.model import TAG_F_ID, TAG_M_ID, ModelConfig
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 from voxtag.train import TrainConfig, train_loop
@@ -20,6 +21,9 @@ print(f"validation loss {result.val_losses[0][1]:.2f} -> "
 for utt in corpus[:4]:
     print(f"\n{utt.id} (speaker {utt.gender.value}): "
           f"reference = {' '.join(utt.target_tokens)}")
+    # one encode per utterance: only the tag differs between its two decodes
+    with no_grad():
+        enc = model.encode([utt.pooled]).values
     for tag, name in ((TAG_F_ID, "tag F"), (TAG_M_ID, "tag M")):
-        hyp = vocab.decode(model.greedy_decode(utt.pooled, tag, max_len=16))
+        hyp = vocab.decode(model.greedy_decode(enc, tag, max_len=16))
         print(f"  {name}: {' '.join(hyp)}")

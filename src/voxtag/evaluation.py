@@ -7,6 +7,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis, tsv_records
 from .model import start_token
 from .perturb import SpeakerGender
@@ -107,20 +108,22 @@ def tag_inversion_eval(model, corpus, entries):
     Returns four reports keyed 1F, 1M (tag matches the speaker) and
     1F-tagM, 1M-tagF (inverted tag). In the inverted buckets the tag defines
     correctness, so scoring flips each entry's correct/wrong forms. Each
-    tag's first token is start_token's, so a gender_unaware model starts both
-    at bos: it is decoded once per utterance, and its matched and inverted
-    hypotheses are that one decode. A multi_gender model is decoded under
-    tag F, then tag M.
+    utterance is encoded once, on its own under no_grad, and decoded from
+    those rows: a multi_gender model under tag F, then tag M. A
+    gender_unaware model starts both tags at bos (start_token), so it is
+    decoded once, and its matched and inverted hypotheses are that decode.
     """
     buckets = {"1F": [], "1M": [], "1F-tagM": [], "1M-tagF": []}
     hyps = {key: {} for key in buckets}
     matched_hyps = {}
     for utt, entry in zip(corpus, entries_for(corpus, entries)):
+        with ad.no_grad():
+            enc = model.encode([utt.pooled]).values
         decoded = {}
         for tag_gender in (SpeakerGender.F, SpeakerGender.M):
             tag = start_token(model.cfg.mode, tag_gender)
             if tag not in decoded:
-                ids = model.greedy_decode(utt.pooled, tag, max_len=DECODE_MAX_LEN)
+                ids = model.greedy_decode(enc, tag, max_len=DECODE_MAX_LEN)
                 decoded[tag] = model.vocab.decode(ids)
             tokens = decoded[tag]
             matched = tag_gender is utt.gender

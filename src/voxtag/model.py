@@ -280,14 +280,13 @@ class TranslationModel:
 
         return step
 
-    def greedy_decode(self, pooled, first_token, max_len=32):
-        """Greedy token ids after first_token for one utterance's pool4 rows,
-        the input encode takes, up to eos or max_len steps. With no
+    def greedy_decode(self, enc, first_token, max_len=32):
+        """Greedy token ids after first_token for one utterance's encoder
+        rows, encode([pooled]).values, up to eos or max_len steps. With no
         self-attention, each step computes one new row off the autodiff tape,
-        not the prefix. The encode runs under no_grad and keeps no tape."""
-        self._checked_prefixes([[first_token]])
-        with ad.no_grad():
-            enc = self.encode([pooled]).values
+        not the prefix."""
+        if first_token not in (BOS_ID, TAG_F_ID, TAG_M_ID):
+            raise UnknownToken("prefix must start with bos or a gender tag")
         step = self._greedy_step(enc, first_token)
         out, token = [], first_token
         for position in sinusoidal_positions(max_len, self.cfg.hidden_dim):

@@ -200,6 +200,10 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     val_losses = [(0, initial_val)]
     checkpoints = []
     batches_per_epoch = math.ceil(len(train_set) / train_cfg.batch_size)
+    # pool the training utterances up front, so one whose waveform is shorter
+    # than one frame fails the run before metrics_path is opened
+    for utt in train_set:
+        utt.pooled
 
     with open(metrics_path, "w", encoding="utf-8") if metrics_path \
             else contextlib.nullcontext() as metrics:

@@ -521,6 +521,26 @@ def test_wav_shorter_than_a_frame_names_its_utterance(workspace, tmp_path, capsy
     assert err.startswith("error: tiny_utt: waveform of 100 samples shorter than one 25 ms frame")
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_train_with_a_short_training_wav_leaves_no_out(workspace, tmp_path, capsys, perturbed):
+    """A training-split WAV shorter than one 25 ms frame fails the run before
+    metrics.jsonl is opened, so the --out the run made is removed again. On
+    the last manifest line, the utterance is not in the validation head."""
+    short = tmp_path / "short.wav"
+    write_wav(Waveform(0.1 * np.sin(np.arange(100)), 16000), short)
+    lines = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    tokens = lines[0].split("\t")[4]
+    manifest = tmp_path / "short_last.tsv"
+    manifest.write_text("".join(line + "\n" for line in lines)
+                        + f"tiny_utt\t{short}\tF\t{tokens}\t{tokens}\n", encoding="utf-8")
+    argv = ["train", "--manifest", str(manifest), "--total-updates", "20",
+            "--warmup-updates", "5", "--out", str(tmp_path / "o")]
+    code, _, err = run(capsys, *argv + (["--with-perturb"] if perturbed else []))
+    assert code == 1
+    assert err.startswith("error: tiny_utt: waveform of 100 samples shorter than one 25 ms frame")
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_file_is_validation_error(capsys):
     code, _, err = run(capsys, "perturb", "--manifest", "/no/such.tsv",
                        "--out", "/tmp/x")

@@ -1,13 +1,18 @@
+import contextlib
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from voxtag import autodiff as ad
 from voxtag.errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis
 from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
                                read_eval_tsv, tag_inversion_eval,
                                write_eval_tsv)
-from voxtag.model import BOS_ID, TAG_F_ID, TAG_M_ID, ModelConfig, TranslationModel
+from voxtag.model import (BOS_ID, MODES, TAG_F_ID, TAG_M_ID, ModelConfig, TranslationModel,
+                          load_model)
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 
@@ -173,8 +178,8 @@ def test_tag_inversion_scores_a_gender_unaware_model():
     decodes = []
     greedy_decode = model.greedy_decode
 
-    def recording_greedy_decode(pooled, first_token, max_len):
-        ids = greedy_decode(pooled, first_token, max_len=max_len)
+    def recording_greedy_decode(enc, first_token, max_len):
+        ids = greedy_decode(enc, first_token, max_len=max_len)
         decodes.append((first_token, ids))
         return ids
 
@@ -196,8 +201,8 @@ def test_tag_inversion_decodes_a_multi_gender_model_under_f_then_m():
     decodes = []
     greedy_decode = model.greedy_decode
 
-    def recording_greedy_decode(pooled, first_token, max_len):
-        ids = greedy_decode(pooled, first_token, max_len=max_len)
+    def recording_greedy_decode(enc, first_token, max_len):
+        ids = greedy_decode(enc, first_token, max_len=max_len)
         decodes.append((first_token, ids))
         return ids
 
@@ -206,3 +211,44 @@ def test_tag_inversion_decodes_a_multi_gender_model_under_f_then_m():
     assert [tag for tag, _ in decodes] == [TAG_F_ID, TAG_M_ID] * len(corpus)
     own = [decodes[2 * i + (u.gender is SpeakerGender.M)][1] for i, u in enumerate(corpus)]
     assert matched == {u.id: model.vocab.decode(ids) for u, ids in zip(corpus, own)}
+
+
+def test_tag_inversion_encodes_each_utterance_once_off_the_tape(monkeypatch):
+    """In both modes tag_inversion_eval encodes each utterance exactly once,
+    under no_grad, so the encode records no tape, and its rows, and so every
+    decode, are bitwise those of a taped encode."""
+    corpus, entries = generate_corpus(SynthSpec(n_utterances=6, gender_split=0.5, seed=3))
+    encodes, decodes = [], []
+    encode, greedy_decode = TranslationModel.encode, TranslationModel.greedy_decode
+
+    def spy_encode(self, batch):
+        out = encode(self, batch)
+        encodes.append(out)
+        return out
+
+    def spy_greedy_decode(self, enc, first_token, max_len=32):
+        ids = greedy_decode(self, enc, first_token, max_len=max_len)
+        decodes.append((first_token, ids))
+        return ids
+
+    monkeypatch.setattr(TranslationModel, "encode", spy_encode)
+    monkeypatch.setattr(TranslationModel, "greedy_decode", spy_greedy_decode)
+    # the benchmark's trained weights, whose decodes stop at eos, in each mode
+    trained = load_model(Path(__file__).resolve().parents[1] / "bench" / "model" / "model.vxck")
+    for mode in MODES:
+        model = TranslationModel(trained.vocab, replace(trained.cfg, mode=mode))
+        model.load_state_dict(trained.state_dict())
+        runs = []
+        for taped in (False, True):
+            encodes.clear()
+            decodes.clear()
+            with monkeypatch.context() as m:
+                if taped:
+                    m.setattr(ad, "no_grad", contextlib.nullcontext)
+                reports, _ = tag_inversion_eval(model, corpus, entries)
+            assert len(encodes) == len(corpus)
+            assert all(bool(e._parents) is taped for e in encodes)
+            runs.append(([e.values.tobytes() for e in encodes], list(decodes),
+                         {k: r.as_dict() for k, r in reports.items()}))
+        assert runs[0] == runs[1]
+        assert len(decodes) == len(corpus) * (2 if mode == "multi_gender" else 1)

@@ -82,6 +82,12 @@ def test_decode_all_names_the_one_bad_prefix_of_a_batch(small_model, bad, error,
         small_model.decode_all(enc, prefixes, [2, 2, 2])
 
 
+def _rows(model, pooled):
+    """One utterance's encoder rows, the input greedy_decode takes."""
+    with ad.no_grad():
+        return model.encode([pooled]).values
+
+
 def _greedy_decode_rerun(model, features, first_token, max_len):
     """Reference greedy decode: every step reruns decode_all over the whole
     prefix and takes the argmax of the softmax of its last row."""
@@ -114,7 +120,7 @@ def test_greedy_decode_matches_prefix_rerun(small_model, eos_model, max_len):
     for model in (small_model, eos_model):
         for f in feats:
             for first_token in (M.TAG_F_ID, M.TAG_M_ID, M.BOS_ID):
-                ids = model.greedy_decode(M.pool4(f), first_token, max_len=max_len)
+                ids = model.greedy_decode(_rows(model, M.pool4(f)), first_token, max_len=max_len)
                 assert ids == _greedy_decode_rerun(model, f, first_token, max_len)
                 stopped_at_eos.add(len(ids) < max_len)
     assert stopped_at_eos == ({True, False} if max_len == 32 else {False})
@@ -128,8 +134,8 @@ def test_greedy_step_logits_equal_decode_all_rows(small_model, eos_model):
             feats = rng.normal(size=(29, 80))
             # The tokens greedy_decode's steps read: first_token and every
             # emitted token except a 32nd, which no step reads.
-            prefix = ([first_token] + model.greedy_decode(M.pool4(feats), first_token))[:32]
             enc = model.encode([M.pool4(feats)])
+            prefix = ([first_token] + model.greedy_decode(enc.values, first_token))[:32]
             rows = model.decode_all(enc, [prefix], [enc.shape[0]]).values
             step = model._greedy_step(enc.values, first_token)
             for k, token in enumerate(prefix):
@@ -190,7 +196,7 @@ def test_greedy_step_equals_the_reference_step_bitwise(small_model, eos_model, b
                     if token == M.EOS_ID:
                         break
                     reference.append(token)
-                assert model.greedy_decode(rows, first_token) == reference
+                assert model.greedy_decode(enc, first_token) == reference
 
 
 @pytest.fixture(scope="module")
@@ -228,52 +234,27 @@ def test_batched_encode_equals_utterance_encodes_bitwise(residual_model):
     np.testing.assert_allclose(batch[:1], single, rtol=1e-12, atol=0)
 
 
-def test_greedy_decode_encodes_off_the_tape_bitwise(small_model, eos_model, monkeypatch):
-    """greedy_decode's encode records no tape, and its values, and so the
-    decoded ids, are bitwise those of the taped encode."""
-    import contextlib
-    rng = np.random.default_rng(23)
-    pooled = [M.pool4(rng.normal(size=(T, 80))) for T in (6, 21, 47)]
-    encodes = []
-    encode = M.TranslationModel.encode
-
-    def spy(self, batch):
-        out = encode(self, batch)
-        encodes.append(out)
-        return out
-
-    monkeypatch.setattr(M.TranslationModel, "encode", spy)
-    off_tape = [m.greedy_decode(p, t) for m in (small_model, eos_model) for p in pooled
-                for t in (M.TAG_F_ID, M.BOS_ID)]
-    assert encodes and all(e._parents == () for e in encodes)
-    values = [e.values.tobytes() for e in encodes]
-    encodes.clear()
-    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
-    taped = [m.greedy_decode(p, t) for m in (small_model, eos_model) for p in pooled
-             for t in (M.TAG_F_ID, M.BOS_ID)]
-    assert all(e._parents for e in encodes)
-    assert [e.values.tobytes() for e in encodes] == values
-    assert off_tape == taped
-
-
 def test_greedy_decode_validates_inputs(small_model):
-    with pytest.raises(UnknownToken):
-        small_model.greedy_decode(M.pool4(np.zeros((8, 80))), 7)
-    with pytest.raises(UnknownToken):
-        small_model.greedy_decode(M.pool4(np.zeros((8, 80))), 999)
+    """greedy_decode checks its first token; its rows are encode's output, so
+    their width is checked by encode."""
+    rows = _rows(small_model, M.pool4(np.zeros((8, 80))))
+    with pytest.raises(UnknownToken, match="^prefix must start with bos or a gender tag$"):
+        small_model.greedy_decode(rows, 7)
+    with pytest.raises(UnknownToken, match="^prefix must start with bos or a gender tag$"):
+        small_model.greedy_decode(rows, 999)
     with pytest.raises(ShapeMismatch):
-        small_model.greedy_decode(M.pool4(np.zeros((8, 40))), M.TAG_F_ID)
+        small_model.encode([M.pool4(np.zeros((8, 40)))])
 
 
 def test_an_utterance_with_no_encoder_rows_fails_closed(small_model):
     """An utterance with no rows gives its prefix nothing to attend to, so
-    encode, decode_all and greedy_decode raise ShapeMismatch rather than
-    lend it the batch's other rows or fail inside numpy."""
+    encode, alone or in a batch, and decode_all raise ShapeMismatch rather
+    than lend it the batch's other rows or fail inside numpy."""
     empty = np.zeros((0, 80))
     with pytest.raises(ShapeMismatch, match="^an utterance has no encoder rows$"):
         small_model.encode([M.pool4(np.ones((8, 80))), empty])
     with pytest.raises(ShapeMismatch, match="^an utterance has no encoder rows$"):
-        small_model.greedy_decode(empty, M.TAG_F_ID)
+        small_model.encode([empty])
     enc = small_model.encode([M.pool4(np.ones((12, 80)))])
     with pytest.raises(ShapeMismatch, match="^attention needs .* a kv row in each$"):
         small_model.decode_all(enc, [[M.TAG_F_ID, 5], [M.TAG_M_ID, 6]], [3, 0])
@@ -281,12 +262,17 @@ def test_an_utterance_with_no_encoder_rows_fails_closed(small_model):
 
 @pytest.mark.parametrize("shape", [(8,), (8, 80, 1), ()])
 def test_wrong_rank_input_is_a_shape_mismatch(small_model, shape):
-    """greedy_decode hands its rows to encode, which checks them, so input of
-    the wrong rank never reaches numpy's indexing."""
-    with pytest.raises(ShapeMismatch):
-        small_model.greedy_decode(np.zeros(shape), M.TAG_F_ID)
+    """encode checks its rows, and tag_inversion_eval hands each utterance's
+    rows to encode before any decode, so input of the wrong rank never
+    reaches numpy's indexing."""
+    from voxtag.evaluation import tag_inversion_eval
+    from voxtag.synthdata import SynthSpec, generate_corpus
     with pytest.raises(ShapeMismatch):
         small_model.encode([np.zeros(shape)])
+    corpus, entries = generate_corpus(SynthSpec(n_utterances=2, seed=3))
+    corpus[0].pooled = np.zeros(shape)
+    with pytest.raises(ShapeMismatch):
+        tag_inversion_eval(small_model, corpus[:1], entries)
 
 
 def test_target_forcing():
@@ -471,8 +457,8 @@ def test_model_save_load_roundtrip(tmp_path, small_model):
     a = small_model.decode_all(small_model.encode([M.pool4(feats)]), [[M.TAG_M_ID, 5]], [4])
     b = loaded.decode_all(loaded.encode([M.pool4(feats)]), [[M.TAG_M_ID, 5]], [4])
     assert np.array_equal(a.values, b.values)
-    rows = M.pool4(feats)
-    assert loaded.greedy_decode(rows, M.TAG_M_ID) == small_model.greedy_decode(rows, M.TAG_M_ID)
+    assert loaded.greedy_decode(_rows(loaded, M.pool4(feats)), M.TAG_M_ID) == \
+        small_model.greedy_decode(_rows(small_model, M.pool4(feats)), M.TAG_M_ID)
 
 
 def test_load_model_header_that_does_not_fit_names_the_file(tmp_path, small_model):

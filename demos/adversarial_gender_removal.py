@@ -14,7 +14,7 @@ base = dict(total_updates=2000, warmup_updates=200, lr_peak=1e-3, seed=0)
 
 def train(model_cfg, **extra):
     cfg = TrainConfig(**base, **extra)
-    return train_loop(corpus, model_cfg, cfg, vocab=vocab).averaged_model(cfg.average_last)
+    return train_loop(corpus, model_cfg, cfg, vocab=vocab).model
 
 
 print("training the gender-unaware baseline ...")

@@ -1,8 +1,6 @@
 """Train a small tag-conditioned translation model from scratch and show that
 the gender tag, not the voice, decides the gendered endings it produces."""
 
-import numpy as np
-
 from voxtag.autodiff import no_grad
 from voxtag.model import TAG_F_ID, TAG_M_ID, ModelConfig
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
@@ -14,7 +12,7 @@ vocab = build_vocabulary()
 print(f"training on {len(corpus)} synthetic utterances ...")
 cfg = TrainConfig(total_updates=1200, warmup_updates=120, lr_peak=1e-3, seed=0)
 result = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg, vocab=vocab)
-model = result.averaged_model(cfg.average_last)
+model = result.model
 print(f"validation loss {result.val_losses[0][1]:.2f} -> "
       f"{result.val_losses[-1][1]:.2f}")
 

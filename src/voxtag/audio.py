@@ -41,7 +41,8 @@ class Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file. Only 16-bit PCM mono is accepted."""
+    """Read a RIFF/WAVE file. Only 16-bit PCM mono is accepted, with one fmt
+    chunk and one data chunk."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -57,6 +58,9 @@ def read_wav(path) -> Waveform:
             raise MalformedHeader(f"{path}: {chunk_id!r} chunk declares {chunk_size} bytes, "
                                   f"{len(data) - pos - 8} present")
         body = data[pos + 8:pos + 8 + chunk_size]
+        if (chunk_id == b"fmt " and fmt is not None
+                or chunk_id == b"data" and pcm_bytes is not None):
+            raise MalformedHeader(f"{path}: repeated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedHeader(f"{path}: truncated fmt chunk")

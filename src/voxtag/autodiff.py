@@ -408,7 +408,8 @@ def save_checkpoint(params: dict, path) -> None:
 
 def load_checkpoint(path) -> dict:
     """Inverse of save_checkpoint. A file cut short anywhere, followed by
-    trailing bytes, or holding a NaN or infinite value raises MalformedHeader."""
+    trailing bytes, naming a parameter twice or holding a NaN or infinite value
+    raises MalformedHeader."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -432,6 +433,8 @@ def load_checkpoint(path) -> dict:
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedHeader(f"{path}: parameter name {raw!r} is not UTF-8") from None
+        if name in params:
+            raise MalformedHeader(f"{path}: repeated parameter {name!r}")
         dims = u32s(u32s(1, f"rank of {name}")[0], f"shape of {name}")
         data = np.frombuffer(take(8 * math.prod(dims), f"parameter {name}"), dtype="<f8")
         if not np.isfinite(data).all():

@@ -80,8 +80,7 @@ def cmd_train(args):
         if made_out and not os.listdir(args.out):
             os.rmdir(args.out)
         raise
-    mdl.save_model(result.averaged_model(train_cfg.average_last),
-                   os.path.join(args.out, "model.vxck"))
+    mdl.save_model(result.model, os.path.join(args.out, "model.vxck"))
     final_val = result.val_losses[-1][1]
     print(f"trained {train_cfg.total_updates} updates; "
           f"final validation loss {final_val:.4f}")

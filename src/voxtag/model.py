@@ -357,12 +357,16 @@ def save_model(model: TranslationModel, path) -> None:
 
 def load_model(path) -> TranslationModel:
     """Inverse of save_model. Keys that are not ModelConfig fields (such as a
-    legacy dropout line) are ignored; a missing, unparsable or invalid one, or
-    a header that does not fit the checkpoint, raises MalformedHeader."""
+    legacy dropout line) are ignored; a missing, repeated, unparsable or
+    invalid one, or a header that does not fit the checkpoint, raises
+    MalformedHeader."""
     meta_path = str(path) + ".meta"
+    read = {f.name for f in fields(ModelConfig)} | {"vocab"}
     meta = {}
-    for line in utf8_lines(meta_path):
+    for lineno, line in enumerate(utf8_lines(meta_path), 1):
         key, _, value = line.rstrip("\n").partition("=")
+        if key in read and key in meta:
+            raise MalformedHeader(f"{meta_path}:{lineno}: repeated key {key!r}")
         meta[key] = value
 
     def header(key, parse=str):

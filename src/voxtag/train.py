@@ -73,13 +73,6 @@ class TrainResult:
     checkpoints: list
     val_losses: list = field(default_factory=list)
 
-    def averaged_model(self, last):
-        """A new model whose parameters are the mean of the last `last`
-        interval checkpoints; self.model stays the last-step model."""
-        model = mdl.TranslationModel(self.model.vocab, self.model.cfg)
-        model.load_state_dict(average_checkpoints(self.checkpoints[-last:]))
-        return model
-
 
 def noam_lr(step: int, warmup: int, lr_peak: float) -> float:
     """Linear ramp to lr_peak at step=warmup, inverse-sqrt decay after."""
@@ -163,8 +156,9 @@ def _val_loss(model, utterances, vocab, batch_size):
 
 def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                metrics_path=None) -> TrainResult:
-    """Adam + Noam training over utterances; returns the trained model and all
-    interval checkpoints. With use_grl the discriminator loss joins the total
+    """Adam + Noam training over utterances; returns the model whose parameters
+    are the mean of the last average_last interval checkpoints, and those
+    checkpoints. With use_grl the discriminator loss joins the total
     through the gradient reversal layer at lambda_at(current step); without a
     grl_schedule lambda is fixed at 0.5, or at 10.0 for a fine-tune from init.
     With perturb, each example is perturbed as its batch is drawn."""
@@ -234,10 +228,12 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
                     "disc_loss": d_loss, "lambda": lam}) + "\n")
             if step % train_cfg.interval == 0:
                 checkpoints.append(model.state_dict())
+                del checkpoints[:-train_cfg.average_last]
                 val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
                 val_losses.append((step, val))
                 if not np.isfinite(val) or val > 10.0 * initial_val:
                     raise DivergedLoss(f"validation loss {val} at step {step}")
+    model.load_state_dict(average_checkpoints(checkpoints))
     return TrainResult(model=model, checkpoints=checkpoints, val_losses=val_losses)
 
 

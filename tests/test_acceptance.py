@@ -45,8 +45,7 @@ def experiment():
     held, held_entries = corpus[:40], entries[:40]
 
     def run(model_cfg, train_cfg, init=None):
-        res = train_loop(corpus, model_cfg, train_cfg, init=init, vocab=vocab)
-        return res.averaged_model(train_cfg.average_last)
+        return train_loop(corpus, model_cfg, train_cfg, init=init, vocab=vocab).model
 
     models = {}
     for seed in SEEDS:

@@ -170,3 +170,20 @@ def test_rejects_odd_sized_data_chunk(tmp_path, pad):
     odd.write_bytes(blob[:40] + struct.pack("<I", 1999) + blob[44:-1] + pad)
     with pytest.raises(MalformedHeader, match=f"^{re.escape(str(odd))}: data chunk of 1999 bytes"):
         read_wav(odd)
+
+
+@pytest.mark.parametrize("chunk", [b"fmt ", b"data"])
+def test_rejects_a_repeated_fmt_or_data_chunk(tmp_path, chunk):
+    """A second fmt or data chunk fails closed instead of replacing the
+    first: a 1000-sample WAV with a 2-sample data chunk appended does not
+    read as 2 samples."""
+    path = tmp_path / "w.wav"
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 1000), 16000), path)
+    blob = path.read_bytes()
+    extra = blob[12:36] if chunk == b"fmt " else b"data" + struct.pack("<I", 4) + b"\x01\x00" * 2
+    assert extra.startswith(chunk)
+    twice = tmp_path / "twice.wav"
+    twice.write_bytes(b"RIFF" + struct.pack("<I", len(blob) - 8 + len(extra)) + blob[8:] + extra)
+    message = f"{twice}: repeated {chunk!r} chunk"
+    with pytest.raises(MalformedHeader, match=f"^{re.escape(message)}$"):
+        read_wav(twice)

@@ -1,4 +1,5 @@
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,19 @@ def test_checkpoint_rejects_non_utf8_parameter_name(tmp_path, raw_name):
     blob = path.read_bytes()
     path.write_bytes(blob.replace(b"ab", raw_name))
     with pytest.raises(MalformedHeader, match="names.ckpt: parameter name .* is not UTF-8"):
+        ad.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_parameter_name(tmp_path):
+    """A 3-entry file holding a, b, a fails closed instead of loading the
+    second a over the first."""
+    path = tmp_path / "twice.ckpt"
+    ad.save_checkpoint({"a": np.zeros(2), "b": np.ones(3)}, path)
+    first = path.read_bytes()
+    ad.save_checkpoint({"a": np.full(2, 7.0)}, path)
+    second = path.read_bytes()
+    path.write_bytes(first[:4] + (3).to_bytes(4, "little") + first[8:] + second[8:])
+    with pytest.raises(MalformedHeader, match=f"^{re.escape(str(path))}: repeated parameter 'a'$"):
         ad.load_checkpoint(path)
 
 

@@ -384,6 +384,51 @@ def test_train_init_rejects_truncated_checkpoint(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("repeated", ["checkpoint", "header", "wav"])
+def test_a_name_given_twice_is_validation_error(workspace, tmp_path, capsys, repeated):
+    """A checkpoint parameter, a header key or a WAV chunk given twice fails
+    closed through evaluate and train --init, naming the file and the name,
+    instead of loading with the later copy winning."""
+    import struct
+
+    from voxtag import autodiff as ad
+    from voxtag import model as M
+    model = tmp_path / "m.vxck"
+    saved = M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8))
+    M.save_model(saved, model)
+    manifest = workspace / "corpus" / "manifest.tsv"
+    if repeated == "checkpoint":
+        blob = model.read_bytes()
+        extra = tmp_path / "extra.vxck"
+        ad.save_checkpoint({"enc.in_b": saved.params["enc.in_b"].values}, extra)
+        count = struct.pack("<I", len(saved.params) + 1)
+        model.write_bytes(blob[:4] + count + blob[8:] + extra.read_bytes()[8:])
+        named, name = model, "parameter 'enc.in_b'"
+    elif repeated == "header":
+        meta = tmp_path / "m.vxck.meta"
+        meta.write_text(meta.read_text(encoding="utf-8") + "mode=gender_unaware\n",
+                        encoding="utf-8")
+        named, name = meta, "key 'mode'"
+    else:
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        fields = lines[0].split("\t")
+        wav = tmp_path / "twice.wav"
+        wav.write_bytes(Path(fields[1]).read_bytes() + b"data" + struct.pack("<I", 4) + bytes(4))
+        manifest = tmp_path / "twice.tsv"
+        manifest.write_text("\t".join([fields[0], str(wav)] + fields[2:]) + "\n"
+                            + "".join(line + "\n" for line in lines[1:]), encoding="utf-8")
+        named, name = wav, "b'data' chunk"
+    argvs = [["evaluate", "--model", str(model), "--manifest", str(manifest),
+              "--eval-tsv", str(workspace / "corpus" / "eval.tsv"),
+              "--out", str(tmp_path / "report.json")],
+             ["train", "--manifest", str(manifest), "--init", str(model),
+              "--total-updates", "20", "--warmup-updates", "5", "--out", str(tmp_path / "o")]]
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and str(named) in err and f"repeated {name}" in err, (argv, err)
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "o").exists()
+
+
 def _target_tokens(manifest):
     return sorted({t for line in manifest.read_text(encoding="utf-8").splitlines()
                    for t in line.split("\t")[4].split()})

@@ -474,6 +474,25 @@ def test_load_model_header_that_does_not_fit_names_the_file(tmp_path, small_mode
             M.load_model(path)
 
 
+def test_load_model_rejects_a_repeated_header_key(tmp_path, small_model):
+    """A key load_model reads, given twice, fails closed naming the file, the
+    line and the key: a second mode line must not turn a multi_gender model
+    into a gender_unaware one. A repeated key it ignores still loads."""
+    path = tmp_path / "m.vxck"
+    M.save_model(small_model, path)
+    meta_path = tmp_path / "m.vxck.meta"
+    meta = meta_path.read_text(encoding="utf-8")
+    n = meta.count("\n")
+    for line in ("mode=gender_unaware", "hidden_dim=16", "vocab=w0"):
+        meta_path.write_text(meta + line + "\n", encoding="utf-8")
+        key = line.partition("=")[0]
+        with pytest.raises(MalformedHeader,
+                           match=f"^{re.escape(str(meta_path))}:{n + 1}: repeated key '{key}'$"):
+            M.load_model(path)
+    meta_path.write_text("dropout=0.1\n" + meta + "dropout=0.0\n", encoding="utf-8")
+    assert M.load_model(path).cfg == small_model.cfg
+
+
 def test_load_model_rejects_a_second_decoder_layer(tmp_path, small_model):
     """The decoder has one layer. A checkpoint with dec.l1.* parameters, as a
     decoder_layers=2 model once saved, does not fit the model its header

@@ -88,19 +88,24 @@ def test_checkpoint_cadence_and_averaging(tiny_corpus):
     for name in avg:
         expected = np.mean([c[name] for c in res.checkpoints], axis=0)
         np.testing.assert_allclose(avg[name], expected)
+        np.testing.assert_array_equal(res.model.params[name].values, avg[name])
 
 
-def test_averaged_model_leaves_last_step_model(tiny_corpus):
-    cfg = tiny_cfg(total_updates=20, checkpoint_interval=5, average_last=3)
-    res = train_loop(tiny_corpus, ModelConfig(), cfg)
-    last = res.model.state_dict()
-    model = res.averaged_model(cfg.average_last)
-    assert model is not res.model and model.cfg == res.model.cfg
-    assert model.vocab.tokens == res.model.vocab.tokens
-    avg = average_checkpoints(res.checkpoints[-3:])
-    for name, values in model.state_dict().items():
-        np.testing.assert_array_equal(values, avg[name])
-        np.testing.assert_array_equal(res.model.params[name].values, last[name])
+def test_a_run_keeps_its_last_checkpoints_and_returns_their_average(tiny_corpus):
+    """Run A keeps every checkpoint it saves, run B of the same seed only its
+    last two; B's model is their mean, bit for bit."""
+    a, b = [train_loop(tiny_corpus, ModelConfig(),
+                       tiny_cfg(total_updates=20, checkpoint_interval=5, average_last=last))
+            for last in (4, 2)]
+    assert len(a.checkpoints) == 4 and len(b.checkpoints) == 2
+    for kept, full in zip(b.checkpoints, a.checkpoints[-2:]):
+        assert list(kept) == list(full)
+        for name in full:
+            assert kept[name].tobytes() == full[name].tobytes()
+    avg = average_checkpoints(b.checkpoints)
+    assert list(b.model.params) == list(avg)
+    for name, values in avg.items():
+        assert b.model.params[name].values.tobytes() == values.tobytes()
 
 
 def test_fine_tune_starts_from_init(tiny_corpus):
@@ -410,7 +415,8 @@ def test_perturbed_training_survives_unvoiced_utterance():
     cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2,
                    perturb=PerturbConfig(p=1.0))
     res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
-    assert len(res.checkpoints) == 12 // cfg.interval
+    assert len(res.val_losses) == 1 + 12 // cfg.interval
+    assert len(res.checkpoints) == cfg.average_last
     assert all(np.isfinite(v) for _, v in res.val_losses)
 
 
@@ -426,7 +432,8 @@ def test_perturbed_training_survives_too_short_utterance():
     cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2,
                    perturb=PerturbConfig(p=1.0))
     res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
-    assert len(res.checkpoints) == 12 // cfg.interval
+    assert len(res.val_losses) == 1 + 12 // cfg.interval
+    assert len(res.checkpoints) == cfg.average_last
     assert all(np.isfinite(v) for _, v in res.val_losses)
 
 

@@ -86,6 +86,12 @@ def read_wav(path) -> Waveform:
     if len(pcm_bytes) % 2:
         raise MalformedHeader(f"{path}: data chunk of {len(pcm_bytes)} bytes "
                               "is not a whole number of 16-bit samples")
+    (riff_size,) = struct.unpack_from("<I", data, 4)
+    if riff_size != len(data) - 8:
+        raise MalformedHeader(f"{path}: RIFF size {riff_size}, expected {len(data) - 8} "
+                              f"for a file of {len(data)} bytes")
+    if pos < len(data):
+        raise MalformedHeader(f"{path}: {len(data) - pos} bytes after the last chunk")
 
     ints = np.frombuffer(pcm_bytes, dtype="<i2")
     return Waveform(ints.astype(np.float64) / PCM_SCALE, sample_rate)

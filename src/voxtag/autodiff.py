@@ -281,16 +281,13 @@ def mean(x, axis=None):
     return Tensor(out_values, _parents=(x,), _backward=backward)
 
 
-def sum_(x, axis=None):
+def sum_(x):
     x = _as_tensor(x)
-    out_values = x.values.sum(axis=axis)
 
     def backward(g):
-        if axis is None:
-            return (np.full(x.shape, g),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+        return (np.full(x.shape, g),)
 
-    return Tensor(out_values, _parents=(x,), _backward=backward)
+    return Tensor(x.values.sum(), _parents=(x,), _backward=backward)
 
 
 def concat(tensors, axis=0):

@@ -52,10 +52,7 @@ def cmd_perturb(args):
 def cmd_train(args):
     flags = vars(args)
     model_cfg = mdl.ModelConfig(**_section_kwargs(mdl.ModelConfig, flags))
-    train_kwargs = _section_kwargs(tr.TrainConfig, flags)
-    if args.with_perturb:
-        train_kwargs["perturb"] = PerturbConfig(**_section_kwargs(PerturbConfig, flags))
-    train_cfg = tr.TrainConfig(**train_kwargs)
+    train_cfg = tr.TrainConfig(**_section_kwargs(tr.TrainConfig, flags))
     utterances = sd.read_manifest(args.manifest)
     init = vocab = None
     if args.init:
@@ -138,7 +135,8 @@ def build_parser():
     p.add_argument("--mode", default=None, choices=mdl.MODES)
     p.add_argument("--init", default=None)
     p.add_argument("--use-grl", action="store_const", const=True, default=None)
-    p.add_argument("--with-perturb", action="store_true")
+    p.add_argument("--with-perturb", dest="perturb_p", action="store_const",
+                   const=PerturbConfig.p, default=None)
     p.add_argument("--lr-peak", type=float, default=None)
     p.add_argument("--warmup-updates", type=int, default=None)
     p.add_argument("--total-updates", type=int, default=None)

@@ -191,8 +191,12 @@ def generate_corpus(spec: SynthSpec):
 
 
 def write_manifest(utterances, out_dir) -> str:
-    """Write wavs plus the tab-separated manifest; returns the manifest path."""
-    wav_dir = os.path.join(out_dir, "wav")
+    """Write wavs plus the tab-separated manifest; returns the manifest path.
+    Each WAV path is absolute, so the manifest reads from any directory."""
+    wav_dir = os.path.abspath(os.path.join(out_dir, "wav"))
+    if any(c in wav_dir for c in "\t\n\r"):  # manifest field and line separators
+        raise ValueError(f"{wav_dir!r}: a manifest cannot record a path holding "
+                         "a tab or line break")
     os.makedirs(wav_dir, exist_ok=True)
     path = os.path.join(out_dir, "manifest.tsv")
     with open(path, "w", encoding="utf-8") as f:

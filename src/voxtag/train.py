@@ -5,7 +5,6 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,8 @@ __all__ = ["TrainConfig", "TrainResult", "noam_lr", "Adam", "train_loop",
 class TrainConfig:
     use_grl: bool = False
     grl_schedule: LambdaSchedule = None
-    perturb: Optional[PerturbConfig] = None
+    # the chance that a drawn training example is shifted toward the opposite gender
+    perturb_p: float = 0.0
     lr_peak: float = 2e-3
     warmup_updates: int = 200
     total_updates: int = 2000
@@ -51,6 +51,8 @@ class TrainConfig:
         # a NaN fails every comparison, so this rejects it as well
         if not 0 < self.lr_peak < math.inf:
             raise ConfigInvalid(f"lr_peak must be finite and positive, got {self.lr_peak}")
+        if not 0 <= self.perturb_p <= 1:
+            raise ConfigInvalid(f"perturb_p must be in [0, 1], got {self.perturb_p}")
         if self.checkpoint_interval < 0:
             raise ConfigInvalid(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
         if self.average_last < 1:
@@ -161,7 +163,7 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     checkpoints. With use_grl the discriminator loss joins the total
     through the gradient reversal layer at lambda_at(current step); without a
     grl_schedule lambda is fixed at 0.5, or at 10.0 for a fine-tune from init.
-    With perturb, each example is perturbed as its batch is drawn."""
+    With perturb_p > 0, each example is perturbed as its batch is drawn."""
     if vocab is None:
         tokens = sorted({t for u in corpus for t in u.target_tokens})
         vocab = mdl.Vocabulary(tokens)
@@ -190,6 +192,7 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
     lr_scale = {"disc": DISC_LR_MULTIPLIER} if train_cfg.use_grl else None
     opt = Adam(model.params, lr_scale=lr_scale)
     rng = np.random.default_rng(train_cfg.seed)
+    perturb = PerturbConfig(p=train_cfg.perturb_p) if train_cfg.perturb_p > 0 else None
     initial_val = _val_loss(model, val_set, vocab, train_cfg.batch_size)
     val_losses = [(0, initial_val)]
     checkpoints = []
@@ -208,11 +211,10 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
             batch = []
             for i in order[k * train_cfg.batch_size:(k + 1) * train_cfg.batch_size]:
                 utt = train_set[i]
-                if train_cfg.perturb is not None:
+                if perturb is not None:
                     # one generator per (epoch, index): the order of draws changes no output
                     sub = np.random.default_rng([train_cfg.seed, 7919, epoch, i])
-                    w, manipulated = apply_opposite(utt.waveform, utt.gender,
-                                                    train_cfg.perturb, sub)
+                    w, manipulated = apply_opposite(utt.waveform, utt.gender, perturb, sub)
                     if manipulated:
                         utt = replace(utt, waveform=w)
                 batch.append(utt)

@@ -187,3 +187,46 @@ def test_rejects_a_repeated_fmt_or_data_chunk(tmp_path, chunk):
     message = f"{twice}: repeated {chunk!r} chunk"
     with pytest.raises(MalformedHeader, match=f"^{re.escape(message)}$"):
         read_wav(twice)
+
+
+def _riff_size(blob, size):
+    return blob[:4] + struct.pack("<I", size) + blob[8:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda blob: blob + bytes(7), "RIFF size 2036, expected 2043 for a file of 2051 bytes"),
+    (lambda blob: _riff_size(blob, 99999), "RIFF size 99999, expected 2036"),
+    (lambda blob: _riff_size(blob, 10), "RIFF size 10, expected 2036"),
+    (lambda blob: _riff_size(blob + bytes(7), 2043), "7 bytes after the last chunk"),
+], ids=["junk-appended", "size-too-large", "size-too-small", "junk-counted"])
+def test_rejects_a_riff_size_or_tail_that_is_not_the_chunks(tmp_path, damage, message):
+    """A 1000-sample WAV whose RIFF size does not count the bytes after it,
+    or that holds bytes after its last chunk, fails closed instead of reading
+    as its 1000 samples."""
+    path = tmp_path / "w.wav"
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 1000), 16000), path)
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(MalformedHeader, match=f"^{re.escape(str(bad))}: {re.escape(message)}"):
+        read_wav(bad)
+
+
+def test_rejects_a_fmt_chunk_shorter_than_16_bytes(tmp_path):
+    blob = _wav_bytes()
+    short = blob[:16] + struct.pack("<I", 14) + blob[20:34] + blob[36:]
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(_riff_size(short, len(short) - 8))
+    with pytest.raises(MalformedHeader, match=f"^{re.escape(str(path))}: truncated fmt chunk$"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("samples, rate, error, message", [
+    (np.zeros((2, 3)), 16000, UnsupportedEncoding, "only mono"),
+    (np.array([0.0, np.nan, 0.1]), 16000, ValueError, "non-finite"),
+    (np.array([0.0, np.inf]), 16000, ValueError, "non-finite"),
+    (np.zeros(4), 0, ValueError, "sample_rate must be positive"),
+    (np.zeros(4), -16000, ValueError, "sample_rate must be positive"),
+])
+def test_waveform_rejects_invalid_construction(samples, rate, error, message):
+    with pytest.raises(error, match=message):
+        Waveform(samples, rate)

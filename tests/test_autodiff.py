@@ -348,6 +348,20 @@ def test_broadcast_add_gradient():
                rng.normal(size=(4,)))
 
 
+def test_broadcast_add_gradient_of_a_row_operand():
+    """A (1, n) operand broadcast over rows gets the row sum of the upstream
+    gradient, kept as one row."""
+    rng = np.random.default_rng(3)
+    a0 = rng.normal(size=(3, 4))
+    check_grad(lambda b: ad.sum_(ad.tanh(ad.add(ad.Tensor(a0), b))),
+               rng.normal(size=(1, 4)))
+    b = ad.Tensor(np.zeros((1, 4)), requires_grad=True)
+    g = rng.normal(size=(3, 4))
+    ad.backward(ad.sum_(ad.mul(ad.add(a0, b), g)))
+    assert b.grad.shape == (1, 4)
+    np.testing.assert_allclose(b.grad, g.sum(axis=0, keepdims=True), rtol=0, atol=1e-15)
+
+
 def test_concat_gradient():
     rng = np.random.default_rng(3)
     b0 = rng.normal(size=(2, 4))

@@ -87,8 +87,8 @@ def test_every_config_flag_is_a_config_key():
     from voxtag import train as tr
     from voxtag.perturb import PerturbConfig
     sections = {"synth-data": (sd.SynthSpec,), "perturb": (PerturbConfig,),
-                "train": (mdl.ModelConfig, tr.TrainConfig, PerturbConfig)}
-    not_keys = {"out", "manifest", "init", "with_perturb", "help"}
+                "train": (mdl.ModelConfig, tr.TrainConfig)}
+    not_keys = {"out", "manifest", "init", "help"}
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for command, classes in sections.items():
@@ -143,6 +143,21 @@ def test_perturb(workspace, capsys):
     assert "perturbed 5/6" in out
     written = workspace / "pert_mixed" / "wav" / f"{fields[0]}.wav"
     assert written.read_bytes() == silent.read_bytes()
+
+
+def test_manifest_reads_from_any_working_directory(tmp_path, monkeypatch, capsys):
+    """synth-data with a relative --out records absolute WAV paths, so its
+    manifest reads from inside the corpus directory as well."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth-data", "--n-utterances", "4", "--seed", "0", "--out", "corpus"]) == 0
+    wav_paths = [line.split("\t")[1] for line in
+                 (tmp_path / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()]
+    assert all(os.path.isabs(p) for p in wav_paths)
+    monkeypatch.chdir(tmp_path / "corpus")
+    code, out, err = run(capsys, "perturb", "--manifest", "manifest.tsv", "--p", "0.5",
+                         "--seed", "0", "--out", "../perturbed_here")
+    assert code == 0, err
+    assert "perturbed" in out and (tmp_path / "perturbed_here" / "manifest.tsv").exists()
 
 
 def test_train_evaluate_probe_deterministic(workspace, capsys):
@@ -535,6 +550,20 @@ def test_wav_below_the_sample_rate_floor_is_validation_error(tmp_path, capsys, c
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and str(low) in err and "sample rate 40 Hz" in err
+
+
+def test_wav_whose_riff_size_is_not_its_length_is_validation_error(workspace, tmp_path, capsys):
+    """A WAV with 7 junk bytes appended fails closed naming the file."""
+    line = (workspace / "corpus" / "manifest.tsv").read_text(encoding="utf-8").splitlines()[0]
+    fields = line.split("\t")
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(Path(fields[1]).read_bytes() + bytes(7))
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_text("\t".join([fields[0], str(bad)] + fields[2:]) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "perturb", "--manifest", str(manifest), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: RIFF size ")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "train"])

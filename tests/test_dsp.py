@@ -271,6 +271,13 @@ def test_envelope_peak_rejects_f0_not_finite_and_positive(f0):
         envelope_peak_hz(w, f0)
 
 
+def test_envelope_peak_needs_a_harmonic_in_its_band():
+    """An f0 above the 4000 Hz top of the search band has no harmonic in it."""
+    w = synth_harmonic(150.0, [(700.0, 5.0)], 0.3)
+    with pytest.raises(ValueError, match="^no harmonic inside the search band$"):
+        envelope_peak_hz(w, 5000.0)
+
+
 def test_mel_filterbank_cached_read_only():
     fb = mel_filterbank(16000, 400)
     assert mel_filterbank(16000, 400) is fb

@@ -129,6 +129,12 @@ def test_bleu_disjoint_is_low():
     assert corpus_bleu([["a", "b", "c", "d"]], [["w", "x", "y", "z"]]) < 10.0
 
 
+def test_bleu_without_a_4gram_is_zero():
+    """No hypothesis has four tokens, so the 4-gram precision has no
+    denominator and the score is 0, even for exact matches."""
+    assert corpus_bleu([["a", "b", "c"], ["d"]], [["a", "b", "c"], ["d"]]) == 0.0
+
+
 def test_bleu_length_mismatch():
     with pytest.raises(LengthMismatch):
         corpus_bleu([["a"]], [["a"], ["b"]])
@@ -165,6 +171,18 @@ def test_read_eval_tsv_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "eval.tsv"
     path.write_text("u0\tamata\tamato\tamata|amato\n" + line + "\n", encoding="utf-8")
     with pytest.raises(MalformedHeader, match=re.escape(f"eval.tsv:2: {message}")):
+        read_eval_tsv(path)
+
+
+def test_read_eval_tsv_skips_blank_lines_and_counts_them(tmp_path):
+    """Blank lines are skipped, and a later bad line is named by its line
+    number in the file."""
+    path = tmp_path / "eval.tsv"
+    good = "u0\tamata\tamato\tamata|amato\n"
+    path.write_text("\n" + good + "\n\n", encoding="utf-8")
+    assert [e.id for e in read_eval_tsv(path)] == ["u0"]
+    path.write_text("\n" + good + "\n\nu1\tstanca\n", encoding="utf-8")
+    with pytest.raises(MalformedHeader, match=re.escape("eval.tsv:5: 2 fields, expected 4")):
         read_eval_tsv(path)
 
 

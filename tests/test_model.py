@@ -36,6 +36,20 @@ def test_vocabulary_reserved_ids():
         vocab.encode(["casa", "missing", "other"])
 
 
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_vocabulary_decode_rejects_an_id_out_of_range(bad):
+    vocab = M.Vocabulary(["casa", "rotto", "rotta"])
+    with pytest.raises(UnknownToken, match=f"^id {bad} out of range$"):
+        vocab.decode([5, bad])
+
+
+@pytest.mark.parametrize("field", ["feature_dim", "hidden_dim", "encoder_layers", "disc_hidden"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_model_config_rejects_a_non_positive_dimension(field, value):
+    with pytest.raises(ValueError, match="^dimensions and layer counts must be positive$"):
+        M.ModelConfig(**{field: value})
+
+
 def test_encode_output_length(small_model):
     enc = small_model.encode([M.pool4(np.zeros((98, 80)))])
     assert enc.shape == (25, 16)
@@ -55,6 +69,14 @@ def test_decode_all_is_deterministic_distribution(small_model):
     assert dist.values.min() > 0
     again = small_model.decode_all(enc, [[M.TAG_F_ID, 6, 7]], [enc.shape[0]])
     assert np.array_equal(logits.values, again.values)
+
+
+@pytest.mark.parametrize("frames", [[3], [1], [2, 0], []])
+def test_decode_all_rejects_frames_that_do_not_count_the_encoder_rows(small_model, frames):
+    enc = small_model.encode([M.pool4(np.zeros((8, 80)))])
+    assert enc.shape[0] == 2
+    with pytest.raises(ShapeMismatch, match="^frames must count each prefix's rows"):
+        small_model.decode_all(enc, [[M.TAG_F_ID, 6]], frames)
 
 
 def test_decode_all_prefix_validation(small_model):
@@ -380,6 +402,14 @@ def test_combined_loss():
     bad.values = np.array(np.inf)
     with pytest.raises(NonFinite):
         M.combined_loss(bad, None, cfg)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_combined_loss_rejects_a_non_finite_discriminator_loss(value):
+    disc = ad.Tensor(1.0)
+    disc.values = np.array(value)
+    with pytest.raises(NonFinite, match="^discriminator loss is not finite$"):
+        M.combined_loss(ad.Tensor(2.0), disc, M.ModelConfig())
 
 
 def test_end_to_end_gradient_matches_finite_differences(small_model):

@@ -7,12 +7,13 @@ from voxtag import perturb
 from voxtag.audio import Waveform, synth_harmonic
 from voxtag.dsp import (RMS_GATE, envelope_peak_hz, estimate_f0_contour, harmonic_windows,
                         voiced_median)
-from voxtag.errors import OutOfRangeFactor, ZeroSourceMedian
+from voxtag.errors import AllUnvoiced, OutOfRangeFactor, ZeroSourceMedian
 from voxtag.perturb import (
     PerturbConfig,
     SpeakerGender,
     _formant_warp,
     _harmonic_envelope,
+    _pitch_marks,
     _stretch_rows,
     apply_opposite,
     compute_alpha,
@@ -97,6 +98,20 @@ def test_out_of_range_factors():
         pitch_formant_shift(w, 5.0, 1.0)
     with pytest.raises(OutOfRangeFactor):
         pitch_formant_shift(w, 1.0, 3.0)
+
+
+def test_shift_of_an_unvoiced_waveform_fails_closed():
+    with pytest.raises(AllUnvoiced, match="^no voiced frame, cannot place pitch marks$"):
+        pitch_formant_shift(Waveform(np.zeros(4800), 16000), 1.5, 1.2)
+
+
+def test_no_pitch_mark_fits_in_less_than_one_period():
+    """A tracked waveform holds one 40 ms frame, two periods at F0_MIN, so
+    pitch_formant_shift always places a mark. Marks for 10 samples of a
+    150 Hz contour (a fifteenth of a period) fail closed instead."""
+    contour = estimate_f0_contour(synth_harmonic(150.0, M_PEAKS, 0.2))
+    with pytest.raises(AllUnvoiced, match="^waveform shorter than one pitch period$"):
+        _pitch_marks(np.zeros(10), 16000, contour)
 
 
 def test_apply_opposite_p_zero():

@@ -141,6 +141,18 @@ def test_manifest_roundtrip(tmp_path, corpus):
         np.testing.assert_array_equal(back.waveform.samples, orig.waveform.samples)
 
 
+@pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
+def test_write_manifest_refuses_a_path_it_cannot_record(tmp_path, monkeypatch, corpus, sep):
+    """WAV paths are recorded absolute, so a tab or line break in the working
+    directory would split a manifest line; the write fails before any file."""
+    work = tmp_path / f"a{sep}b"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(ValueError, match="cannot record a path holding a tab or line break"):
+        write_manifest(corpus[0][:1], "out")
+    assert list(work.iterdir()) == []
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda f: f[:3], "3 fields, expected 5"),
     (lambda f: f + ["extra"], "6 fields, expected 5"),
@@ -161,6 +173,20 @@ def test_read_manifest_names_file_and_line(tmp_path, corpus, corrupt, message):
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
     with pytest.raises(MalformedHeader, match=re.escape(f"manifest.tsv:2: {message}")):
+        read_manifest(path)
+
+
+def test_read_manifest_skips_blank_lines_and_counts_them(tmp_path, corpus):
+    """Blank lines are skipped, and a later bad line is named by its line
+    number in the file."""
+    path = write_manifest(corpus[0][:2], tmp_path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n" + lines[0] + "\n\n" + lines[1] + "\n\n")
+    assert [u.id for u in read_manifest(path)] == [corpus[0][0].id, corpus[0][1].id]
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("u9\tx.wav\n")
+    with pytest.raises(MalformedHeader, match=re.escape("manifest.tsv:6: 2 fields, expected 5")):
         read_manifest(path)
 
 

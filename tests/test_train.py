@@ -4,7 +4,7 @@ import pytest
 from voxtag.autodiff import LambdaSchedule
 from voxtag.errors import ConfigInvalid, DivergedLoss, SingleClassData
 from voxtag.model import ModelConfig, TranslationModel
-from voxtag.perturb import PerturbConfig, SpeakerGender
+from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 from voxtag.train import (Adam, TrainConfig, average_checkpoints, noam_lr,
                           probe_discriminator, train_loop)
@@ -55,6 +55,17 @@ def test_config_validation():
         TrainConfig(total_updates=100, warmup_updates=10, checkpoint_interval=40, average_last=3)
     with pytest.raises(ConfigInvalid, match="^grl_schedule is set but use_grl is False$"):
         TrainConfig(grl_schedule=LambdaSchedule(total_updates=2000, fixed_lambda=0.5))
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_perturb_p_outside_unit_interval_is_rejected(p):
+    with pytest.raises(ConfigInvalid, match="^perturb_p must be in \\[0, 1\\]"):
+        TrainConfig(perturb_p=p)
+
+
+def test_perturb_p_accepts_both_ends():
+    assert TrainConfig(perturb_p=0.0).perturb_p == 0.0
+    assert TrainConfig(perturb_p=1.0).perturb_p == 1.0
 
 
 def test_default_lambda_is_fixed_and_harder_from_init(tiny_corpus, tmp_path):
@@ -179,8 +190,7 @@ def test_perturbation_redrawn_each_epoch(tiny_corpus, monkeypatch):
         return w, False
 
     monkeypatch.setattr(train_mod, "apply_opposite", spy)
-    cfg = tiny_cfg(total_updates=8, batch_size=8, average_last=1,
-                   perturb=PerturbConfig(p=0.5))
+    cfg = tiny_cfg(total_updates=8, batch_size=8, average_last=1, perturb_p=0.5)
     train_loop(tiny_corpus, ModelConfig(), cfg)
     n_train = len(tiny_corpus) - max(2, round(0.1 * len(tiny_corpus)))
     epochs = len(calls) // n_train
@@ -188,6 +198,25 @@ def test_perturbation_redrawn_each_epoch(tiny_corpus, monkeypatch):
     first = calls[:n_train]
     second = calls[n_train:2 * n_train]
     assert first != second  # fresh draws, not replayed ones
+
+
+def test_perturb_p_zero_never_perturbs_and_trains_as_unperturbed(tiny_corpus, monkeypatch):
+    """perturb_p=0 is the default: no example goes through apply_opposite and
+    the run is bitwise the run that never names perturbation."""
+    from voxtag import train as train_mod
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return args[0], False
+
+    monkeypatch.setattr(train_mod, "apply_opposite", spy)
+    runs = [train_loop(tiny_corpus, ModelConfig(mode="multi_gender"), cfg)
+            for cfg in (tiny_cfg(total_updates=8, perturb_p=0.0), tiny_cfg(total_updates=8))]
+    assert calls == []
+    states = [{k: v.tobytes() for k, v in r.model.state_dict().items()} for r in runs]
+    assert states[0] == states[1]
+    assert runs[0].val_losses == runs[1].val_losses
 
 
 def test_perturbation_runs_once_per_trained_example_on_its_own_generator(tiny_corpus,
@@ -213,8 +242,7 @@ def test_perturbation_runs_once_per_trained_example_on_its_own_generator(tiny_co
     monkeypatch.setattr(train_mod, "apply_opposite", spy)
     monkeypatch.setattr(train_mod, "_backward_batch", recording_backward_batch)
     seed, n_val = 5, 2
-    cfg = tiny_cfg(total_updates=10, batch_size=4, average_last=1, seed=seed,
-                   perturb=PerturbConfig(p=0.5))
+    cfg = tiny_cfg(total_updates=10, batch_size=4, average_last=1, seed=seed, perturb_p=0.5)
     train_loop(tiny_corpus, ModelConfig(), cfg)
     assert [len(b) for b in batches] == [4, 4, 4, 2] * 2 + [4, 4]
     assert [w for w, _ in calls] == [w for b in batches for w in b]
@@ -253,7 +281,7 @@ def test_manipulated_utterances_train_on_perturbed_features(monkeypatch):
 
     monkeypatch.setattr(train_mod, "apply_opposite", fake)
     monkeypatch.setattr(TranslationModel, "encode", recording_encode)
-    cfg = tiny_cfg(total_updates=12, batch_size=4, perturb=PerturbConfig(p=1.0))
+    cfg = tiny_cfg(total_updates=12, batch_size=4, perturb_p=1.0)
     train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
 
     expected = {u.id: pool4(logmel_features(u.waveform).frames) for u in corpus}
@@ -275,7 +303,7 @@ def test_perturbed_training_leaves_caller_corpus_clean():
     corpus, _ = generate_corpus(SynthSpec(n_utterances=16, seed=9))
     waveforms = [u.waveform for u in corpus]
     samples = [u.waveform.samples.copy() for u in corpus]
-    cfg = tiny_cfg(total_updates=8, batch_size=4, perturb=PerturbConfig(p=1.0))
+    cfg = tiny_cfg(total_updates=8, batch_size=4, perturb_p=1.0)
     train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
     for utt, w, x in zip(corpus, waveforms, samples):
         assert utt.waveform is w
@@ -412,8 +440,7 @@ def test_perturbed_training_survives_unvoiced_utterance():
     corpus, _ = generate_corpus(SynthSpec(n_utterances=24, seed=5))
     silent = corpus[10]
     silent.waveform = Waveform(np.zeros(len(silent.waveform)), silent.waveform.sample_rate)
-    cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2,
-                   perturb=PerturbConfig(p=1.0))
+    cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2, perturb_p=1.0)
     res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
     assert len(res.val_losses) == 1 + 12 // cfg.interval
     assert len(res.checkpoints) == cfg.average_last
@@ -429,8 +456,7 @@ def test_perturbed_training_survives_too_short_utterance():
     short = corpus[10]
     sr = short.waveform.sample_rate
     short.waveform = Waveform(0.5 * np.sin(2 * np.pi * 150.0 * np.arange(500) / sr), sr)
-    cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2,
-                   perturb=PerturbConfig(p=1.0))
+    cfg = tiny_cfg(total_updates=12, batch_size=8, average_last=2, perturb_p=1.0)
     res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
     assert len(res.val_losses) == 1 + 12 // cfg.interval
     assert len(res.checkpoints) == cfg.average_last
@@ -442,8 +468,7 @@ def test_perturbed_training_is_identical_with_warm_f0_contours(tmp_path):
     run matches a run on a freshly generated corpus, byte for byte."""
     def run(corpus, name):
         path = tmp_path / f"{name}.jsonl"
-        cfg = tiny_cfg(total_updates=30, batch_size=8, checkpoint_interval=10,
-                       perturb=PerturbConfig(p=0.5))
+        cfg = tiny_cfg(total_updates=30, batch_size=8, checkpoint_interval=10, perturb_p=0.5)
         res = train_loop(corpus, ModelConfig(mode="multi_gender"), cfg, metrics_path=path)
         state = {k: v.tobytes() for k, v in res.model.state_dict().items()}
         return state, res.val_losses, path.read_bytes()
@@ -499,7 +524,7 @@ def test_perturbed_training_pools_each_manipulated_copy_once(monkeypatch):
 
     monkeypatch.setattr(train_mod, "apply_opposite", recording_apply_opposite)
     pooled = _count_pooled(monkeypatch)
-    cfg = tiny_cfg(total_updates=30, batch_size=8, perturb=PerturbConfig(p=0.5))
+    cfg = tiny_cfg(total_updates=30, batch_size=8, perturb_p=0.5)
     train_loop(corpus, ModelConfig(mode="multi_gender"), cfg)
     assert len(manipulated) > 0
     assert len(set(map(id, pooled))) == len(pooled) == len(corpus) + len(manipulated)

@@ -92,6 +92,8 @@ def read_wav(path) -> Waveform:
                               f"for a file of {len(data)} bytes")
     if pos < len(data):
         raise MalformedHeader(f"{path}: {len(data) - pos} bytes after the last chunk")
+    if pos > len(data):
+        raise MalformedHeader(f"{path}: last chunk lacks its pad byte")
 
     ints = np.frombuffer(pcm_bytes, dtype="<i2")
     return Waveform(ints.astype(np.float64) / PCM_SCALE, sample_rate)

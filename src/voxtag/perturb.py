@@ -115,12 +115,14 @@ def _psola(x, sr, contour, alpha):
     # over alpha. np.interp computes each position on its own, so evaluating
     # it at these positions only gives the values of a per-sample track
     at = np.minimum(np.round(marks1 * alpha), n - 1)
-    steps = (sr / np.interp(at, *_voiced_frames(contour)) / alpha).tolist()
+    steps = sr / np.interp(at, *_voiced_frames(contour)) / alpha
 
     # grain positions are a scalar recurrence; each grain centred at output
-    # sample s copies the resampled signal around the mark m nearest s / gamma
+    # sample s copies the resampled signal around the mark m nearest s / gamma.
+    # The loop only places grains; their extents are array operations after it
     mark_list = marks1.tolist()
-    grains = []  # (s, m, lo_off, hi_off, p)
+    step_list = steps.tolist()
+    centres, nearest = [], []
     pos = float(marks1[0]) * gamma
     while pos < n:
         s = round(pos)
@@ -128,30 +130,37 @@ def _psola(x, sr, contour, alpha):
         j = bisect.bisect_left(mark_list, t)
         if j == len(mark_list) or (j > 0 and t - mark_list[j - 1] <= mark_list[j] - t):
             j -= 1  # on a tie the lower mark, as argmin would take
-        m = mark_list[j]
-        step = steps[j]
-        p = max(2, round(step))
-        lo_off = min(p, m, s)
-        hi_off = min(p, n1 - m, n - s)
-        if hi_off + lo_off > 2:
-            grains.append((s, m, lo_off, hi_off, p))
-        pos += step
+        centres.append(s)
+        nearest.append(j)
+        pos += step_list[j]
+    s = np.array(centres, dtype=np.intp)
+    j = np.array(nearest, dtype=np.intp)
+    m = marks1[j]
+    # np.round, like round, rounds half to even
+    p = np.maximum(2, np.round(steps[j])).astype(np.intp)
+    lo_off = np.minimum(np.minimum(p, m), s)
+    hi_off = np.minimum(np.minimum(p, n1 - m), n - s)
+    kept = lo_off + hi_off > 2
+    s, m, lo_off, hi_off, p = s[kept], m[kept], lo_off[kept], hi_off[kept], p[kept]
 
     # overlap-add every grain at once: bincount sums each output sample's
     # contributions in grain order, as adding grain by grain would
-    s, m, lo_off, hi_off, p = np.array(grains, dtype=np.intp).T
     length = lo_off + hi_off
     # with the grains laid end to end, element k is output sample k + shift[k];
     # a grain reads y1 m - s samples and its window table_start + p - s
     # samples further on
     shift = np.repeat(s - lo_off - (np.cumsum(length) - length), length)
-    idx = np.arange(len(shift)) + shift
+    idx = np.arange(len(shift))
+    idx += shift
     # grain windows: one hann(2p + 1) per half-length p, laid end to end
     half = sorted(set(p.tolist()))
     table = np.concatenate([hann(2 * q + 1) for q in half])
     table_start = np.cumsum([0] + [2 * q + 1 for q in half])[np.searchsorted(half, p)]
-    win = table[idx + np.repeat(table_start + p - s, length)]
-    out = np.bincount(idx, win * y1[idx + np.repeat(m - s, length)], n)
+    # shift is read no more, so it holds each gather's positions in turn
+    win = table[np.add(idx, np.repeat(table_start + p - s, length), out=shift)]
+    grain = y1[np.add(idx, np.repeat(m - s, length), out=shift)]
+    grain *= win
+    out = np.bincount(idx, grain, n)
     norm = np.bincount(idx, win, n)
 
     covered = norm > 0.2
@@ -171,11 +180,24 @@ def _harmonic_envelope(mag, bin_hz, windows):
         return np.repeat(np.maximum(mag.max(axis=1, keepdims=True), 1e-12), n_bins, axis=1)
     # positions outside a window read -inf, so argmax returns the first
     # maximum inside it
-    cand = np.where(inside, mag[:, idx], -np.inf)
-    hz_pts = idx[np.arange(len(idx)), cand.argmax(axis=2)] * bin_hz
-    log_amp = np.log(np.maximum(cand.max(axis=2), 1e-12))
+    cand = mag[:, idx]
+    cand[:, ~inside] = -np.inf
+    best = cand.argmax(axis=2)
+    hz_pts = idx[np.arange(len(idx)), best] * bin_hz
+    log_amp = np.log(np.maximum(np.take_along_axis(cand, best[..., None], 2)[..., 0], 1e-12))
     freqs = np.arange(n_bins) * bin_hz
-    return np.exp([np.interp(freqs, hz, amp) for hz, amp in zip(hz_pts, log_amp)])
+    # one np.interp reads every row: row r's knots and bins move up by
+    # r * span, a power of two at least four times the top bin. With bin_hz =
+    # sr / 1024 at an integer rate, every shifted value and every difference
+    # np.interp forms from them is exact, so each row reads what its own call
+    # would. A flat knot a quarter span below each row and one half a span
+    # above it hold the row's end values, as np.interp's edges do
+    span = 2.0 ** np.ceil(np.log2(4 * freqs[-1] + 4))
+    off = np.arange(len(mag))[:, None] * span
+    knots = np.concatenate([off - span / 4, hz_pts + off, off + span / 2], axis=1)
+    amps = np.concatenate([log_amp[:, :1], log_amp, log_amp[:, -1:]], axis=1)
+    env = np.interp(freqs + off, knots.ravel(), amps.ravel())
+    return np.exp(env, out=env)
 
 
 def _stretch_rows(env, scale):
@@ -186,7 +208,9 @@ def _stretch_rows(env, scale):
     n_bins = env.shape[1]
     at = np.arange(n_bins) / scale
     j = np.minimum(np.floor(at), n_bins - 2).astype(int)
-    out = (env[:, j + 1] - env[:, j]) * (at - j) + env[:, j]
+    out = np.diff(env, axis=1)[:, j]
+    out *= at - j
+    out += env[:, j]
     out[:, at >= n_bins - 1] = env[:, -1:]
     return out
 
@@ -195,7 +219,9 @@ def _warp_gain(mag, scale, bin_hz, windows):
     """Per-bin gain that moves each frame's harmonic envelope from f to
     f*scale, clipped to [1e-3, 1e3]."""
     env = _harmonic_envelope(mag, bin_hz, windows)
-    return np.clip(_stretch_rows(env, scale) / np.maximum(env, 1e-12), 1e-3, 1e3)
+    gain = _stretch_rows(env, scale)
+    gain /= np.maximum(env, 1e-12, out=env)
+    return np.clip(gain, 1e-3, 1e3, out=gain)
 
 
 def _formant_warp(x, scale, sr, f0):
@@ -206,16 +232,22 @@ def _formant_warp(x, scale, sr, f0):
     hop = n_fft // 4
     window = hann(n_fft)
     pad = n_fft
-    xp = np.pad(x, (pad, pad))
+    xp = np.zeros(len(x) + 2 * pad)
+    xp[pad:pad + len(x)] = x
     bin_hz = sr / n_fft
     windows = harmonic_windows(n_fft // 2 + 1, bin_hz, f0)
     frames = frame_matrix(xp, n_fft, hop) * window
     spec = np.fft.rfft(frames, axis=1)
-    # frames below the gate pass through unchanged
-    loud = np.sqrt(np.mean(frames ** 2, axis=1)) >= RMS_GATE
-    if loud.any():
-        spec[loud] *= _warp_gain(np.abs(spec[loud]), scale, bin_hz, windows)
-    warped = np.fft.irfft(spec, n_fft, axis=1) * window
+    # the frame arrays are hundreds of kB, and each fresh one costs page
+    # faults, so work is done in place wherever an operand is read no more:
+    # the frames are squared for the gate after their rfft
+    loud = np.sqrt(np.mean(np.square(frames, out=frames), axis=1)) >= RMS_GATE
+    # every frame's gain reads that frame alone, so all are computed and
+    # frames below the gate keep their spectrum bit for bit
+    gain = _warp_gain(np.abs(spec), scale, bin_hz, windows)
+    np.multiply(spec, gain, out=spec, where=loud[:, None])
+    warped = np.fft.irfft(spec, n_fft, axis=1)
+    warped *= window
 
     # frame f covers output quarters f..f+3 (a quarter is one hop). Adding
     # phase q = 3, 2, 1, 0 adds frame b-3 first and frame b last into quarter

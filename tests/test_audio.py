@@ -198,11 +198,14 @@ def _riff_size(blob, size):
     (lambda blob: _riff_size(blob, 99999), "RIFF size 99999, expected 2036"),
     (lambda blob: _riff_size(blob, 10), "RIFF size 10, expected 2036"),
     (lambda blob: _riff_size(blob + bytes(7), 2043), "7 bytes after the last chunk"),
-], ids=["junk-appended", "size-too-large", "size-too-small", "junk-counted"])
+    # an odd-sized last chunk whose pad byte is missing
+    (lambda blob: _riff_size(blob + b"LIST" + struct.pack("<I", 3) + b"abc", 2047),
+     "last chunk lacks its pad byte"),
+], ids=["junk-appended", "size-too-large", "size-too-small", "junk-counted", "pad-missing"])
 def test_rejects_a_riff_size_or_tail_that_is_not_the_chunks(tmp_path, damage, message):
     """A 1000-sample WAV whose RIFF size does not count the bytes after it,
-    or that holds bytes after its last chunk, fails closed instead of reading
-    as its 1000 samples."""
+    that holds bytes after its last chunk, or whose last chunk lacks its pad
+    byte, fails closed instead of reading as its 1000 samples."""
     path = tmp_path / "w.wav"
     write_wav(Waveform(np.linspace(-0.5, 0.5, 1000), 16000), path)
     bad = tmp_path / "bad.wav"

@@ -211,9 +211,10 @@ def _loop_formant_warp(x, scale, sr, f0, n_fft=1024):
     return out[n_fft:n_fft + len(x)]
 
 
-def _loop_psola(x, sr, contour, alpha):
+def _loop_psola(x, sr, contour, alpha, counts=None):
     """The grain-by-grain overlap-add that the one-pass version replaced, kept as
-    the reference."""
+    the reference. counts, if given, tallies the grains placed at an exact tie
+    between two nearest marks and those dropped as two samples or shorter."""
     n = len(x)
     marks = perturb._pitch_marks(x, sr, contour)
     # the per-sample period over voiced frames, as the grain loop read it
@@ -229,11 +230,15 @@ def _loop_psola(x, sr, contour, alpha):
     pos = float(marks1[0]) * gamma
     while pos < n:
         s = int(round(pos))
-        m = int(marks1[int(np.argmin(np.abs(marks1 - s / gamma)))])
+        dist = np.abs(marks1 - s / gamma)
+        m = int(marks1[int(np.argmin(dist))])
         src_idx = min(int(round(m * alpha)), n - 1)
         p = max(2, int(round(period[src_idx] / alpha)))
         lo_off = min(p, m, s)
         hi_off = min(p, n1 - m, n - s)
+        if counts is not None:
+            counts["tie"] += int((dist == dist.min()).sum() > 1)
+            counts["dropped"] += int(hi_off + lo_off <= 2)
         if hi_off + lo_off > 2:
             win = np.hanning(2 * p + 1)[p - lo_off:p + hi_off]
             out[s - lo_off:s + hi_off] += win * y1[m - lo_off:m + hi_off]
@@ -251,24 +256,39 @@ def _psola_reference_cases():
     tail = voice.copy()
     tail[:int(0.7 * len(tail))] = 0.0
     cases = [
-        ("alpha 0.25", voice, 0.25),
-        ("alpha 4", voice, 4.0),
-        ("voiced only in the tail", tail, 1.6),
-        ("641 samples", synth_harmonic(210.0, F_PEAKS, 641 / 16000).samples, 0.7),
+        ("alpha 0.25", voice, 16000, 0.25),
+        ("alpha 4", voice, 16000, 4.0),
+        ("voiced only in the tail", tail, 16000, 1.6),
+        ("641 samples", synth_harmonic(210.0, F_PEAKS, 641 / 16000).samples, 16000, 0.7),
+        # at 4 kHz a 450 Hz voice raised by 4 has grains of half-length 2, and
+        # a grain centred on the last sample is dropped
+        ("4000 Hz, voice 450 Hz, alpha 4",
+         synth_harmonic(450.0, [(900.0, 8.0)], 0.3, 4000).samples, 4000, 4.0),
     ]
     for f0, peaks in ((110.0, M_PEAKS), (150.0, M_PEAKS), (220.0, F_PEAKS), (280.0, F_PEAKS)):
         x = synth_harmonic(f0, peaks, 0.35).samples
         for alpha in (0.45, 0.8, 1.0, 1.3, 2.2):
-            cases.append((f"voice {f0:.0f} Hz, alpha {alpha}", x, alpha))
+            cases.append((f"voice {f0:.0f} Hz, alpha {alpha}", x, 16000, alpha))
     return cases
+
+
+def test_psola_reference_cases_reach_ties_and_dropped_grains():
+    """The grain loop's two edge branches, which the one-pass PSOLA takes as
+    array operations after placing every grain, are each taken by some case:
+    an exact tie between two nearest marks (the lower wins) and a grain of
+    two samples or fewer (dropped)."""
+    counts = {"tie": 0, "dropped": 0}
+    for _, x, sr, alpha in _psola_reference_cases():
+        _loop_psola(x, sr, estimate_f0_contour(Waveform(x, sr)), alpha, counts)
+    assert counts["tie"] > 0 and counts["dropped"] > 0, counts
 
 
 @pytest.mark.parametrize("case", _psola_reference_cases(), ids=lambda c: c[0])
 def test_psola_matches_grain_loop(case):
-    _, x, alpha = case
-    contour = estimate_f0_contour(Waveform(x, 16000))
-    assert np.array_equal(perturb._psola(x, 16000, contour, alpha),
-                          _loop_psola(x, 16000, contour, alpha))
+    _, x, sr, alpha = case
+    contour = estimate_f0_contour(Waveform(x, sr))
+    assert np.array_equal(perturb._psola(x, sr, contour, alpha),
+                          _loop_psola(x, sr, contour, alpha))
 
 
 def _warp_reference_cases():
@@ -276,48 +296,66 @@ def _warp_reference_cases():
     voice = synth_harmonic(150.0, M_PEAKS, 0.5).samples
     half = voice.copy()
     half[len(half) // 2:] = 0.0
+    gap = voice.copy()
+    gap[len(gap) // 3:2 * len(gap) // 3] = 0.0
     t = np.arange(4000) / 16000
     cases = [
-        ("silence", np.zeros(4000), 0.8, 150.0),
-        ("below the RMS gate", 1e-5 * voice, 1.2, 150.0),
-        ("half silence", half, 1.25, 150.0),
-        ("white noise", rng.uniform(-0.5, 0.5, 4000), 1.2, 140.0),
+        ("silence", np.zeros(4000), 0.8, 150.0, 16000),
+        ("below the RMS gate", 1e-5 * voice, 1.2, 150.0, 16000),
+        ("half silence", half, 1.25, 150.0, 16000),
+        # loud frames on both sides of quiet ones
+        ("voice, silence, voice", gap, 0.8, 150.0, 16000),
+        ("white noise", rng.uniform(-0.5, 0.5, 4000), 1.2, 140.0, 16000),
         # the first harmonic's window reaches bin 0, which the search must skip
-        ("DC offset, f0 below three bins", 0.6 + rng.uniform(-0.1, 0.1, 4000), 0.8, 30.0),
-        ("pure sine", 0.5 * np.sin(2 * np.pi * 200.0 * t), 1.2, 200.0),
+        ("DC offset, f0 below three bins", 0.6 + rng.uniform(-0.1, 0.1, 4000), 0.8, 30.0, 16000),
+        ("pure sine", 0.5 * np.sin(2 * np.pi * 200.0 * t), 1.2, 200.0, 16000),
         # one strong harmonic among near-empty ones: the gain hits its clip
-        ("sine as 8th harmonic", 0.5 * np.sin(2 * np.pi * 1000.0 * t), 1.25, 125.0),
-        ("fewer than two harmonics", voice, 0.8, 5000.0),
+        ("sine as 8th harmonic", 0.5 * np.sin(2 * np.pi * 1000.0 * t), 1.25, 125.0, 16000),
+        ("fewer than two harmonics", voice, 0.8, 5000.0, 16000),
     ]
     for f0 in (90.0, 120.0, 150.0, 200.0, 250.0, 300.0):
         peaks = M_PEAKS if f0 < 180 else F_PEAKS
         x = synth_harmonic(f0, peaks, 0.3).samples
-        cases.append((f"voice {f0:.0f} Hz", x, 0.8 if f0 < 180 else 1.25, f0))
+        cases.append((f"voice {f0:.0f} Hz", x, 0.8 if f0 < 180 else 1.25, f0, 16000))
     # frame counts around 16 and 32: (len + 1024) // 256 + 1 frames, the last
     # one overlapping the signal's final 100 samples
     for n_frames in (16, 17, 33):
-        cases.append((f"{n_frames} frames", voice[:(n_frames - 1) * 256 - 924], 1.2, 150.0))
+        cases.append((f"{n_frames} frames", voice[:(n_frames - 1) * 256 - 924], 1.2, 150.0, 16000))
+    # other rates, with frames below the gate, but not silent, between loud
+    # ones: those must keep their spectrum, not take their gain
+    for sr, f0 in ((8000, 120.0), (44100, 230.0)):
+        x = synth_harmonic(f0, M_PEAKS if f0 < 180 else F_PEAKS, 0.4, sr).samples.copy()
+        x[len(x) // 4:len(x) // 2] *= 1e-5
+        cases.append((f"{sr} Hz, voice {f0:.0f} Hz with a quiet gap", x, 1.2, f0, sr))
     return cases
 
 
-@pytest.mark.parametrize("f0", [25.0, 30.0, 90.0, 150.0, 300.0, 5000.0])
-def test_harmonic_envelope_matches_per_frame_loop(f0):
+@pytest.mark.parametrize("sr, f0", [pytest.param(16000, f0, id=str(f0))
+                                    for f0 in (25.0, 30.0, 90.0, 150.0, 300.0, 5000.0)]
+                         + [pytest.param(sr, f0, id=f"{f0} at {sr} Hz")
+                            for sr in (8000, 22050, 44100) for f0 in (25.0, 30.0, 150.0, 300.0)])
+def test_harmonic_envelope_matches_per_frame_loop(sr, f0):
+    """One interpolation over every row, on knots and bins moved up by a
+    whole span per row, reads each row as its own np.interp would. Bins and
+    knots are multiples of sr / 1024, so the shifts are exact at any integer
+    rate; one row alone reads the same."""
     rng = np.random.default_rng(int(f0))
-    bin_hz = 16000 / 1024
+    bin_hz = sr / 1024
     # small integer magnitudes tie inside most windows (first maximum wins);
     # the last row peaks at bin 0, outside every window
     mag = rng.integers(0, 3, size=(5, 513)).astype(float)
     mag[-1, 0] = 10.0
-    got = _harmonic_envelope(mag, bin_hz, harmonic_windows(513, bin_hz, f0))
+    windows = harmonic_windows(513, bin_hz, f0)
     want = [_loop_harmonic_envelope(row, bin_hz, f0) for row in mag]
-    assert np.array_equal(got, want)
+    assert np.array_equal(_harmonic_envelope(mag, bin_hz, windows), want)
+    assert np.array_equal(_harmonic_envelope(mag[:1], bin_hz, windows), want[:1])
 
 
 @pytest.mark.parametrize("case", _warp_reference_cases(), ids=lambda c: c[0])
 def test_formant_warp_matches_per_frame_loop(case):
-    _, x, scale, f0 = case
-    assert np.array_equal(_formant_warp(x, scale, 16000, f0),
-                          _loop_formant_warp(x, scale, 16000, f0))
+    _, x, scale, f0, sr = case
+    assert np.array_equal(_formant_warp(x, scale, sr, f0),
+                          _loop_formant_warp(x, scale, sr, f0))
 
 
 def test_apply_opposite_tracks_source_once(monkeypatch):

@@ -30,7 +30,10 @@ class Waveform:
             raise UnsupportedEncoding("only mono (1-D) audio is supported")
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)):
+            raise ValueError(f"sample_rate must be an integer, got {rate!r}")
+        if rate <= 0:
             raise ValueError("sample_rate must be positive")
         samples = np.clip(samples, -1.0, 1.0)
         samples.setflags(write=False)
@@ -83,6 +86,9 @@ def read_wav(path) -> Waveform:
     if sample_rate < MIN_SAMPLE_RATE:
         raise UnsupportedEncoding(f"{path}: sample rate {sample_rate} Hz, "
                                   f"expected at least {MIN_SAMPLE_RATE}")
+    if sample_rate >= 2 ** 31:
+        raise UnsupportedEncoding(f"{path}: sample rate {sample_rate} Hz, whose 16-bit "
+                                  "byte rate does not fit a WAV header")
     if len(pcm_bytes) % 2:
         raise MalformedHeader(f"{path}: data chunk of {len(pcm_bytes)} bytes "
                               "is not a whole number of 16-bit samples")

@@ -21,16 +21,15 @@ ENVELOPE_LO_HZ, ENVELOPE_HI_HZ = 200.0, 4000.0
 
 @dataclass(frozen=True)
 class F0Contour:
-    """Per-frame fundamental frequency track; 0.0 marks unvoiced frames.
-    frame_hz is read-only: a waveform's contour is shared by every caller."""
+    """Per-frame fundamental frequency track; 0.0 marks unvoiced frames. Its
+    arrays are read-only: a waveform's contour is shared by every caller.
+    estimate_f0_contour sets marks, the tracked waveform's pitch marks (None
+    when no frame is voiced)."""
 
     frame_hz: np.ndarray
     hop: int
     frame_len: int
-    # filled on first use, since frame_hz never changes: voiced_median's
-    # value, and perturb's pitch marks as ((n_samples, sample_rate), marks)
-    _median: object = field(default=None, init=False, repr=False, compare=False)
-    _marks: object = field(default=None, init=False, repr=False, compare=False)
+    marks: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frame_hz = np.array(self.frame_hz, dtype=np.float64)
@@ -40,6 +39,19 @@ class F0Contour:
     @property
     def voiced(self):
         return self.frame_hz[self.frame_hz > 0]
+
+    @functools.cached_property
+    def median(self):
+        """Median f0 over voiced frames only, computed once per contour."""
+        voiced = self.voiced
+        if len(voiced) == 0:
+            raise AllUnvoiced("no voiced frame in contour")
+        return float(np.median(voiced))
+
+    def knots(self):
+        """Centre sample and f0 of each voiced frame: the knots of the f0 track."""
+        voiced = self.frame_hz > 0
+        return self.hop * np.flatnonzero(voiced) + self.frame_len // 2, self.frame_hz[voiced]
 
 
 @dataclass
@@ -108,8 +120,8 @@ def estimate_f0_contour(w: Waveform) -> F0Contour:
     the gate are marked unvoiced (0.0). Each step is one 2-D array operation
     over all of the waveform's frames, so working memory grows with duration.
 
-    The contour is computed once per waveform and kept on it; later calls
-    return that object.
+    The contour and its pitch marks are computed once per waveform and kept
+    on it; later calls return that object.
     """
     if w._f0 is not None:
         return w._f0
@@ -145,18 +157,21 @@ def estimate_f0_contour(w: Waveform) -> F0Contour:
         out[np.flatnonzero(loud)[voiced]] = f0[voiced]
 
     contour = F0Contour(out, hop=hop, frame_len=frame_len)
+    if len(contour.voiced):
+        # a mark per unit of the per-sample f0 track's accumulated phase puts
+        # marks one local period apart, as overlap-add needs, whatever the
+        # waveform's peaks; x spans two periods at F0_MIN, so a mark is placed
+        phase = np.cumsum(np.interp(np.arange(len(x)), *contour.knots())) / sr
+        marks = np.searchsorted(phase, np.arange(0.5, phase[-1]))
+        marks.setflags(write=False)
+        object.__setattr__(contour, "marks", marks)
     object.__setattr__(w, "_f0", contour)
     return contour
 
 
 def voiced_median(c: F0Contour) -> float:
-    """Median f0 over voiced frames only, computed once per contour."""
-    if c._median is None:
-        voiced = c.voiced
-        if len(voiced) == 0:
-            raise AllUnvoiced("no voiced frame in contour")
-        object.__setattr__(c, "_median", float(np.median(voiced)))
-    return c._median
+    """Median f0 over voiced frames only (F0Contour.median)."""
+    return c.median
 
 
 def hz_to_mel(hz):

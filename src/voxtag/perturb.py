@@ -59,52 +59,19 @@ def compute_alpha(source_median: float, target_median: float) -> float:
     return target_median / source_median
 
 
-def _voiced_frames(contour):
-    """Centre sample and f0 of each voiced frame: the knots of the f0 track."""
-    frame_hz = contour.frame_hz
-    centers = contour.hop * np.arange(len(frame_hz)) + contour.frame_len // 2
-    voiced = frame_hz > 0
-    return centers[voiced], frame_hz[voiced]
-
-
-def _pitch_marks(x, sr, contour):
-    """Place one mark per pitch period inside voiced regions.
-
-    The marks read only len(x), sr and the contour, never the samples, so they
-    are computed once per contour and kept on it, read-only."""
-    key = (len(x), sr)
-    if contour._marks is not None and contour._marks[0] == key:
-        return contour._marks[1]
-    if not (contour.frame_hz > 0).any():
-        raise AllUnvoiced("no voiced frame, cannot place pitch marks")
-    # per-sample f0 via interpolation over voiced frames
-    f0_track = np.interp(np.arange(len(x)), *_voiced_frames(contour))
-
-    # integrate the f0 track: a mark per unit of accumulated phase. Marks are
-    # then spaced exactly one local period apart, which is all overlap-add
-    # coherence needs; no dependence on waveform peaks (the fundamental may be
-    # weak under a dominant formant).
-    phase = np.cumsum(f0_track) / sr
-    marks = np.searchsorted(phase, np.arange(0.5, phase[-1]))
-    marks = marks[marks < len(x)]
-    if len(marks) == 0:
-        raise AllUnvoiced("waveform shorter than one pitch period")
-    marks = marks.astype(int)
-    marks.setflags(write=False)
-    object.__setattr__(contour, "_marks", (key, marks))
-    return marks
-
-
 def _psola(x, sr, contour, alpha):
     """Pitch scaling by alpha with duration preserved.
 
     Resampling shifts pitch (and formants, undone later by the envelope warp)
     exactly; a pitch-synchronous overlap-add time stretch then restores the
     original duration. Stretching at constant pitch keeps neighbouring grains
-    phase-coherent, which direct PSOLA loses at ratios far from 1.
+    phase-coherent, which direct PSOLA loses at ratios far from 1. contour is
+    x's own (estimate_f0_contour), whose marks are x's pitch marks.
     """
     n = len(x)
-    marks = _pitch_marks(x, sr, contour)
+    marks = contour.marks
+    if marks is None:
+        raise AllUnvoiced("no voiced frame, cannot place pitch marks")
 
     # resample: y1[i] = x[alpha * i]; pitch and formants scale by alpha
     n1 = max(4, int(np.floor((n - 1) / alpha)) + 1)
@@ -115,7 +82,7 @@ def _psola(x, sr, contour, alpha):
     # over alpha. np.interp computes each position on its own, so evaluating
     # it at these positions only gives the values of a per-sample track
     at = np.minimum(np.round(marks1 * alpha), n - 1)
-    steps = sr / np.interp(at, *_voiced_frames(contour)) / alpha
+    steps = sr / np.interp(at, *contour.knots()) / alpha
 
     # grain positions are a scalar recurrence; each grain centred at output
     # sample s copies the resampled signal around the mark m nearest s / gamma.

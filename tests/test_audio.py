@@ -229,6 +229,8 @@ def test_rejects_a_fmt_chunk_shorter_than_16_bytes(tmp_path):
     (np.array([0.0, np.inf]), 16000, ValueError, "non-finite"),
     (np.zeros(4), 0, ValueError, "sample_rate must be positive"),
     (np.zeros(4), -16000, ValueError, "sample_rate must be positive"),
+    (np.zeros(4), 16000.0, ValueError, "sample_rate must be an integer"),
+    (np.zeros(4), True, ValueError, "sample_rate must be an integer"),
 ])
 def test_waveform_rejects_invalid_construction(samples, rate, error, message):
     with pytest.raises(error, match=message):

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,26 @@ def test_perturb(workspace, capsys):
     assert "perturbed 5/6" in out
     written = workspace / "pert_mixed" / "wav" / f"{fields[0]}.wav"
     assert written.read_bytes() == silent.read_bytes()
+
+
+def test_perturb_refuses_a_rate_no_wav_header_holds(workspace, tmp_path, capsys):
+    """A WAV at 2^31 Hz or more, whose 16-bit byte rate overflows the header's
+    32-bit field, fails its read: exit 1, the file named, nothing written."""
+    wav = tmp_path / "fast.wav"
+    write_wav(Waveform(np.zeros(4800), 16000), wav)
+    blob = bytearray(wav.read_bytes())
+    struct.pack_into("<I", blob, 24, 2 ** 31 + 16000)  # the fmt chunk's sample rate
+    wav.write_bytes(bytes(blob))
+    fields = (workspace / "corpus" / "manifest.tsv").read_text(
+        encoding="utf-8").splitlines()[0].split("\t")
+    fields[1] = str(wav)
+    manifest = tmp_path / "fast.tsv"
+    manifest.write_text("\t".join(fields) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "perturb", "--manifest", str(manifest), "--p", "1.0",
+                       "--seed", "0", "--out", str(tmp_path / "pert"))
+    assert code == 1
+    assert str(wav) in err and "sample rate 2147499648 Hz" in err
+    assert not (tmp_path / "pert").exists()
 
 
 def test_manifest_reads_from_any_working_directory(tmp_path, monkeypatch, capsys):

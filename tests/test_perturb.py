@@ -13,7 +13,6 @@ from voxtag.perturb import (
     SpeakerGender,
     _formant_warp,
     _harmonic_envelope,
-    _pitch_marks,
     _stretch_rows,
     apply_opposite,
     compute_alpha,
@@ -103,15 +102,6 @@ def test_out_of_range_factors():
 def test_shift_of_an_unvoiced_waveform_fails_closed():
     with pytest.raises(AllUnvoiced, match="^no voiced frame, cannot place pitch marks$"):
         pitch_formant_shift(Waveform(np.zeros(4800), 16000), 1.5, 1.2)
-
-
-def test_no_pitch_mark_fits_in_less_than_one_period():
-    """A tracked waveform holds one 40 ms frame, two periods at F0_MIN, so
-    pitch_formant_shift always places a mark. Marks for 10 samples of a
-    150 Hz contour (a fifteenth of a period) fail closed instead."""
-    contour = estimate_f0_contour(synth_harmonic(150.0, M_PEAKS, 0.2))
-    with pytest.raises(AllUnvoiced, match="^waveform shorter than one pitch period$"):
-        _pitch_marks(np.zeros(10), 16000, contour)
 
 
 def test_apply_opposite_p_zero():
@@ -216,7 +206,7 @@ def _loop_psola(x, sr, contour, alpha, counts=None):
     the reference. counts, if given, tallies the grains placed at an exact tie
     between two nearest marks and those dropped as two samples or shorter."""
     n = len(x)
-    marks = perturb._pitch_marks(x, sr, contour)
+    marks = contour.marks
     # the per-sample period over voiced frames, as the grain loop read it
     centers = contour.hop * np.arange(len(contour.frame_hz)) + contour.frame_len // 2
     voiced = contour.frame_hz > 0
@@ -394,8 +384,8 @@ def test_apply_opposite_tracks_source_once(monkeypatch):
 def test_shifts_with_kept_pitch_marks_match_fresh_waveforms():
     """Repeated shifts of one waveform, which reuse the marks and median kept
     on its contour, equal the same shifts of fresh copies bit for bit. The
-    contour keeps no array longer than its marks, so the memo costs at most
-    one mark array per waveform."""
+    marks are shared and read-only, and the contour keeps no array besides
+    them and frame_hz."""
     w = synth_harmonic(130.0, M_PEAKS, 0.4)
     for alpha in (0.6, 1.6, 1.0, 0.6):
         for scale in (1.2, 0.8):
@@ -403,27 +393,38 @@ def test_shifts_with_kept_pitch_marks_match_fresh_waveforms():
             assert np.array_equal(pitch_formant_shift(w, alpha, scale).samples,
                                   pitch_formant_shift(fresh, alpha, scale).samples)
     contour = estimate_f0_contour(w)
-    marks = perturb._pitch_marks(w.samples, w.sample_rate, contour)
-    assert contour._marks == ((len(w), w.sample_rate), marks)
+    marks = contour.marks
+    assert estimate_f0_contour(w).marks is marks
     with pytest.raises(ValueError):
         marks[0] = 0
-    kept = [v for v in vars(contour).values() if v is not contour.frame_hz]
-    kept += [part for v in kept if isinstance(v, tuple) for part in v]
-    assert all(v.size <= len(marks) for v in kept if isinstance(v, np.ndarray))
+    arrays = [v for v in vars(contour).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2
+    assert any(v is contour.frame_hz for v in arrays) and any(v is marks for v in arrays)
 
 
-def test_pitch_marks_kept_per_length_and_rate():
-    """A call with another length or rate recomputes the marks and keeps the
-    new ones; each equals what a fresh contour gives."""
-    x = synth_harmonic(150.0, M_PEAKS, 0.3).samples
-    contour = estimate_f0_contour(Waveform(x, 16000))
-    first = perturb._pitch_marks(x, 16000, contour)
-    assert perturb._pitch_marks(x, 16000, contour) is first
-    for n, sr in ((len(x) - 100, 16000), (len(x), 8000)):
-        got = perturb._pitch_marks(x[:n], sr, contour)
-        fresh = estimate_f0_contour(Waveform(x, 16000))
-        assert np.array_equal(got, perturb._pitch_marks(x[:n], sr, fresh))
-        assert contour._marks[0] == (n, sr)
+def test_pitch_marks_follow_the_phase_rule():
+    """A tracked waveform's marks are, for k = 0, 1, ..., the first sample at
+    which the per-sample f0 track (interpolated between voiced frame centres)
+    has accumulated k + 1/2 periods, at any length and rate. An unvoiced
+    waveform's contour has no marks."""
+    voice = synth_harmonic(150.0, M_PEAKS, 0.3).samples
+    tail = voice.copy()
+    tail[:len(tail) // 2] = 0.0
+    cases = [(voice, 16000), (voice[:-100], 16000), (voice, 8000), (tail, 16000),
+             (synth_harmonic(230.0, F_PEAKS, 0.2, 4000).samples, 4000),
+             (synth_harmonic(95.0, M_PEAKS, 0.15, 44100).samples, 44100)]
+    for x, sr in cases:
+        contour = estimate_f0_contour(Waveform(x, sr))
+        centres = np.array([contour.hop * i + contour.frame_len // 2
+                            for i, hz in enumerate(contour.frame_hz) if hz > 0])
+        phase = np.cumsum(np.interp(np.arange(len(x)), centres,
+                                    contour.frame_hz[contour.frame_hz > 0])) / sr
+        want, k = [], 0.5
+        while k < phase[-1]:
+            want.append(int(np.argmax(phase >= k)))
+            k += 1
+        assert contour.marks.tolist() == want
+    assert estimate_f0_contour(Waveform(np.zeros(4800), 16000)).marks is None
 
 
 @st.composite

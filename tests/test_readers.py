@@ -3,13 +3,15 @@
 A truncated copy of a WAV, checkpoint, model header, manifest or eval.tsv,
 or one with 1 to 4 bytes changed, either loads or raises MalformedHeader or
 UnsupportedEncoding. A manifest whose WAV path was changed may also name a
-file that does not exist."""
+file that does not exist. A damaged WAV that loads writes back with
+write_wav and reads back with the same samples and rate."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxtag.audio import read_wav
+from voxtag.audio import read_wav, write_wav
 from voxtag.errors import MalformedHeader, UnsupportedEncoding
 from voxtag.evaluation import read_eval_tsv, write_eval_tsv
 from voxtag.model import ModelConfig, TranslationModel, load_model, save_model
@@ -91,3 +93,39 @@ def test_damaged_file_loads_or_fails_closed(files, fmt, data):
     except FileNotFoundError:
         spans = wav_path_spans(intact) if fmt == "manifest" else []
         assert any(lo <= i < hi for i in changed for lo, hi in spans)
+
+
+
+def assert_writes_back(w, path):
+    """write_wav writes w, and it reads back with the same samples and rate."""
+    write_wav(w, path)
+    back = read_wav(path)
+    assert back.sample_rate == w.sample_rate
+    assert np.array_equal(back.samples, w.samples)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_wav_that_loads_writes_back(files, tmp_path_factory, data):
+    intact, load = files["wav"]
+    blob, _ = data.draw(damaged(intact))
+    try:
+        w = load(blob)
+    except (MalformedHeader, UnsupportedEncoding):
+        return
+    assert_writes_back(w, tmp_path_factory.getbasetemp() / "written_back.wav")
+
+
+def test_wav_with_a_changed_header_byte_that_loads_writes_back(files, tmp_path):
+    """Each byte of the 44-byte header XORed with 0x01, 0x80 or 0xFF: among
+    them, a sample rate of 2^31 Hz or more, whose byte rate no header holds."""
+    intact, load = files["wav"]
+    for i in range(44):
+        for x in (0x01, 0x80, 0xFF):
+            blob = bytearray(intact)
+            blob[i] ^= x
+            try:
+                w = load(bytes(blob))
+            except (MalformedHeader, UnsupportedEncoding):
+                continue
+            assert_writes_back(w, tmp_path / "written_back.wav")

@@ -14,7 +14,7 @@ PCM_SCALE = 32768.0
 MIN_SAMPLE_RATE = 4000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """Mono audio. Samples are float64 in [-1, 1]; immutable after construction."""
 
@@ -22,7 +22,7 @@ class Waveform:
     sample_rate: int
     # the default-analysis F0Contour, filled by dsp.estimate_f0_contour on its
     # first call: the samples never change, so neither does their f0
-    _f0: object = field(default=None, init=False, repr=False, compare=False)
+    _f0: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)

@@ -19,7 +19,7 @@ LOG_FLOOR = 1e-10
 ENVELOPE_LO_HZ, ENVELOPE_HI_HZ = 200.0, 4000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class F0Contour:
     """Per-frame fundamental frequency track; 0.0 marks unvoiced frames. Its
     arrays are read-only: a waveform's contour is shared by every caller.
@@ -29,7 +29,7 @@ class F0Contour:
     frame_hz: np.ndarray
     hop: int
     frame_len: int
-    marks: object = field(default=None, init=False, repr=False, compare=False)
+    marks: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         frame_hz = np.array(self.frame_hz, dtype=np.float64)

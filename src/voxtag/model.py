@@ -29,6 +29,8 @@ EOS_ID = 2
 TAG_F_ID = 3
 TAG_M_ID = 4
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<tag_F>", "<tag_M>")
+# the ids a decoder prefix may start with: bos, or a gender tag
+FIRST_TOKENS = frozenset((BOS_ID, TAG_F_ID, TAG_M_ID))
 
 MODES = ("gender_unaware", "multi_gender")
 
@@ -123,6 +125,11 @@ def pool4(features):
     return pooled
 
 
+def _check_first_tokens(firsts):
+    if not FIRST_TOKENS.issuperset(firsts):
+        raise UnknownToken("prefix must start with bos or a gender tag")
+
+
 def pooling_matrix(frames):
     """(B, sum(frames)) matrix whose row u averages utterance u's rows."""
     P = np.zeros((len(frames), sum(frames)))
@@ -208,19 +215,18 @@ class TranslationModel:
 
     def _checked_prefixes(self, prefix):
         """A batch of prefixes (id lists) as (their lengths, their concatenated
-        ids, each one's first id). The ids are range-checked all at once, not
-        token by token; a batch with one bad prefix fails as that prefix alone
-        would."""
+        ids, each one's first id). The first ids are tested as greedy_decode
+        tests its one, then all ids are range-checked at once, not token by
+        token; a batch with one bad prefix fails as that prefix alone would."""
         lengths = [len(pre) for pre in prefix]
         if not all(lengths):
             raise EmptyPrefix("decoder prefix is empty")
+        firsts = [pre[0] for pre in prefix]
+        _check_first_tokens(firsts)
         ids = np.concatenate([np.asarray(pre, dtype=np.int64) for pre in prefix])
         if ids.min() < 0 or ids.max() >= len(self.vocab):
             bad = (ids < 0) | (ids >= len(self.vocab))
             raise UnknownToken(f"token id {ids[bad.argmax()]} out of range")
-        firsts = [pre[0] for pre in prefix]
-        if not set(firsts) <= {BOS_ID, TAG_F_ID, TAG_M_ID}:
-            raise UnknownToken("prefix must start with bos or a gender tag")
         return lengths, ids, firsts
 
     def decode_all(self, enc_out, prefix, frames):
@@ -285,8 +291,7 @@ class TranslationModel:
         rows, encode([pooled]).values, up to eos or max_len steps. With no
         self-attention, each step computes one new row off the autodiff tape,
         not the prefix."""
-        if first_token not in (BOS_ID, TAG_F_ID, TAG_M_ID):
-            raise UnknownToken("prefix must start with bos or a gender tag")
+        _check_first_tokens((first_token,))
         step = self._greedy_step(enc, first_token)
         out, token = [], first_token
         for position in sinusoidal_positions(max_len, self.cfg.hidden_dim):
@@ -301,11 +306,16 @@ class TranslationModel:
         """Gender logits through the gradient reversal layer for a batch whose
         utterance u owns frames[u] rows of the stacked encoder output: (B, 2),
         each row the mean over its utterance's rows."""
-        p = self.params
-        x = ad.grl_apply(enc_out, lam)
-        hid = ad.relu(ad.linear(x, p["disc.w1"], p["disc.b1"]))
-        logits = ad.linear(hid, p["disc.w2"], p["disc.b2"])
-        return ad.matmul(ad.Tensor(pooling_matrix(frames)), logits)
+        return gender_head(self.params, ad.grl_apply(enc_out, lam),
+                           ad.Tensor(pooling_matrix(frames)))
+
+
+def gender_head(params, x, pool):
+    """(B, 2) gender logits from the disc.* entries of params, for the GRL
+    adversary and the probe: relu(linear), linear, then the (B, rows of x)
+    Tensor pool averages each utterance's rows."""
+    hid = ad.relu(ad.linear(x, params["disc.w1"], params["disc.b1"]))
+    return ad.matmul(pool, ad.linear(hid, params["disc.w2"], params["disc.b2"]))
 
 
 def sequence_loss(logits, targets, smoothing: float):
@@ -325,14 +335,17 @@ def sequence_loss(logits, targets, smoothing: float):
     return ad.cross_entropy(logits, q)
 
 
+def gender_targets(labels, weights: ClassWeights):
+    """(B, 2) cross-entropy targets of B SpeakerGender labels: F in column 0,
+    M in column 1, each row's class weight over B."""
+    female = np.array([g is SpeakerGender.F for g in labels], dtype=bool)
+    return np.stack([female * weights.w_f, ~female * weights.w_m], axis=1) / len(labels)
+
+
 def weighted_disc_loss(logits, labels, weights: ClassWeights):
     """Class-weighted cross entropy of (B, 2) gender logits with B
     SpeakerGender labels, averaged over the batch."""
-    q = np.zeros((len(labels), 2))
-    for u, g in enumerate(labels):
-        female = g is SpeakerGender.F
-        q[u, 0 if female else 1] = (weights.w_f if female else weights.w_m) / len(labels)
-    return ad.cross_entropy(logits, q)
+    return ad.cross_entropy(logits, gender_targets(labels, weights))
 
 
 def combined_loss(translation_loss, disc_loss, cfg: ModelConfig):

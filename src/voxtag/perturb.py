@@ -4,7 +4,6 @@ scaling and spectral-envelope (formant) warping."""
 import bisect
 import enum
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -23,30 +22,25 @@ class SpeakerGender(enum.Enum):
         return SpeakerGender.M if self is SpeakerGender.F else SpeakerGender.F
 
 
+# per target gender: the (mean, std) in Hz of its f0 median, and its formant factor
+TARGET_F0_HZ = {SpeakerGender.F: (250.0, 17.0), SpeakerGender.M: (140.0, 20.0)}
+FORMANT_SCALE = {SpeakerGender.F: 1.2, SpeakerGender.M: 0.8}
+
+
 @dataclass(frozen=True)
 class PerturbConfig:
     p: float = 0.5
     seed: int = 0
-    # constants, not fields: target f0 distributions (Hz) and formant factors
-    feminine_mean: ClassVar[float] = 250.0
-    feminine_std: ClassVar[float] = 17.0
-    masculine_mean: ClassVar[float] = 140.0
-    masculine_std: ClassVar[float] = 20.0
-    formant_up: ClassVar[float] = 1.2
-    formant_down: ClassVar[float] = 0.8
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
 
 
-def sample_target_median(target_gender: SpeakerGender, cfg: PerturbConfig, rng) -> float:
-    """Draw a target f0 median for the given gender, redrawn until within
-    mean +- 3 sigma so the quoted 99.7% ranges are hard bounds."""
-    if target_gender is SpeakerGender.F:
-        mean, std = cfg.feminine_mean, cfg.feminine_std
-    else:
-        mean, std = cfg.masculine_mean, cfg.masculine_std
+def sample_target_median(target_gender: SpeakerGender, rng) -> float:
+    """Draw a target f0 median from TARGET_F0_HZ[target_gender], redrawn until
+    within mean +- 3 sigma so the quoted 99.7% ranges are hard bounds."""
+    mean, std = TARGET_F0_HZ[target_gender]
     while True:
         value = rng.normal(mean, std)
         if abs(value - mean) <= 3.0 * std:
@@ -257,7 +251,7 @@ def pitch_formant_shift(w: Waveform, alpha: float, formant_scale: float) -> Wave
 
 def apply_opposite(w: Waveform, speaker_gender: SpeakerGender, cfg: PerturbConfig, rng):
     """With probability cfg.p, shift the utterance toward the opposite gender's
-    f0 distribution and scale formants (1.2 for M->F, 0.8 for F->M).
+    f0 distribution and scale its formants by that gender's FORMANT_SCALE.
 
     Returns (waveform, manipulated). A fresh decision is made on every call;
     callers invoke once per epoch per sample. An utterance with no f0 to shift
@@ -271,7 +265,6 @@ def apply_opposite(w: Waveform, speaker_gender: SpeakerGender, cfg: PerturbConfi
         source_median = voiced_median(estimate_f0_contour(w))
     except (AllUnvoiced, TooShort):
         return w, False
-    target_median = sample_target_median(target, cfg, rng)
+    target_median = sample_target_median(target, rng)
     alpha = float(np.clip(compute_alpha(source_median, target_median), 0.25, 4.0))
-    scale = cfg.formant_up if target is SpeakerGender.F else cfg.formant_down
-    return pitch_formant_shift(w, alpha, scale), True
+    return pitch_formant_shift(w, alpha, FORMANT_SCALE[target]), True

@@ -14,7 +14,7 @@ from .dsp import logmel_features
 from .errors import InvalidSpec, MalformedHeader, TooShort, tsv_records
 from .evaluation import GenderEvalEntry
 from . import model
-from .perturb import PerturbConfig, SpeakerGender, sample_target_median
+from .perturb import SpeakerGender, sample_target_median
 
 # Two-peak spectral envelopes per gender, picked so the 1.2x / 0.8x formant
 # scaling maps one set approximately onto the other.
@@ -164,7 +164,6 @@ def _sample_sentence(gender: SpeakerGender, rng):
 
 def generate_corpus(spec: SynthSpec):
     """Sampled utterances plus the aligned gender-evaluation entries."""
-    f0_cfg = PerturbConfig()
     utterances, entries = [], []
     for i in range(spec.n_utterances):
         rng = np.random.default_rng([spec.seed, i])
@@ -173,9 +172,9 @@ def generate_corpus(spec: SynthSpec):
         # threshold classifier recovers the label with certainty; only the
         # masculine distribution's upper tail is affected.
         lo, hi = (175.0, np.inf) if gender is SpeakerGender.F else (0.0, 165.0)
-        f0 = sample_target_median(gender, f0_cfg, rng)
+        f0 = sample_target_median(gender, rng)
         while not lo <= f0 <= hi:
-            f0 = sample_target_median(gender, f0_cfg, rng)
+            f0 = sample_target_median(gender, rng)
         peaks = F_PEAKS if gender is SpeakerGender.F else M_PEAKS
         source, target, pairs = _sample_sentence(gender, rng)
         w = synth_utterance(f0, peaks, source, spec.token_duration)

@@ -62,7 +62,9 @@ class TrainConfig:
         saved = self.total_updates // self.interval
         if self.average_last > saved:
             raise ConfigInvalid(f"average_last {self.average_last} exceeds the {saved} checkpoints "
-                                f"saved, one every {self.interval} of {self.total_updates} updates")
+                                f"saved, one every {self.interval} of {self.total_updates} "
+                                f"updates; at that interval total_updates must be at least "
+                                f"{self.average_last * self.interval}")
 
     @property
     def interval(self):
@@ -240,8 +242,9 @@ def train_loop(corpus, model_cfg, train_cfg, init=None, vocab=None,
 
 
 def probe_discriminator(model, held_out, seed=0) -> float:
-    """Train a fresh two-layer gender probe on the frozen encoder's outputs
-    (even-indexed utterances), report accuracy on the odd-indexed rest."""
+    """Retrain the adversary's classifier, voxtag.model.gender_head on fresh
+    disc.* parameters, on the frozen encoder's outputs of the even-indexed
+    utterances; report its accuracy on the odd-indexed rest."""
     train_set = held_out[0::2]
     test_set = held_out[1::2]
     for split in (train_set, test_set):
@@ -254,39 +257,30 @@ def probe_discriminator(model, held_out, seed=0) -> float:
         # or more; numpy multiplies a single row as a matrix-vector product)
         pooled = [utt.pooled for utt in split]
         with ad.no_grad():
-            X = model.encode(pooled).values
-        labels = [0 if utt.gender is SpeakerGender.F else 1 for utt in split]
-        return X, mdl.pooling_matrix([len(rows) for rows in pooled]), np.array(labels)
+            X = model.encode(pooled)
+        P = ad.Tensor(mdl.pooling_matrix([len(rows) for rows in pooled]))
+        return X, P, mdl.gender_targets([utt.gender for utt in split], mdl.ClassWeights(1.0, 1.0))
 
-    X_tr, P_tr, y_tr = encoded(train_set)
-    X_te, P_te, y_te = encoded(test_set)
-    h = model.cfg.hidden_dim
-    dh = model.cfg.disc_hidden
+    X, P, q = encoded(train_set)
+    X_te, P_te, q_te = encoded(test_set)
+    h, dh = model.params["disc.w1"].shape
     rng = np.random.default_rng(seed)
     params = {
-        "w1": ad.Tensor(rng.normal(scale=1 / np.sqrt(h), size=(h, dh)), requires_grad=True),
-        "b1": ad.Tensor(np.zeros(dh), requires_grad=True),
-        "w2": ad.Tensor(rng.normal(scale=1 / np.sqrt(dh), size=(dh, 2)), requires_grad=True),
-        "b2": ad.Tensor(np.zeros(2), requires_grad=True),
+        "disc.w1": ad.Tensor(rng.normal(scale=1 / np.sqrt(h), size=(h, dh)), requires_grad=True),
+        "disc.b1": ad.Tensor(np.zeros(dh), requires_grad=True),
+        "disc.w2": ad.Tensor(rng.normal(scale=1 / np.sqrt(dh), size=(dh, 2)), requires_grad=True),
+        "disc.b2": ad.Tensor(np.zeros(2), requires_grad=True),
     }
-    q = np.zeros((len(y_tr), 2))
-    q[np.arange(len(y_tr)), y_tr] = 1.0 / len(y_tr)
     opt = Adam(params)
-
-    def logits(X, P):
-        hid = ad.relu(ad.linear(X, params["w1"], params["b1"]))
-        return ad.matmul(P, ad.linear(hid, params["w2"], params["b2"]))
-
-    X, P = ad.Tensor(X_tr), ad.Tensor(P_tr)
     for _ in range(PROBE_STEPS):
         for t in params.values():
             t.zero_grad()
         # `loss` keeps this step's graph alive until the next one is built;
         # freeing it first lets malloc trim the heap top every step and fault
         # it back in (≈190,000 minor faults in one probe call)
-        loss = ad.cross_entropy(logits(X, P), q)
+        loss = ad.cross_entropy(mdl.gender_head(params, X, P), q)
         ad.backward(loss)
         opt.step(PROBE_LR)
     with ad.no_grad():
-        scores = logits(X_te, P_te).values
-    return float(np.mean(np.argmax(scores, axis=1) == y_te))
+        scores = mdl.gender_head(params, X_te, P_te).values
+    return float(np.mean(np.argmax(scores, axis=1) == np.argmax(q_te, axis=1)))

@@ -16,7 +16,7 @@ from voxtag.cli import main as cli_main
 from voxtag.dsp import estimate_f0_contour, voiced_median, envelope_peak_hz
 from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
                                tag_inversion_eval)
-from voxtag.perturb import (PerturbConfig, SpeakerGender, apply_opposite,
+from voxtag.perturb import (FORMANT_SCALE, PerturbConfig, SpeakerGender, apply_opposite,
                             compute_alpha, pitch_formant_shift,
                             sample_target_median)
 from voxtag.synthdata import (F_PEAKS, M_PEAKS, SynthSpec, build_vocabulary,
@@ -244,22 +244,21 @@ def test_criterion_04_class_weights():
 # ---------------------------------------------------------------------------
 
 def test_criterion_05_pitch_manipulation():
-    cfg = PerturbConfig()
     rng = np.random.default_rng(5)
     checked = 0
     for i in range(50):
         to_f = i % 2 == 0  # alternate M->F and F->M
         if to_f:
             f0 = float(rng.uniform(110, 165))
-            peaks, target_gender, scale = M_PEAKS, SpeakerGender.F, cfg.formant_up
+            peaks, target_gender, scale = M_PEAKS, SpeakerGender.F, FORMANT_SCALE[SpeakerGender.F]
             lo, hi = 199.0, 301.0
         else:
             f0 = float(rng.uniform(200, 290))
-            peaks, target_gender, scale = F_PEAKS, SpeakerGender.M, cfg.formant_down
+            peaks, target_gender, scale = F_PEAKS, SpeakerGender.M, FORMANT_SCALE[SpeakerGender.M]
             lo, hi = 80.0, 200.0
         w = synth_harmonic(f0, peaks, 0.4)
         pre = voiced_median(estimate_f0_contour(w))
-        target = sample_target_median(target_gender, cfg, rng)
+        target = sample_target_median(target_gender, rng)
         assert lo <= target <= hi  # truncated sampling stays in range
         alpha = compute_alpha(pre, target)
         post = voiced_median(estimate_f0_contour(pitch_formant_shift(w, alpha, scale)))

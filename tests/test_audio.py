@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voxtag.audio import MIN_SAMPLE_RATE, PCM_SCALE, Waveform, read_wav, synth_harmonic, write_wav
-from voxtag.dsp import estimate_f0_contour, voiced_median
+from voxtag.dsp import F0Contour, estimate_f0_contour, voiced_median
 from voxtag.errors import InvalidF0, MalformedHeader, UnsupportedEncoding
 
 
@@ -235,3 +235,15 @@ def test_rejects_a_fmt_chunk_shorter_than_16_bytes(tmp_path):
 def test_waveform_rejects_invalid_construction(samples, rate, error, message):
     with pytest.raises(error, match=message):
         Waveform(samples, rate)
+
+
+@pytest.mark.parametrize("make", [lambda: Waveform(np.zeros(4), 16000),
+                                  lambda: F0Contour(np.zeros(4), 160, 640)],
+                         ids=["waveform", "contour"])
+def test_equality_and_hashing_go_by_identity(make):
+    """Two objects of equal content are distinct; comparing, hashing and list
+    membership neither compare their arrays nor raise."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    assert a in [a] and a not in [b]

@@ -537,6 +537,19 @@ def test_train_rejects_infinite_lr_peak(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_too_short_to_average_names_the_total_updates_it_needs(workspace, tmp_path,
+                                                                     capsys):
+    """average_last has no flag, so the message also names the total_updates
+    that saves enough checkpoints."""
+    code, _, err = run(capsys, "train", "--manifest", str(workspace / "corpus" / "manifest.tsv"),
+                       "--total-updates", "6", "--warmup-updates", "2",
+                       "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err.startswith("error: average_last 7 exceeds the 6 checkpoints saved")
+    assert err.endswith("total_updates must be at least 7\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_rejects_utterances_missing_from_eval_tsv(workspace, capsys):
     from voxtag import model as M
     path = workspace / "miss.vxck"

@@ -392,6 +392,55 @@ def test_weighted_disc_loss_saturated_logits():
     assert np.array_equal(logits.grad, [[-1.0, 1.0]])
 
 
+def _gender_targets_by_label(labels, weights):
+    """Reference: one label at a time, F in column 0 and M in column 1, each
+    row its class weight over B."""
+    q = np.zeros((len(labels), 2))
+    for u, g in enumerate(labels):
+        female = g is SpeakerGender.F
+        q[u, 0 if female else 1] = (weights.w_f if female else weights.w_m) / len(labels)
+    return q
+
+
+def _random_labels(seed):
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(0.01, 0.99)
+    labels = [SpeakerGender.F if rng.random() < f else SpeakerGender.M
+              for _ in range(int(rng.integers(2, 40)))]
+    return labels, M.compute_class_weights(f, 1.0 - f)
+
+
+@pytest.mark.parametrize("labels, weights", [
+    *(_random_labels(seed) for seed in range(8)),
+    ([SpeakerGender.F], M.ClassWeights(1.4, 0.8)),
+    ([SpeakerGender.M], M.ClassWeights(1.4, 0.8)),
+    ([SpeakerGender.F] * 5, M.ClassWeights(1.0, 1.0)),
+    ([SpeakerGender.M] * 7, M.compute_class_weights(0.3, 0.7)),
+])
+def test_gender_targets_match_the_per_label_rule(labels, weights):
+    q = M.gender_targets(labels, weights)
+    assert q.shape == (len(labels), 2)
+    assert q.tobytes() == _gender_targets_by_label(labels, weights).tobytes()
+
+
+@pytest.mark.parametrize("first", [-1, M.PAD_ID, M.BOS_ID, M.EOS_ID, M.TAG_F_ID, M.TAG_M_ID,
+                                   5, 99])
+def test_decode_all_and_greedy_decode_refuse_the_same_first_tokens(small_model, first):
+    enc = small_model.encode([M.pool4(np.zeros((8, 80)))])
+
+    def refusal(call):
+        try:
+            call()
+        except UnknownToken as exc:
+            return str(exc)
+        return None
+
+    refusals = {refusal(lambda: small_model.decode_all(enc, [[first, 6]], [enc.shape[0]])),
+                refusal(lambda: small_model.greedy_decode(enc.values, first, max_len=2))}
+    legal = first in (M.BOS_ID, M.TAG_F_ID, M.TAG_M_ID)
+    assert refusals == ({None} if legal else {"prefix must start with bos or a gender tag"})
+
+
 def test_combined_loss():
     cfg = M.ModelConfig()
     out = M.combined_loss(ad.Tensor(2.0), ad.Tensor(1.0), cfg)

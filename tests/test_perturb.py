@@ -9,6 +9,8 @@ from voxtag.dsp import (RMS_GATE, envelope_peak_hz, estimate_f0_contour, harmoni
                         voiced_median)
 from voxtag.errors import AllUnvoiced, OutOfRangeFactor, ZeroSourceMedian
 from voxtag.perturb import (
+    FORMANT_SCALE,
+    TARGET_F0_HZ,
     PerturbConfig,
     SpeakerGender,
     _formant_warp,
@@ -26,12 +28,12 @@ F_PEAKS = [(800.0, 8.0), (1150.0, 5.0)]
 
 def test_config_settings_and_constants():
     """Only p and seed are settings; the target distributions and formant
-    factors are class constants that a constructor rejects."""
+    factors are module tables that a constructor rejects."""
     from dataclasses import fields
     assert [f.name for f in fields(PerturbConfig)] == ["p", "seed"]
-    cfg = PerturbConfig(p=0.3)
-    assert (cfg.feminine_mean, cfg.feminine_std, cfg.masculine_mean, cfg.masculine_std,
-            cfg.formant_up, cfg.formant_down) == (250.0, 17.0, 140.0, 20.0, 1.2, 0.8)
+    F, M = SpeakerGender.F, SpeakerGender.M
+    assert (*TARGET_F0_HZ[F], *TARGET_F0_HZ[M], FORMANT_SCALE[F], FORMANT_SCALE[M]) \
+        == (250.0, 17.0, 140.0, 20.0, 1.2, 0.8)
     with pytest.raises(TypeError):
         PerturbConfig(formant_up=1.3)
     with pytest.raises(ValueError):
@@ -39,24 +41,21 @@ def test_config_settings_and_constants():
 
 
 def test_sample_target_median_feminine_range():
-    cfg = PerturbConfig()
     rng = np.random.default_rng(11)
-    draws = np.array([sample_target_median(SpeakerGender.F, cfg, rng) for _ in range(10000)])
+    draws = np.array([sample_target_median(SpeakerGender.F, rng) for _ in range(10000)])
     assert abs(draws.mean() - 250.0) <= 1.0
     assert draws.min() >= 199.0 and draws.max() <= 301.0
 
 
 def test_sample_target_median_masculine_range():
-    cfg = PerturbConfig()
     rng = np.random.default_rng(12)
-    draws = np.array([sample_target_median(SpeakerGender.M, cfg, rng) for _ in range(10000)])
+    draws = np.array([sample_target_median(SpeakerGender.M, rng) for _ in range(10000)])
     assert draws.min() >= 80.0 and draws.max() <= 200.0
 
 
 def test_sample_determinism():
-    cfg = PerturbConfig()
-    a = [sample_target_median(SpeakerGender.F, cfg, np.random.default_rng(5)) for _ in range(20)]
-    b = [sample_target_median(SpeakerGender.F, cfg, np.random.default_rng(5)) for _ in range(20)]
+    a = [sample_target_median(SpeakerGender.F, np.random.default_rng(5)) for _ in range(20)]
+    b = [sample_target_median(SpeakerGender.F, np.random.default_rng(5)) for _ in range(20)]
     assert a == b
 
 
@@ -373,10 +372,10 @@ def test_apply_opposite_tracks_source_once(monkeypatch):
         # replay the same rng draws: decision, then the target median
         replay = np.random.default_rng(seed)
         replay.random()
-        target = sample_target_median(SpeakerGender.F, cfg, replay)
+        target = sample_target_median(SpeakerGender.F, replay)
         alpha = float(np.clip(compute_alpha(voiced_median(estimate_f0_contour(w)), target),
                               0.25, 4.0))
-        want = pitch_formant_shift(w, alpha, cfg.formant_up)
+        want = pitch_formant_shift(w, alpha, FORMANT_SCALE[SpeakerGender.F])
         assert np.array_equal(out.samples, want.samples)
     assert seen == {True, False}
 

@@ -6,7 +6,7 @@ from voxtag.errors import ConfigInvalid, DivergedLoss, SingleClassData
 from voxtag.model import ModelConfig, TranslationModel
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
-from voxtag.train import (Adam, TrainConfig, average_checkpoints, noam_lr,
+from voxtag.train import (PROBE_STEPS, Adam, TrainConfig, average_checkpoints, noam_lr,
                           probe_discriminator, train_loop)
 
 
@@ -48,10 +48,12 @@ def test_config_validation():
         with pytest.raises(ConfigInvalid, match=f"^{key} must be"):
             TrainConfig(**kw)
     with pytest.raises(ConfigInvalid, match="^average_last 7 exceeds the 4 checkpoints saved, "
-                                            "one every 1 of 4 updates$"):
+                                            "one every 1 of 4 updates; at that interval "
+                                            "total_updates must be at least 7$"):
         TrainConfig(total_updates=4, warmup_updates=2)
     with pytest.raises(ConfigInvalid, match="^average_last 3 exceeds the 2 checkpoints saved, "
-                                            "one every 40 of 100 updates$"):
+                                            "one every 40 of 100 updates; at that interval "
+                                            "total_updates must be at least 120$"):
         TrainConfig(total_updates=100, warmup_updates=10, checkpoint_interval=40, average_last=3)
     with pytest.raises(ConfigInvalid, match="^grl_schedule is set but use_grl is False$"):
         TrainConfig(grl_schedule=LambdaSchedule(total_updates=2000, fixed_lambda=0.5))
@@ -317,6 +319,26 @@ def test_probe_requires_both_classes(tiny_corpus):
     only_f = [u for u in tiny_corpus if u.gender is SpeakerGender.F]
     with pytest.raises(SingleClassData):
         probe_discriminator(model, only_f)
+
+
+def test_adversary_and_probe_classify_with_one_gender_head(tiny_corpus, monkeypatch):
+    """discriminate runs gender_head on the model's disc.* parameters; the
+    probe runs it on its own, once per step and once on the test split."""
+    from voxtag import model as mdl
+    on_model_params = []
+    gender_head = mdl.gender_head
+
+    def spy(params, x, pool):
+        on_model_params.append(params is model.params)
+        return gender_head(params, x, pool)
+
+    monkeypatch.setattr(mdl, "gender_head", spy)
+    model = TranslationModel(build_vocabulary(), ModelConfig(), seed=0)
+    pooled = [utt.pooled for utt in tiny_corpus[:2]]
+    logits = model.discriminate(model.encode(pooled), 0.5, [len(rows) for rows in pooled])
+    assert logits.shape == (2, 2)
+    probe_discriminator(model, tiny_corpus)
+    assert on_model_params == [True] + [False] * (PROBE_STEPS + 1)
 
 
 def test_adam_moves_toward_minimum():

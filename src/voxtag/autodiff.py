@@ -154,9 +154,12 @@ def relu(x):
     x = _as_tensor(x)
 
     # the mask is built in backward, so a block that records nothing never
-    # builds it; x is a parent, so its values are alive until then
+    # builds it; x is a parent, so its values are alive until then. It is
+    # written as 0.0/1.0 straight into a float array that the product then
+    # overwrites: bitwise g * (x > 0), without casting a bool array
     def backward(g):
-        return (g * (x.values > 0),)
+        mask = np.greater(x.values, 0.0, out=np.empty(x.values.shape), casting="unsafe")
+        return (np.multiply(g, mask, out=mask),)
 
     return Tensor(np.maximum(x.values, 0.0), _parents=(x,), _backward=backward)
 

@@ -213,11 +213,18 @@ def mel_filterbank(sample_rate, n_fft):
 
 def apply_cmvn_(frames):
     """Per-utterance, per-coefficient standardization; returns a new array and
-    leaves frames unchanged."""
-    mean = frames.mean(axis=0)
-    std = frames.std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    return (frames - mean) / std
+    leaves frames unchanged. The frames are centred once, and the centred
+    frames give both the variance and the output: bitwise frames.mean(0),
+    frames.std(0) and (frames - mean) / std, as numpy computes them."""
+    n = len(frames)
+    mean = np.add.reduce(frames, 0)
+    mean /= n
+    centred = frames - mean
+    var = np.add.reduce(centred * centred, 0)
+    var /= n
+    std = np.sqrt(var, out=var)
+    std[std < 1e-8] = 1.0
+    return np.divide(centred, std, out=centred)
 
 
 def logmel_features(w: Waveform) -> FeatureMatrix:

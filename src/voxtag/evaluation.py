@@ -107,18 +107,32 @@ def tag_inversion_eval(model, corpus, entries):
 
     Returns four reports keyed 1F, 1M (tag matches the speaker) and
     1F-tagM, 1M-tagF (inverted tag). In the inverted buckets the tag defines
-    correctness, so scoring flips each entry's correct/wrong forms. Each
-    utterance is encoded once, on its own under no_grad, and decoded from
-    those rows: a multi_gender model under tag F, then tag M. A
+    correctness, so scoring flips each entry's correct/wrong forms. The
+    corpus is encoded in one batch under no_grad, and each utterance is
+    decoded from its slice of the rows, which the row-wise encoder makes
+    bitwise its own encode; a one-row utterance is encoded alone, since
+    numpy multiplies a lone row as a matrix-vector product, with other bits.
+    A multi_gender model is decoded under tag F, then tag M. A
     gender_unaware model starts both tags at bos (start_token), so it is
     decoded once, and its matched and inverted hypotheses are that decode.
     """
+    entries = entries_for(corpus, entries)
     buckets = {"1F": [], "1M": [], "1F-tagM": [], "1M-tagF": []}
     hyps = {key: {} for key in buckets}
     matched_hyps = {}
-    for utt, entry in zip(corpus, entries_for(corpus, entries)):
-        with ad.no_grad():
-            enc = model.encode([utt.pooled]).values
+    # np.shape, not len: encode, not this line, rejects rows of a wrong rank
+    alone = [np.shape(utt.pooled)[:1] == (1,) for utt in corpus]
+    batch = [utt.pooled for utt, one_row in zip(corpus, alone) if not one_row]
+    with ad.no_grad():
+        stacked = model.encode(batch).values if batch else None
+    row = 0
+    for utt, entry, one_row in zip(corpus, entries, alone):
+        if one_row:
+            with ad.no_grad():
+                enc = model.encode([utt.pooled]).values
+        else:
+            enc = stacked[row:row + len(utt.pooled)]
+            row += len(enc)
         decoded = {}
         for tag_gender in (SpeakerGender.F, SpeakerGender.M):
             tag = start_token(model.cfg.mode, tag_gender)

@@ -61,10 +61,20 @@ class TrainConfig:
             raise ConfigInvalid("grl_schedule is set but use_grl is False")
         saved = self.total_updates // self.interval
         if self.average_last > saved:
+            # the default interval saves one checkpoint per update below 20
+            # updates and 10 to 19 from 20 on, so more updates meet an
+            # average of at most 10; a larger one needs checkpoint_interval
+            if self.checkpoint_interval or self.average_last <= 10:
+                hint = (f"at that interval total_updates must be at least "
+                        f"{self.average_last * self.interval}")
+            elif self.total_updates >= self.average_last:
+                hint = (f"set checkpoint_interval to at most "
+                        f"{self.total_updates // self.average_last}")
+            else:
+                hint = f"set checkpoint_interval to 1 and total_updates to at least {self.average_last}"
             raise ConfigInvalid(f"average_last {self.average_last} exceeds the {saved} checkpoints "
                                 f"saved, one every {self.interval} of {self.total_updates} "
-                                f"updates; at that interval total_updates must be at least "
-                                f"{self.average_last * self.interval}")
+                                f"updates; {hint}")
 
     @property
     def interval(self):

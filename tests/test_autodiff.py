@@ -142,6 +142,22 @@ def test_relu_gradient_is_the_masked_upstream_gradient():
     assert x.grad.tobytes() == (g * (x0 > 0)).tobytes()
 
 
+def test_relu_gradient_is_bitwise_the_bool_mask_product_for_non_finite_gradients():
+    """Infinite and NaN upstream gradients meet the mask as they did in
+    g * (x > 0): inf times a masked-out 0.0 is NaN, and NaN stays NaN."""
+    rng = np.random.default_rng(17)
+    x0 = np.resize(RELU_EDGES, (9, 8)) * rng.choice([1.0, -1.0], (9, 8))
+    x0[::4, 1] = np.nan
+    g = np.resize(np.array([np.inf, -np.inf, np.nan, 1.5, -0.0, 5e-324, -2.0]), (9, 8))
+    x = ad.Tensor(x0, requires_grad=True)
+    # backward would reject the non-finite gradient at the leaf, so the
+    # relu node's own rule is called
+    with np.errstate(invalid="ignore"):
+        (grad,) = ad.relu(x)._backward(g)
+        assert grad.tobytes() == (g * (x0 > 0)).tobytes()
+    assert grad.dtype == np.float64 and grad.shape == x0.shape
+
+
 def test_relu_passes_nan_through():
     """A NaN input comes out as NaN (np.maximum), where np.where(x > 0, x,
     0.0) would turn it into 0.0; its gradient is still masked to 0.0."""

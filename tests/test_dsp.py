@@ -117,6 +117,22 @@ def test_cmvn_idempotent():
     assert np.max(np.abs(again - fm.frames)) < 1e-5
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 54, 120])
+def test_cmvn_is_bitwise_the_mean_std_formula(T):
+    """apply_cmvn_ centres once, yet its output is bitwise the
+    frames.mean / frames.std formula, a constant column's unit divisor
+    included, and it leaves its input unchanged."""
+    rng = np.random.default_rng(T)
+    frames = rng.normal(size=(T, 80)) * rng.uniform(0.5, 20.0, 80) + rng.uniform(-30.0, 5.0, 80)
+    frames[:, 7] = -4.25
+    before = frames.tobytes()
+    mean = frames.mean(axis=0)
+    std = frames.std(axis=0)
+    std = np.where(std < 1e-8, 1.0, std)
+    assert apply_cmvn_(frames).tobytes() == ((frames - mean) / std).tobytes()
+    assert frames.tobytes() == before
+
+
 def test_logmel_too_short():
     with pytest.raises(TooShort):
         logmel_features(Waveform(np.zeros(100), 16000))

@@ -1,4 +1,3 @@
-import contextlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -6,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxtag import autodiff as ad
 from voxtag.errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis
 from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
                                read_eval_tsv, tag_inversion_eval,
@@ -231,11 +229,18 @@ def test_tag_inversion_decodes_a_multi_gender_model_under_f_then_m():
     assert matched == {u.id: model.vocab.decode(ids) for u, ids in zip(corpus, own)}
 
 
-def test_tag_inversion_encodes_each_utterance_once_off_the_tape(monkeypatch):
-    """In both modes tag_inversion_eval encodes each utterance exactly once,
-    under no_grad, so the encode records no tape, and its rows, and so every
-    decode, are bitwise those of a taped encode."""
-    corpus, entries = generate_corpus(SynthSpec(n_utterances=6, gender_split=0.5, seed=3))
+@pytest.mark.parametrize("spec, one_row", [
+    (SynthSpec(n_utterances=6, gender_split=0.5, seed=3), 0),
+    # short tokens: a quarter of these utterances pool to a single row
+    (SynthSpec(n_utterances=24, gender_split=0.5, token_duration=0.009, seed=0), 6),
+], ids=["multi-row", "mixed"])
+def test_tag_inversion_encodes_the_corpus_once_off_the_tape(monkeypatch, spec, one_row):
+    """In both modes tag_inversion_eval encodes the corpus once, plus each
+    one-row utterance on its own, under no_grad, so no encode records a
+    tape; every decode reads rows bitwise those of its utterance's own
+    taped encode."""
+    corpus, entries = generate_corpus(spec)
+    assert sum(len(u.pooled) == 1 for u in corpus) == one_row
     encodes, decodes = [], []
     encode, greedy_decode = TranslationModel.encode, TranslationModel.greedy_decode
 
@@ -245,28 +250,23 @@ def test_tag_inversion_encodes_each_utterance_once_off_the_tape(monkeypatch):
         return out
 
     def spy_greedy_decode(self, enc, first_token, max_len=32):
-        ids = greedy_decode(self, enc, first_token, max_len=max_len)
-        decodes.append((first_token, ids))
-        return ids
+        decodes.append(enc.tobytes())
+        return greedy_decode(self, enc, first_token, max_len=max_len)
 
-    monkeypatch.setattr(TranslationModel, "encode", spy_encode)
-    monkeypatch.setattr(TranslationModel, "greedy_decode", spy_greedy_decode)
     # the benchmark's trained weights, whose decodes stop at eos, in each mode
     trained = load_model(Path(__file__).resolve().parents[1] / "bench" / "model" / "model.vxck")
     for mode in MODES:
         model = TranslationModel(trained.vocab, replace(trained.cfg, mode=mode))
         model.load_state_dict(trained.state_dict())
-        runs = []
-        for taped in (False, True):
-            encodes.clear()
-            decodes.clear()
-            with monkeypatch.context() as m:
-                if taped:
-                    m.setattr(ad, "no_grad", contextlib.nullcontext)
-                reports, _ = tag_inversion_eval(model, corpus, entries)
-            assert len(encodes) == len(corpus)
-            assert all(bool(e._parents) is taped for e in encodes)
-            runs.append(([e.values.tobytes() for e in encodes], list(decodes),
-                         {k: r.as_dict() for k, r in reports.items()}))
-        assert runs[0] == runs[1]
-        assert len(decodes) == len(corpus) * (2 if mode == "multi_gender" else 1)
+        own = [model.encode([u.pooled]) for u in corpus]
+        assert all(e._parents for e in own)
+        encodes.clear()
+        decodes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(TranslationModel, "encode", spy_encode)
+            m.setattr(TranslationModel, "greedy_decode", spy_greedy_decode)
+            tag_inversion_eval(model, corpus, entries)
+        assert len(encodes) == 1 + one_row
+        assert not any(e._parents for e in encodes)
+        per_utt = 2 if mode == "multi_gender" else 1
+        assert decodes == [e.values.tobytes() for e in own for _ in range(per_utt)]

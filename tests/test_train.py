@@ -59,6 +59,26 @@ def test_config_validation():
         TrainConfig(grl_schedule=LambdaSchedule(total_updates=2000, fixed_lambda=0.5))
 
 
+@pytest.mark.parametrize("kw, hint, suggested", [
+    # the default interval saves 10 of 200 updates, and so does any longer run
+    ({"total_updates": 200, "average_last": 20}, "set checkpoint_interval to at most 10",
+     {"checkpoint_interval": 10}),
+    ({"total_updates": 15, "warmup_updates": 5, "average_last": 20},
+     "set checkpoint_interval to 1 and total_updates to at least 20",
+     {"checkpoint_interval": 1, "total_updates": 20}),
+    ({"total_updates": 4, "warmup_updates": 2}, "at that interval total_updates must be at least 7",
+     {"total_updates": 7}),
+    ({"total_updates": 100, "warmup_updates": 10, "checkpoint_interval": 40, "average_last": 3},
+     "at that interval total_updates must be at least 120", {"total_updates": 120}),
+])
+def test_too_few_checkpoints_hint_names_a_config_that_is_accepted(kw, hint, suggested):
+    with pytest.raises(ConfigInvalid) as info:
+        TrainConfig(**kw)
+    assert str(info.value).endswith(f"; {hint}")
+    cfg = TrainConfig(**{**kw, **suggested})
+    assert cfg.total_updates // cfg.interval >= cfg.average_last
+
+
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
 def test_perturb_p_outside_unit_interval_is_rejected(p):
     with pytest.raises(ConfigInvalid, match="^perturb_p must be in \\[0, 1\\]"):

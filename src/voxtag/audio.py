@@ -106,9 +106,9 @@ def read_wav(path) -> Waveform:
 
 
 def write_wav(w: Waveform, path) -> None:
-    """Write 16-bit PCM mono. Samples are clipped to [-1, 1] before quantization."""
-    clipped = np.clip(w.samples, -1.0, 1.0)
-    ints = np.clip(np.round(clipped * PCM_SCALE), -32768, 32767).astype("<i2")
+    """Write 16-bit PCM mono. The samples, in [-1, 1] since the Waveform was
+    made, are scaled by 32768 and clipped to int16, so 1.0 writes 32767."""
+    ints = np.clip(np.round(w.samples * PCM_SCALE), -32768, 32767).astype("<i2")
     pcm = ints.tobytes()
     byte_rate = w.sample_rate * 2
     header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"

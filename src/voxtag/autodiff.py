@@ -27,8 +27,7 @@ class no_grad:
     flag. Blocks nest, and each restores the mode it found, also on an
     exception. The mode is process-wide, like the rest of this
     single-threaded engine. It is a class because that is cheaper to enter
-    than a generator-based context manager, and tag_inversion_eval enters
-    one block per utterance."""
+    than a generator-based context manager."""
 
     __slots__ = ("_previous",)
 

@@ -14,6 +14,11 @@ from .perturb import SpeakerGender
 
 # each tag-inversion decode stops at eos or after this many steps
 DECODE_MAX_LEN = 20
+# MuST-SHE's category-1 buckets: each one's (speaker gender, tag gender)
+BUCKETS = {"1F": (SpeakerGender.F, SpeakerGender.F),
+           "1M": (SpeakerGender.M, SpeakerGender.M),
+           "1F-tagM": (SpeakerGender.F, SpeakerGender.M),
+           "1M-tagF": (SpeakerGender.M, SpeakerGender.F)}
 
 
 @dataclass(frozen=True)
@@ -106,51 +111,36 @@ def tag_inversion_eval(model, corpus, entries):
     """Greedy-decode each utterance under both gender tags.
 
     Returns four reports keyed 1F, 1M (tag matches the speaker) and
-    1F-tagM, 1M-tagF (inverted tag). In the inverted buckets the tag defines
-    correctness, so scoring flips each entry's correct/wrong forms. The
-    corpus is encoded in one batch under no_grad, and each utterance is
-    decoded from its slice of the rows, which the row-wise encoder makes
-    bitwise its own encode; a one-row utterance is encoded alone, since
-    numpy multiplies a lone row as a matrix-vector product, with other bits.
-    A multi_gender model is decoded under tag F, then tag M. A
-    gender_unaware model starts both tags at bos (start_token), so it is
-    decoded once, and its matched and inverted hypotheses are that decode.
+    1F-tagM, 1M-tagF (inverted tag), and each utterance's matched
+    hypothesis. In the inverted buckets the tag defines correctness, so
+    scoring flips each entry's correct/wrong forms. The corpus is encoded
+    once, under no_grad, and each utterance decoded from its slice of the
+    rows (see TranslationModel.encode). Each utterance is decoded once per
+    distinct first token (start_token), under tag F, then tag M: twice for a
+    multi_gender model, once at bos for a gender_unaware one, whose matched
+    and inverted hypotheses are then that decode.
     """
     entries = entries_for(corpus, entries)
-    buckets = {"1F": [], "1M": [], "1F-tagM": [], "1M-tagF": []}
-    hyps = {key: {} for key in buckets}
-    matched_hyps = {}
-    # np.shape, not len: encode, not this line, rejects rows of a wrong rank
-    alone = [np.shape(utt.pooled)[:1] == (1,) for utt in corpus]
-    batch = [utt.pooled for utt, one_row in zip(corpus, alone) if not one_row]
+    pooled = [utt.pooled for utt in corpus]
     with ad.no_grad():
-        stacked = model.encode(batch).values if batch else None
-    row = 0
-    for utt, entry, one_row in zip(corpus, entries, alone):
-        if one_row:
-            with ad.no_grad():
-                enc = model.encode([utt.pooled]).values
-        else:
-            enc = stacked[row:row + len(utt.pooled)]
-            row += len(enc)
+        # encode needs one utterance; an empty corpus scores four empty buckets
+        stacked = model.encode(pooled).values if pooled else np.empty((0, 0))
+    bounds = np.cumsum([len(rows) for rows in pooled[:-1]])
+    tokens = {}
+    for utt, enc in zip(corpus, np.split(stacked, bounds)):
         decoded = {}
         for tag_gender in (SpeakerGender.F, SpeakerGender.M):
             tag = start_token(model.cfg.mode, tag_gender)
             if tag not in decoded:
                 ids = model.greedy_decode(enc, tag, max_len=DECODE_MAX_LEN)
                 decoded[tag] = model.vocab.decode(ids)
-            tokens = decoded[tag]
-            matched = tag_gender is utt.gender
-            if matched:
-                key = "1F" if utt.gender is SpeakerGender.F else "1M"
-                buckets[key].append(entry)
-                matched_hyps[utt.id] = tokens
-            else:
-                key = "1F-tagM" if utt.gender is SpeakerGender.F else "1M-tagF"
-                buckets[key].append(entry.swapped())
-            hyps[key][utt.id] = tokens
-    reports = {key: gender_accuracy(hyps[key], buckets[key]) for key in buckets}
-    return reports, matched_hyps
+            tokens[utt.id, tag_gender] = decoded[tag]
+    reports = {}
+    for key, (speaker, tag_gender) in BUCKETS.items():
+        scored = [entry if tag_gender is speaker else entry.swapped()
+                  for utt, entry in zip(corpus, entries) if utt.gender is speaker]
+        reports[key] = gender_accuracy({e.id: tokens[e.id, tag_gender] for e in scored}, scored)
+    return reports, {utt.id: tokens[utt.id, utt.gender] for utt in corpus}
 
 
 def _ngram_counts(tokens, n):

@@ -204,7 +204,12 @@ class TranslationModel:
     def encode(self, pooled):
         """pooled: a batch, a list of each utterance's pool4 rows, (ceil(T/4),
         feature_dim) arrays. The encoder is position-wise, so the rows are
-        stacked in order into one (sum of ceil(T/4), hidden_dim) Tensor."""
+        stacked in order into one (sum of ceil(T/4), hidden_dim) Tensor.
+
+        So a scored corpus is encoded once: an utterance's rows are its slice
+        of the batch. The slice is bitwise the utterance's own encode if it
+        holds two rows or more; a one-row utterance alone is multiplied as a
+        matrix-vector product, which agrees with its slice to rounding only."""
         x = ad.Tensor(np.concatenate([self._checked(rows) for rows in pooled]))
         p = self.params
         h = ad.linear(x, p["enc.in_w"], p["enc.in_b"])

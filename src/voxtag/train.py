@@ -61,24 +61,16 @@ class TrainConfig:
             raise ConfigInvalid("grl_schedule is set but use_grl is False")
         saved = self.total_updates // self.interval
         if self.average_last > saved:
-            # the default interval saves one checkpoint per update below 20
-            # updates and 10 to 19 from 20 on, so more updates meet an
-            # average of at most 10; a larger one needs checkpoint_interval
-            if self.checkpoint_interval or self.average_last <= 10:
-                hint = (f"at that interval total_updates must be at least "
-                        f"{self.average_last * self.interval}")
-            elif self.total_updates >= self.average_last:
-                hint = (f"set checkpoint_interval to at most "
-                        f"{self.total_updates // self.average_last}")
-            else:
-                hint = f"set checkpoint_interval to 1 and total_updates to at least {self.average_last}"
             raise ConfigInvalid(f"average_last {self.average_last} exceeds the {saved} checkpoints "
                                 f"saved, one every {self.interval} of {self.total_updates} "
-                                f"updates; {hint}")
+                                f"updates; at that interval total_updates must be at least "
+                                f"{self.average_last * self.interval}")
 
     @property
     def interval(self):
-        return self.checkpoint_interval or max(1, self.total_updates // 10)
+        # by default a run saves max(10, average_last) checkpoints or more,
+        # or one per update if it is shorter
+        return self.checkpoint_interval or max(1, self.total_updates // max(10, self.average_last))
 
 
 @dataclass
@@ -262,9 +254,8 @@ def probe_discriminator(model, held_out, seed=0) -> float:
             raise SingleClassData("both genders must appear in each probe split")
 
     def encoded(split):
-        # one forward per split: the encoder is row-wise, so its stacked rows
-        # equal per-utterance encodes bit for bit (for utterances of two rows
-        # or more; numpy multiplies a single row as a matrix-vector product)
+        # one forward per split, each utterance's rows its slice of the batch
+        # (TranslationModel.encode)
         pooled = [utt.pooled for utt in split]
         with ad.no_grad():
             X = model.encode(pooled)

@@ -27,6 +27,17 @@ def test_max_amplitude_normalization(tmp_path):
     assert back.samples[1] == -1.0
 
 
+def test_full_scale_writes_the_int16_extremes(tmp_path):
+    """Waveform clips on construction and its samples are read-only, so
+    write_wav only clips the scaled ints: +1.0 * 32768 overflows int16."""
+    for name, samples in (("unit", [1.0, -1.0]), ("beyond", [1.5, -2.0])):
+        w = Waveform(np.array(samples), 16000)
+        assert not w.samples.flags.writeable
+        path = tmp_path / f"{name}.wav"
+        write_wav(w, path)
+        assert np.frombuffer(path.read_bytes()[44:], "<i2").tolist() == [32767, -32768]
+
+
 def test_roundtrip_quantization_bound(tmp_path):
     rng = np.random.default_rng(0)
     for trial in range(5):

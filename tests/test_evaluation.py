@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from voxtag import autodiff as ad
 from voxtag.errors import InvalidSpec, LengthMismatch, MalformedHeader, MissingHypothesis
-from voxtag.evaluation import (GenderEvalEntry, corpus_bleu, gender_accuracy,
-                               read_eval_tsv, tag_inversion_eval,
+from voxtag.evaluation import (DECODE_MAX_LEN, GenderEvalEntry, corpus_bleu,
+                               gender_accuracy, read_eval_tsv, tag_inversion_eval,
                                write_eval_tsv)
 from voxtag.model import (BOS_ID, MODES, TAG_F_ID, TAG_M_ID, ModelConfig, TranslationModel,
-                          load_model)
+                          load_model, start_token)
 from voxtag.perturb import SpeakerGender
 from voxtag.synthdata import SynthSpec, build_vocabulary, generate_corpus
 
@@ -229,18 +230,29 @@ def test_tag_inversion_decodes_a_multi_gender_model_under_f_then_m():
     assert matched == {u.id: model.vocab.decode(ids) for u, ids in zip(corpus, own)}
 
 
+def test_tag_inversion_of_an_empty_corpus_is_four_empty_buckets():
+    model = TranslationModel(build_vocabulary(), ModelConfig(), seed=0)
+    reports, matched = tag_inversion_eval(model, [], [])
+    assert matched == {}
+    assert {key: rep.total_terms for key, rep in reports.items()} == {
+        "1F": 0, "1M": 0, "1F-tagM": 0, "1M-tagF": 0}
+
+
 @pytest.mark.parametrize("spec, one_row", [
     (SynthSpec(n_utterances=6, gender_split=0.5, seed=3), 0),
     # short tokens: a quarter of these utterances pool to a single row
     (SynthSpec(n_utterances=24, gender_split=0.5, token_duration=0.009, seed=0), 6),
 ], ids=["multi-row", "mixed"])
 def test_tag_inversion_encodes_the_corpus_once_off_the_tape(monkeypatch, spec, one_row):
-    """In both modes tag_inversion_eval encodes the corpus once, plus each
-    one-row utterance on its own, under no_grad, so no encode records a
-    tape; every decode reads rows bitwise those of its utterance's own
-    taped encode."""
+    """In both modes tag_inversion_eval encodes the corpus in one call under
+    no_grad, so the encode records no tape, and decodes each utterance from
+    its slice of that batch: bitwise the utterance's own encode if it holds
+    two rows or more, equal to rounding if it holds one. The reports and
+    matched hypotheses equal those decoded from each utterance's own encode."""
     corpus, entries = generate_corpus(spec)
-    assert sum(len(u.pooled) == 1 for u in corpus) == one_row
+    sizes = [len(u.pooled) for u in corpus]
+    assert sizes.count(1) == one_row
+    starts = np.cumsum([0] + sizes)
     encodes, decodes = [], []
     encode, greedy_decode = TranslationModel.encode, TranslationModel.greedy_decode
 
@@ -250,23 +262,45 @@ def test_tag_inversion_encodes_the_corpus_once_off_the_tape(monkeypatch, spec, o
         return out
 
     def spy_greedy_decode(self, enc, first_token, max_len=32):
-        decodes.append(enc.tobytes())
+        decodes.append(enc)
         return greedy_decode(self, enc, first_token, max_len=max_len)
 
+    F, M = SpeakerGender.F, SpeakerGender.M
+    by_id = {e.id: e for e in entries}
     # the benchmark's trained weights, whose decodes stop at eos, in each mode
     trained = load_model(Path(__file__).resolve().parents[1] / "bench" / "model" / "model.vxck")
     for mode in MODES:
         model = TranslationModel(trained.vocab, replace(trained.cfg, mode=mode))
         model.load_state_dict(trained.state_dict())
-        own = [model.encode([u.pooled]) for u in corpus]
-        assert all(e._parents for e in own)
+        with ad.no_grad():
+            own = [model.encode([u.pooled]).values for u in corpus]
         encodes.clear()
         decodes.clear()
         with monkeypatch.context() as m:
             m.setattr(TranslationModel, "encode", spy_encode)
             m.setattr(TranslationModel, "greedy_decode", spy_greedy_decode)
-            tag_inversion_eval(model, corpus, entries)
-        assert len(encodes) == 1 + one_row
-        assert not any(e._parents for e in encodes)
+            reports, matched = tag_inversion_eval(model, corpus, entries)
+        assert len(encodes) == 1
+        assert not encodes[0]._parents
+        batch = encodes[0].values
         per_utt = 2 if mode == "multi_gender" else 1
-        assert decodes == [e.values.tobytes() for e in own for _ in range(per_utt)]
+        assert len(decodes) == per_utt * len(corpus)
+        for i, (lo, single) in enumerate(zip(starts, own)):
+            rows = batch[lo:lo + len(single)]
+            for enc in decodes[per_utt * i:per_utt * (i + 1)]:
+                assert np.shares_memory(enc, batch)
+                assert enc.shape == rows.shape and enc.tobytes() == rows.tobytes()
+            if len(single) > 1:
+                assert rows.tobytes() == single.tobytes()
+            else:
+                np.testing.assert_allclose(rows, single, rtol=1e-12, atol=0)
+        if not one_row:
+            continue
+        ref = {(u.id, g): model.vocab.decode(model.greedy_decode(
+                   single, start_token(mode, g), max_len=DECODE_MAX_LEN))
+               for u, single in zip(corpus, own) for g in (F, M)}
+        assert matched == {u.id: ref[u.id, u.gender] for u in corpus}
+        for key, speaker, tag in (("1F", F, F), ("1M", M, M), ("1F-tagM", F, M), ("1M-tagF", M, F)):
+            ids = [u.id for u in corpus if u.gender is speaker]
+            scored = [by_id[i] if tag is speaker else by_id[i].swapped() for i in ids]
+            assert reports[key] == gender_accuracy({i: ref[i, tag] for i in ids}, scored)

@@ -39,8 +39,11 @@ def test_config_validation():
         TrainConfig(warmup_updates=100, total_updates=50)
     with pytest.raises(ConfigInvalid):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigInvalid):
-        TrainConfig(total_updates=100, average_last=20)
+    with pytest.raises(ConfigInvalid, match="^average_last 20 exceeds the 10 checkpoints saved"):
+        TrainConfig(total_updates=100, warmup_updates=10, checkpoint_interval=10, average_last=20)
+    # the default interval saves average_last checkpoints once the run is long enough
+    assert TrainConfig(total_updates=100, warmup_updates=10, average_last=20).interval == 5
+    assert TrainConfig(total_updates=200, average_last=20).interval == 10
     for kw, key in (({"average_last": 0}, "average_last"), ({"average_last": -3}, "average_last"),
                     ({"checkpoint_interval": -5}, "checkpoint_interval"),
                     ({"lr_peak": 0.0}, "lr_peak"), ({"lr_peak": -1.0}, "lr_peak"),
@@ -60,12 +63,11 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kw, hint, suggested", [
-    # the default interval saves 10 of 200 updates, and so does any longer run
-    ({"total_updates": 200, "average_last": 20}, "set checkpoint_interval to at most 10",
-     {"checkpoint_interval": 10}),
+    # below average_last updates the default interval saves one per update
     ({"total_updates": 15, "warmup_updates": 5, "average_last": 20},
-     "set checkpoint_interval to 1 and total_updates to at least 20",
-     {"checkpoint_interval": 1, "total_updates": 20}),
+     "at that interval total_updates must be at least 20", {"total_updates": 20}),
+    ({"total_updates": 60, "warmup_updates": 10, "checkpoint_interval": 4, "average_last": 16},
+     "at that interval total_updates must be at least 64", {"total_updates": 64}),
     ({"total_updates": 4, "warmup_updates": 2}, "at that interval total_updates must be at least 7",
      {"total_updates": 7}),
     ({"total_updates": 100, "warmup_updates": 10, "checkpoint_interval": 40, "average_last": 3},

@@ -126,9 +126,15 @@ def synth_harmonic(f0, formant_peaks, duration, sample_rate=16000) -> Waveform:
 
 def harmonic_rows(f0, peak_sets, duration, sample_rate) -> np.ndarray:
     """One synth_harmonic signal per formant-peak set, all at f0 and of one
-    duration, as the rows of a (len(peak_sets), samples) array. Each sine is
-    computed once and added into every row, so a row holds the same sums in the
-    same harmonic order as a signal synthesised on its own."""
+    duration, as the rows of a (len(peak_sets), samples) array. The peak sets
+    must be of one length, or ValueError is raised.
+
+    Once per call, one np.sin call takes the sine of every harmonic's phase,
+    a (harmonics, samples) product, and _envelope gives every row's gains.
+    The rows are then summed harmonic by harmonic, each term a gain times a
+    sine, so a row holds the same sums in the same order, and so the same
+    bits, as a signal synthesised on its own; a matmul or einsum would
+    reorder or fuse those sums."""
     if not 50.0 <= f0 <= 500.0:
         raise InvalidF0(f"f0 {f0} Hz outside [50, 500]")
     n = int(round(duration * sample_rate))
@@ -139,24 +145,39 @@ def harmonic_rows(f0, peak_sets, duration, sample_rate) -> np.ndarray:
     nyquist = sample_rate / 2.0
     harmonics = np.arange(1, int(nyquist // f0) + 1) * f0
     harmonics = harmonics[harmonics < nyquist]
-    gains = np.stack([_envelope(harmonics, peaks) for peaks in peak_sets])
+    gains = _envelope(harmonics, peak_sets)
 
+    sines = np.multiply.outer(2.0 * np.pi * harmonics, t)
+    np.sin(sines, out=sines)
     rows = np.zeros((len(gains), n))
-    for k, hz in enumerate(harmonics):
-        rows += gains[:, k:k + 1] * np.sin(2.0 * np.pi * hz * t)
+    term = np.empty_like(rows)
+    for k, sine in enumerate(sines):
+        rows += np.multiply(gains[:, k, None], sine, out=term)
     peak = np.max(np.abs(rows), axis=1)
     rows *= np.divide(0.9, peak, out=np.ones_like(peak), where=peak > 0)[:, None]
     return rows
 
 
-def _envelope(harmonics, formant_peaks):
-    """Gain of each harmonic; flat without formant peaks."""
-    if not formant_peaks:
-        return np.ones_like(harmonics)
+def _envelope(harmonics, peak_sets):
+    """Gain of each harmonic under each formant-peak set, a (sets, harmonics)
+    array; flat for sets without peaks. Sets of unequal length raise
+    ValueError."""
+    sizes = sorted({len(peaks) for peaks in peak_sets})
+    if len(sizes) > 1:
+        raise ValueError(f"formant-peak sets of unequal length: {sizes}")
+    if sizes in ([], [0]):
+        return np.ones((len(peak_sets), len(harmonics)))
+    # (peaks, sets, 1) each, so the bumps are a (peaks, sets, harmonics) array
+    hz, gain = np.asarray(peak_sets, dtype=np.float64).transpose(2, 1, 0)[..., None]
     # resonance-like envelope: gentle lowpass base plus a Gaussian bump
     # per formant, so the envelope maximum sits at the stated peak
-    envelope = 0.4 / (1.0 + (harmonics / 3000.0) ** 2)
-    for hz, gain in formant_peaks:
-        bw = max(80.0, 0.12 * hz)
-        envelope = envelope + gain * np.exp(-0.5 * ((harmonics - hz) / bw) ** 2)
-    return envelope
+    terms = np.empty((1 + len(hz), len(peak_sets), len(harmonics)))
+    terms[0] = 0.4 / (1.0 + (harmonics / 3000.0) ** 2)
+    bw = np.maximum(80.0, 0.12 * hz)
+    np.multiply(gain, np.exp(-0.5 * ((harmonics - hz) / bw) ** 2), out=terms[1:])
+    # with the peak axis outermost, the reduction adds whole slabs left to
+    # right, base + bump 1 + bump 2 + ..., the order of one set on its own.
+    # Only a lone gain (one set of one harmonic, so a sample rate below
+    # 3 * f0) is reduced as a single line, which numpy sums pairwise, in
+    # another order, from 7 peaks on.
+    return np.add.reduce(terms, axis=0)

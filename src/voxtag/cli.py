@@ -13,7 +13,7 @@ from . import evaluation as ev
 from . import model as mdl
 from . import synthdata as sd
 from . import train as tr
-from .errors import UnknownToken, VoxtagError
+from .errors import EmptyList, UnknownToken, VoxtagError
 from .perturb import PerturbConfig, apply_opposite
 
 
@@ -87,6 +87,8 @@ def cmd_train(args):
 def cmd_evaluate(args):
     model = mdl.load_model(args.model)
     utterances = sd.read_manifest(args.manifest)
+    if not utterances:
+        raise EmptyList(f"{args.manifest}: no utterances to evaluate")
     entries = ev.read_eval_tsv(args.eval_tsv)
     reports, hypotheses = ev.tag_inversion_eval(model, utterances, entries)
     refs = [list(e.reference) for e in ev.entries_for(utterances, entries)]

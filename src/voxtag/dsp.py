@@ -62,8 +62,16 @@ class FeatureMatrix:
 
 
 def frame_matrix(x, frame_len, hop):
-    """Read-only (n_frames, frame_len) view of x whose row i starts at i * hop."""
-    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+    """Read-only (n_frames, frame_len) view of the contiguous 1-D array x
+    whose row i starts at i * hop; an x shorter than one frame raises
+    ValueError. It is the view sliding_window_view(x, frame_len)[::hop],
+    made directly without that function's per-call checks and slicing."""
+    if len(x) < frame_len:
+        raise ValueError(f"{len(x)} samples hold no frame of {frame_len}")
+    shape = ((len(x) - frame_len) // hop + 1, frame_len)
+    frames = np.ndarray(shape, x.dtype, x, 0, (hop * x.itemsize, x.itemsize))
+    frames.flags.writeable = False
+    return frames
 
 
 def _parabolic_peak(values, i):

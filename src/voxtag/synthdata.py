@@ -57,16 +57,33 @@ def token_peaks(token: str):
 
 def synth_utterance(f0, gender_peaks, source_tokens, token_duration) -> Waveform:
     """One fixed-length harmonic segment per source token, all at the
-    speaker's f0 and formants, with short fades to avoid segment clicks."""
+    speaker's f0 and formants, with short fades to avoid segment clicks.
+
+    The segments are the rows of one harmonic_rows call, so each harmonic's
+    sine is computed once per utterance; every token's peak set is the
+    speaker's peaks plus the token's two, so all are of one length. The fades
+    scale the ends of every row in place and the rest of a row is kept as it
+    is, which is what multiplying it by 1.0 would give."""
     peak_sets = [tuple(gender_peaks) + token_peaks(token) for token in source_tokens]
     segments = harmonic_rows(f0, peak_sets, token_duration, SAMPLE_RATE)
     n_seg = segments.shape[1]
+    fade_in, fade_out = _fade_ramps(n_seg)
+    segments[:, :len(fade_in)] *= fade_in
+    segments[:, n_seg - len(fade_out):] *= fade_out
+    return Waveform(segments.ravel(), SAMPLE_RATE)
+
+
+@functools.lru_cache(maxsize=16)
+def _fade_ramps(n_seg):
+    """The rising and falling ramps that start and end a segment of n_seg
+    samples: 5 ms each, or a quarter of a shorter segment, empty below 4
+    samples. Every segment of a corpus has one length, so ramps are cached; a
+    cached ramp is shared, so it is read-only."""
     fade = min(int(0.005 * SAMPLE_RATE), n_seg // 4)
-    window = np.ones(n_seg)
-    if fade > 0:
-        window[:fade] = np.linspace(0.0, 1.0, fade)
-        window[-fade:] = np.linspace(1.0, 0.0, fade)
-    return Waveform((segments * window).ravel(), SAMPLE_RATE)
+    ramps = np.linspace(0.0, 1.0, fade), np.linspace(1.0, 0.0, fade)
+    for ramp in ramps:
+        ramp.setflags(write=False)
+    return ramps
 
 
 def grammar_tokens():

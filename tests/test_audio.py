@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from voxtag.audio import MIN_SAMPLE_RATE, PCM_SCALE, Waveform, read_wav, synth_harmonic, write_wav
+from voxtag.audio import (MIN_SAMPLE_RATE, PCM_SCALE, Waveform, harmonic_rows, read_wav,
+                          synth_harmonic, write_wav)
 from voxtag.dsp import F0Contour, estimate_f0_contour, voiced_median
 from voxtag.errors import InvalidF0, MalformedHeader, UnsupportedEncoding
 
@@ -91,6 +92,16 @@ def test_synth_rejects_out_of_range_f0():
 def test_synth_rejects_duration_without_a_sample(duration):
     with pytest.raises(ValueError, match=f"duration {duration} s holds no sample at 16000 Hz"):
         synth_harmonic(150.0, [], duration)
+
+
+@pytest.mark.parametrize("peak_sets", [
+    [((650.0, 8.0), (950.0, 5.0)), ((650.0, 8.0),)],
+    [(), ((800.0, 8.0),)],
+    [((700.0, 8.0),), ((700.0, 8.0),), ((700.0, 8.0), (1900.0, 6.0), (4300.0, 6.0))],
+])
+def test_harmonic_rows_refuses_peak_sets_of_unequal_length(peak_sets):
+    with pytest.raises(ValueError, match=r"formant-peak sets of unequal length: \[\d, \d\]"):
+        harmonic_rows(150.0, peak_sets, 0.01, 16000)
 
 
 def test_synth_envelope_maximum_at_formant():

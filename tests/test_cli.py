@@ -275,6 +275,26 @@ def test_evaluate_scores_a_gender_unaware_checkpoint(workspace, capsys):
     assert [line.split(":")[0] for line in out.splitlines()[:4]] == list(buckets)
 
 
+@pytest.mark.parametrize("manifest_text", ["", "\n\n"])
+def test_evaluate_refuses_a_manifest_without_utterances(workspace, tmp_path, capsys,
+                                                       manifest_text):
+    """An empty manifest is refused by name before the eval file is read or
+    anything is scored, and no report is written."""
+    from voxtag import model as M
+    model = tmp_path / "m.vxck"
+    M.save_model(M.TranslationModel(M.Vocabulary([]), M.ModelConfig(hidden_dim=8, disc_hidden=8)),
+                 model)
+    manifest = tmp_path / "empty.tsv"
+    manifest.write_text(manifest_text, encoding="utf-8")
+    (tmp_path / "empty_eval.tsv").touch()
+    for eval_tsv in (workspace / "corpus" / "eval.tsv", tmp_path / "empty_eval.tsv"):
+        code, out, err = run(capsys, "evaluate", "--model", str(model), "--manifest", str(manifest),
+                             "--eval-tsv", str(eval_tsv), "--out", str(tmp_path / "r.json"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {manifest}: no utterances to evaluate\n"
+        assert not (tmp_path / "r.json").exists()
+
+
 def test_evaluate_model_header_keys(workspace, capsys):
     from voxtag import model as M
     path = workspace / "hdr.vxck"

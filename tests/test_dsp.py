@@ -12,6 +12,7 @@ from voxtag.dsp import (
     apply_cmvn_,
     envelope_peak_hz,
     estimate_f0_contour,
+    frame_matrix,
     hann,
     harmonic_windows,
     logmel_features,
@@ -313,3 +314,17 @@ def test_hann_cached_read_only(n):
     assert np.array_equal(window, np.hanning(n))
     with pytest.raises(ValueError):
         window[0] = 1.0
+
+
+@pytest.mark.parametrize("frame_len, hop", [(1, 1), (3, 2), (400, 160), (1024, 256), (7, 9)])
+def test_frame_matrix_is_the_read_only_sliding_window_view(frame_len, hop):
+    rng = np.random.default_rng(frame_len * 31 + hop)
+    for n in sorted({frame_len, frame_len + 1, frame_len + hop - 1, frame_len + hop,
+                     3 * frame_len + 5, 10048}):
+        x = rng.standard_normal(n)
+        frames = frame_matrix(x, frame_len, hop)
+        want = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+        assert frames.shape == want.shape and np.array_equal(frames, want)
+        assert np.shares_memory(frames, x) and not frames.flags.writeable
+    with pytest.raises(ValueError, match=f"{frame_len - 1} samples hold no frame of {frame_len}"):
+        frame_matrix(np.zeros(frame_len - 1), frame_len, hop)

@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxtag.audio import Waveform, synth_harmonic
+from voxtag import synthdata
+from voxtag.audio import Waveform, harmonic_rows, synth_harmonic
 from voxtag.dsp import estimate_f0_contour, logmel_features, voiced_median
 from voxtag.errors import InvalidSpec, MalformedHeader
 from voxtag.model import pool4
 from voxtag.perturb import SpeakerGender
-from voxtag.synthdata import (GENDERED_STEMS, M_PEAKS, MAX_GENDERED, MAX_LEN, MIN_LEN,
+from voxtag.synthdata import (F_PEAKS, GENDERED_STEMS, M_PEAKS, MAX_GENDERED, MAX_LEN, MIN_LEN,
                               NEUTRAL_TOKENS, SAMPLE_RATE, SynthSpec, build_vocabulary,
                               gendered_form, generate_corpus, grammar_tokens,
                               read_manifest, synth_utterance, token_peaks,
@@ -257,3 +258,61 @@ def test_synthesis_equals_per_token_reference(f0, token_duration):
     for peaks in ([], list(M_PEAKS)):
         assert np.array_equal(synth_harmonic(f0, peaks, token_duration).samples,
                               _reference_synth_harmonic(f0, peaks, token_duration).samples)
+
+
+# Row by row, the batched synthesiser against the one-signal reference: peak
+# sets of 0, 2 and 4 peaks, one row or several, and one harmonic (at 1 kHz,
+# f0 400 Hz) as well as many.
+@pytest.mark.parametrize("f0, sample_rate", [(50.0, 16000), (173.3, 16000), (400.0, 1000)])
+@pytest.mark.parametrize("n_peaks", [0, 2, 4])
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_harmonic_rows_equal_the_one_signal_reference(f0, sample_rate, n_peaks, n_rows):
+    tokens = grammar_tokens()
+    peak_sets = [(token_peaks(tokens[3 * r]) + F_PEAKS)[:n_peaks] for r in range(n_rows)]
+    for duration in (0.0031, 0.05):
+        rows = harmonic_rows(f0, peak_sets, duration, sample_rate)
+        assert rows.shape == (n_rows, int(round(duration * sample_rate)))
+        for row, peaks in zip(rows, peak_sets):
+            want = _reference_synth_harmonic(f0, peaks, duration, sample_rate).samples
+            assert np.array_equal(row, want)
+
+
+# Segments of 1, 2 and 3 samples (no fade), 5 (a 1-sample fade), 17 and 597.
+@pytest.mark.parametrize("token_duration", [6e-5, 1.2e-4, 1.9e-4, 3.1e-4, 1.06e-3, 0.0373])
+def test_short_and_odd_segments_equal_the_per_token_reference(token_duration):
+    source = grammar_tokens()[:7]
+    for f0, peaks in ((130.0, M_PEAKS), (240.0, F_PEAKS)):
+        got = synth_utterance(f0, peaks, source, token_duration).samples
+        want = _reference_synth_utterance(f0, peaks, source, token_duration).samples
+        assert len(got) == 7 * round(token_duration * SAMPLE_RATE)
+        assert np.array_equal(got, want)
+
+
+def test_generated_corpus_equals_the_per_token_reference(monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return synth_utterance(*args)
+
+    monkeypatch.setattr(synthdata, "synth_utterance", recorded)
+    utterances, _ = generate_corpus(SynthSpec(n_utterances=40, seed=11))
+    assert len(calls) == len(utterances) == 40
+    for utt, (f0, peaks, source, token_duration) in zip(utterances, calls):
+        assert source == utt.source_tokens
+        want = _reference_synth_utterance(f0, peaks, source, token_duration).samples
+        assert np.array_equal(utt.waveform.samples, want)
+
+
+@pytest.mark.parametrize("n_seg", [2, 3, 5, 16, 597, 960])
+def test_fade_ramps_cached_read_only(n_seg):
+    fade_in, fade_out = synthdata._fade_ramps(n_seg)
+    assert synthdata._fade_ramps(n_seg)[0] is fade_in
+    fade = min(int(0.005 * SAMPLE_RATE), n_seg // 4)
+    assert np.array_equal(fade_in, np.linspace(0.0, 1.0, fade))
+    assert np.array_equal(fade_out, np.linspace(1.0, 0.0, fade))
+    for ramp in (fade_in, fade_out):
+        assert not ramp.flags.writeable
+        if len(ramp):
+            with pytest.raises(ValueError):
+                ramp[0] = 0.5
